@@ -1,0 +1,78 @@
+"""Golden output fingerprints of small slices of the shipped configs.
+
+Each slice runs two seeds of configs/rect_benchmark.cfg or configs/hard_floor.cfg
+with overrides that shrink the instance and the round count, in exact-oracle
+and in Monte Carlo mode, and compares the sha256 of every file emit_metrics
+writes (summary.json and each round_trace_<seed>.csv) against the digests
+below. A change that moves any per-round float, draw count or summary field
+fails here. Re-record only when outputs change on purpose, and say so in
+CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import dataclasses
+import hashlib
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from massboost import emit_metrics, load_config, run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (config, instance overrides, boost overrides): the rect slice raises gamma
+# and eta (with epsilon = 2c) so a seed stops within about a hundred rounds
+# on a 12x12 grid; the hard slice raises gamma on a 2000-point support
+SLICES = {
+    "rect": ("rect_benchmark.cfg", {"rect_side": "12"}, {"gamma": 0.45, "eta": 0.3, "epsilon": 0.3}),
+    "hard": ("hard_floor.cfg", {"hard_support": "2000"}, {"gamma": 0.2}),
+}
+
+GOLDEN = {
+    ('rect', 'exact-oracle'): {
+        'summary.json': '6ed4f1bcc91d6b82fc4c69231c3447101ff49d2f44209f5f93d4efdb7bffff74',
+        'round_trace_0.csv': '5b9e2736c6d04274650be152a1714e61a80317407042beedc2905d378cfbc404',
+        'round_trace_1.csv': 'ca22d308f65f1a5327bb2eb5d033a1e7a7fabdd1f660177d2a9146d19b0a2e3e',
+    },
+    ('rect', 'monte-carlo'): {
+        'summary.json': '662055a280b5c89d68dd9f254c9b34c057b62fa94052de9063f4e19a60dd123f',
+        'round_trace_0.csv': '4accba40652de6be8e84e569f555bbde6df74414daff332b02aa4c5525b1e5ef',
+        'round_trace_1.csv': '7bb073254110310ed5287cdc8834d7efa2b6ab30f0ddc63af28bfcbbd64cbb80',
+    },
+    ('hard', 'exact-oracle'): {
+        'summary.json': '3c7755ae1b4f93e6187822d4fae74f4f79d804e69c89e2281399f2247c3d6897',
+        'round_trace_0.csv': '345b8597ef033676a382a869a3037e2c84e22da8a6af01be8fea07825e080328',
+        'round_trace_1.csv': 'b9c6225a915e9b001257158e23b5efac0c0dc69ceaa748fabe98b11bf2144c04',
+    },
+    ('hard', 'monte-carlo'): {
+        'summary.json': '5d120b8cce7078c1c13adf25144b4655922b93f10575f1f62f7cd8eb27545433',
+        'round_trace_0.csv': 'ff68b9c689215bf8710512f3929b10ba07504f673c76af9711089370a1ba67bf',
+        'round_trace_1.csv': 'dd194ae819bcedeacd4e08830167a1632d0d9b66124561701f0412fa5a9e7594',
+    },
+}
+
+
+def run_slice(name: str, mode: str, out_dir: Path) -> dict:
+    cfg_file, params, fields = SLICES[name]
+    cfg = load_config(CONFIGS / cfg_file)
+    cfg = dataclasses.replace(cfg, mode=mode, seeds=(0, 1), params={**cfg.params, **params}, **fields)
+    written = emit_metrics(run_experiment(cfg), out_dir)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN))
+def test_golden_fingerprints(name, mode, tmp_path):
+    assert run_slice(name, mode, tmp_path) == GOLDEN[(name, mode)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SLICES:
+            for mode in ("exact-oracle", "monte-carlo"):
+                digests = run_slice(name, mode, Path(tmp) / f"{name}-{mode}")
+                print(f"    ({name!r}, {mode!r}): {{")
+                for file, digest in digests.items():
+                    print(f"        {file!r}: {digest!r},")
+                print("    },")
