@@ -25,7 +25,6 @@ from .core import (
     BoundNotBelowHalf,
     DuplicatePoint,
     FiniteMassartDist,
-    GenerativeSource,
     LabeledExample,
     LabeledSample,
     MassartOracle,
@@ -51,6 +50,7 @@ from .measure import (
 )
 from .booster import (
     AggregatedHypothesis,
+    BoostFailure,
     BoostParams,
     ConditionalDrawBudgetExceeded,
     DegenerateThreshold,

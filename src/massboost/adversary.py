@@ -28,6 +28,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from .booster import BoostFailure
 from .core import FiniteMassartDist, LabeledExample, LabeledSample
 
 __all__ = [
@@ -52,7 +53,7 @@ class RhoOutOfRange(ValueError):
     """rho must lie in [0, alpha/1000)."""
 
 
-class SampleSourceExhausted(RuntimeError):
+class SampleSourceExhausted(BoostFailure):
     """The weak learner's sample source ran out of examples."""
 
 

@@ -8,43 +8,46 @@ risky set {|G| >= s}, a recalibration step moves every risky score one lambda
 toward zero. The loop stops once the estimated density of the reweighting
 measure falls to the target kappa, and the final classifier is sign(G).
 
-The aggregate is represented by the ordered trace ((h_1, b_1), ..., (h_t, b_t))
-of weak hypotheses and recalibration flags; replaying the trace through the
-same per-round update rule reproduces G exactly, so a trained hypothesis is
-portable and cheap to store.
+During a run G lives in one ScoreState, its value sigma on every atom of the
+finite support, stepped once per round; a draw is scored by its atom index in
+both modes. The run returns G as an AggregatedHypothesis, the ordered trace
+((h_1, b_1), ..., (h_t, b_t)) of weak hypotheses and recalibration flags,
+whose replay reproduces G anywhere and equals sigma on the support.
 
-Two execution modes share one code path. In exact-oracle mode (finite-support
-distributions) the density estimate and the over-confidence test use exact
-expectations and draw nothing, which makes a run deterministic given the weak
-learner; Monte Carlo mode uses the sample sizes set by the failure budgets
-delta_dens and delta_err, optionally shrunk by sample_scale for desk-scale
-experiments.
+In exact-oracle mode the density and the over-confidence test are exact
+expectations that draw nothing, which makes a run deterministic given the
+weak learner, and each round records the exact statistics; Monte Carlo mode
+estimates both with the sample sizes set by the failure budgets delta_dens
+and delta_err, optionally shrunk by sample_scale for desk-scale experiments.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from .core import LabeledSample, MassartOracle, sign_pm1
-from .measure import Measure, exact_density
+from .core import FiniteMassartDist, LabeledSample, MassartOracle, sign_pm1
+from .measure import SampleScorer, exact_density, sample_weights
 
 __all__ = [
     "AggregatedHypothesis",
-    "AtomIndex",
+    "BoostFailure",
     "BoostParams",
     "ConditionalDrawBudgetExceeded",
     "DegenerateThreshold",
     "DrawBudgetExceeded",
     "EpsilonTooSmall",
     "EtaZero",
+    "ExactStats",
     "FixedHypothesisWeakLearner",
     "MaxRoundsExceeded",
     "RoundRecord",
     "RunTrace",
+    "ScoreState",
     "WeakLearner",
     "boost",
     "compute_params",
@@ -75,21 +78,27 @@ class EtaZero(ValueError):
     """eta = 0 needs explicit s_max and kappa_min overrides (kappa=eta would never trigger)."""
 
 
-class DrawBudgetExceeded(RuntimeError):
+class BoostFailure(RuntimeError):
+    """A boosting run stopped before its density reached kappa.
+
+    Leaving boost(), it carries the rounds completed: their trace, with the
+    final score of every atom in trace.scores, and their aggregate.
+    """
+
+    trace: Optional["RunTrace"] = None
+    aggregated: Optional["AggregatedHypothesis"] = None
+
+
+class DrawBudgetExceeded(BoostFailure):
     """Rejection sampling burned far more raw draws than the density estimate justifies."""
 
 
-class ConditionalDrawBudgetExceeded(RuntimeError):
+class ConditionalDrawBudgetExceeded(BoostFailure):
     """The conditional error estimate could not fill its sample at the observed risky mass."""
 
 
-class MaxRoundsExceeded(RuntimeError):
-    """The boosting loop hit its round cap; carries the trace for diagnosis."""
-
-    def __init__(self, message: str, trace: "RunTrace", aggregated: "AggregatedHypothesis"):
-        super().__init__(message)
-        self.trace = trace
-        self.aggregated = aggregated
+class MaxRoundsExceeded(BoostFailure):
+    """The boosting loop hit its round cap."""
 
 
 # -- parameters ---------------------------------------------------------------
@@ -236,6 +245,111 @@ def _step_scores(sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, s: floa
     return np.where(safe, stepped, sigma)
 
 
+@dataclass(frozen=True)
+class ExactStats:
+    """Exact expectations of one score state under the joint distribution."""
+
+    density: float  # E[mu(x, y)]
+    potential: float  # E[phi(y G(x))]
+    lerr: float  # Pr[sign G(x) != y]
+    ferr: float  # Pr[sign G(x) != f(x)]
+    risky_mass: float  # Pr[|G(x)| >= s]
+    max_noise_rate: float  # largest per-atom flip probability under D_mu
+    u_diff: np.ndarray  # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1)
+
+
+class ScoreState:
+    """The aggregate's score G on every atom of a finite support.
+
+    sigma[i] = G(dist.xs[i]). step() applies one round of the update rule to
+    all atoms and returns the next state, so sigma equals
+    AggregatedHypothesis.g(dist.xs) bit for bit: hypotheses are pointwise
+    and _step_scores is elementwise. sample_scores reads sigma at the atom
+    index every oracle draw carries, so no draw replays the trace.
+
+    stats() computes a state's exact statistics on first use; each is a dot
+    product of per-atom weights with the joint label masses
+    a+ = P(x, y = +1) and a- = P(x, y = -1).
+    """
+
+    def __init__(self, dist: FiniteMassartDist, lam: float, s: float, withhold: bool):
+        self.dist = dist
+        self.lam = lam
+        self.s = s
+        self.withhold = withhold
+        self.sigma = np.zeros(dist.n_atoms)
+        self._f_plus = dist.f == 1
+        self._a_plus = np.where(self._f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
+        self._a_minus = dist.p - self._a_plus
+        self._b_label = self._a_plus - self._a_minus
+        self._p_times_f = dist.p * dist.f
+        self._prob_plus = float(self._a_plus.sum())
+        self._prob_f_plus = float(dist.p[self._f_plus].sum())
+        # at G = 0 every weight is exactly 1, so density and potential are the
+        # total mass; it is summed, not dotted, and round 1's recorded
+        # pre-round values and advantage carry those bits
+        total = float(self._a_plus.sum() + self._a_minus.sum())
+        self._stats: Optional[ExactStats] = None
+        self._stats = replace(self.stats(), density=total, potential=total)
+
+    def sample_scores(self, sample: LabeledSample) -> np.ndarray:
+        return self.sigma[sample.idx]
+
+    def values(self, h: Callable) -> np.ndarray:
+        """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
+        return np.clip(np.asarray(h(self.dist.xs), dtype=np.float64), -1.0, 1.0)
+
+    def step(self, hv: np.ndarray, b: bool) -> "ScoreState":
+        """The state after one round adding values hv, recalibrating the risky set if b."""
+        nxt = copy.copy(self)
+        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, self.s, not self.withhold)
+        nxt._stats = None
+        return nxt
+
+    def advantage(self, hv: np.ndarray) -> Optional[float]:
+        """Exact advantage (1/2) E_mu[h(x) y] of values hv on the reweighted distribution."""
+        st = self.stats()
+        if st.density > 0.0:
+            return 0.5 * float(np.dot(st.u_diff, hv)) / st.density
+        return None
+
+    def stats(self) -> ExactStats:
+        """The exact statistics of this state, computed on first use."""
+        if self._stats is not None:
+            return self._stats
+        sigma = self.sigma
+        m_plus = np.exp(np.minimum(-sigma, 0.0))  # M(sigma)
+        m_minus = np.exp(np.minimum(sigma, 0.0))  # M(-sigma)
+        safe = np.abs(sigma) < self.s
+        if self.withhold:
+            w_plus = np.where(safe, m_plus, 0.0)
+            w_minus = np.where(safe, m_minus, 0.0)
+        else:
+            w_plus, w_minus = m_plus, m_minus
+        u_plus = self._a_plus * w_plus
+        u_minus = self._a_minus * w_minus
+        # flip mass over total mass per atom; excluded atoms read 0
+        den = u_plus + u_minus
+        num = np.where(self._f_plus, u_minus, u_plus)
+        rates = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        pred_pos = sigma >= 0.0
+        self._stats = ExactStats(
+            # density and potential share the dot structure so the pointwise
+            # mu <= phi inequality survives float accumulation
+            density=float(np.dot(self._a_plus, w_plus) + np.dot(self._a_minus, w_minus)),
+            potential=float(
+                np.dot(self._a_plus, m_plus + np.maximum(-sigma, 0.0))
+                + np.dot(self._a_minus, m_minus + np.maximum(sigma, 0.0))
+            ),
+            lerr=self._prob_plus - float(np.dot(self._b_label, pred_pos)),
+            ferr=self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos)),
+            risky_mass=1.0 - float(np.dot(self.dist.p, safe)),
+            max_noise_rate=float(rates.max()),
+            u_diff=u_plus - u_minus,
+        )
+        return self._stats
+
+
 def evaluate_g(agg: AggregatedHypothesis, x) -> float:
     """Replay the trace at a single point and return the real-valued score."""
     return float(agg.g(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
@@ -281,7 +395,7 @@ class FixedHypothesisWeakLearner:
 
 def samp(
     oracle: MassartOracle,
-    measure: Measure,
+    measure: SampleScorer,
     m_wkl: int,
     rng: np.random.Generator,
     *,
@@ -320,11 +434,7 @@ def samp(
             )
         sample = oracle.sample_batch(batch)
         raw += batch
-        if sample.idx is not None and hasattr(measure.g, "by_index"):
-            w = measure.weight_from_scores(measure.g.by_index(sample.idx), sample.ys)
-        else:
-            w = measure.weight(sample.xs, sample.ys)
-        keep = rng.random(batch) < w
+        keep = rng.random(batch) < sample_weights(measure, sample)
         parts.append(sample[keep])
         kept += int(keep.sum())
         accept_rate = max(kept, 1) / raw
@@ -344,43 +454,35 @@ def density_sample_size(delta_dens: float, epsilon: float, eta: float, sample_sc
 
 def est_density(
     oracle: MassartOracle,
-    measure: Measure,
+    measure: SampleScorer,
     params: BoostParams,
     rng: np.random.Generator,
 ) -> float:
-    """Estimate the density of the measure; exact expectation in exact-oracle mode."""
+    """Estimate the density of the measure; in exact-oracle mode, exact_density of a Measure."""
     if params.mode == MODE_EXACT:
-        dist = oracle.finite
-        if dist is None:
-            raise ValueError("exact-oracle mode requires a finite-support distribution")
-        return exact_density(dist, measure)
+        return exact_density(oracle.source, measure)
     n = density_sample_size(params.delta_dens, params.epsilon, params.eta, params.sample_scale)
     sample = oracle.sample_batch(n)
-    return float(np.mean(measure.weight(sample.xs, sample.ys)))
+    return float(np.mean(sample_weights(measure, sample)))
 
 
 def over_confident(
     oracle: MassartOracle,
-    agg: AggregatedHypothesis,
+    scorer: SampleScorer,
     params: BoostParams,
     rng: np.random.Generator,
-    *,
-    _scores: Optional[np.ndarray] = None,
 ) -> bool:
     """Decide whether sign(G) is over-confident on the withheld risky set.
 
     Stage 1 checks whether the risky mass Pr[|G(x)| >= s] exceeds epsilon/4;
     if not, returns False. Stage 2 compares the misclassification rate of
     sign(G) conditioned on the risky set against eta + 3*epsilon/4. In
-    exact-oracle mode both stages use exact expectations; _scores lets the
-    boosting loop pass precomputed per-atom scores to avoid a trace replay.
+    exact-oracle mode both stages use exact expectations over the support.
     """
-    s = agg.s
+    s = scorer.s
     if params.mode == MODE_EXACT:
-        dist = oracle.finite
-        if dist is None:
-            raise ValueError("exact-oracle mode requires a finite-support distribution")
-        scores = agg.g(dist.xs) if _scores is None else _scores
+        dist = oracle.source
+        scores = scorer.sample_scores(dist.support())
         risky = np.abs(scores) >= s
         pr_risky = float(dist.p[risky].sum())
         if pr_risky <= params.epsilon / 4.0:
@@ -392,7 +494,7 @@ def over_confident(
 
     n1 = int(math.ceil(params.sample_scale * 32.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
     first = oracle.sample_batch(n1)
-    frac = float(np.mean(np.abs(agg.g(first.xs)) >= s))
+    frac = float(np.mean(np.abs(scorer.sample_scores(first)) >= s))
     if frac <= params.epsilon / 4.0:
         return False
     n2 = int(math.ceil(params.sample_scale * 8.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
@@ -408,7 +510,7 @@ def over_confident(
             )
         sample = oracle.sample_batch(batch)
         raw += batch
-        scores = agg.g(sample.xs)
+        scores = scorer.sample_scores(sample)
         mask = np.abs(scores) >= s
         take = min(int(mask.sum()), n2 - collected)
         if take > 0:
@@ -497,10 +599,11 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    """Ordered round records plus draw totals for one boosting run."""
+    """Ordered round records, draw total and final per-atom scores of one boosting run."""
 
     rows: List[RoundRecord] = field(default_factory=list)
     total_draws: int = 0
+    scores: Optional[np.ndarray] = None  # final G on each atom; not part of the CSV
 
     CSV_HEADER = "round,d_hat,d_exact,phi,overconfident,raw_draws,lerr_exact,ferr_exact"
 
@@ -521,43 +624,6 @@ class RunTrace:
         return len(self.rows)
 
 
-class _SigmaScorer:
-    """Score function backed by a per-atom array, with index fast paths."""
-
-    __slots__ = ("sigma", "atom_index")
-
-    def __init__(self, sigma: np.ndarray, atom_index: "AtomIndex"):
-        self.sigma = sigma
-        self.atom_index = atom_index
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        if xs is self.atom_index.xs_ref:  # scoring the support itself
-            return self.sigma
-        return self.sigma[self.atom_index.lookup(np.atleast_2d(xs))]
-
-    def by_index(self, idx: np.ndarray) -> np.ndarray:
-        return self.sigma[idx]
-
-
-class AtomIndex:
-    """Exact row -> atom index lookup for finite supports (vectorized)."""
-
-    def __init__(self, xs: np.ndarray):
-        self.xs_ref = xs
-        a = np.ascontiguousarray(xs, dtype=np.float64)
-        self._itemsize = a.dtype.itemsize * a.shape[1]
-        view = a.view(np.dtype((np.void, self._itemsize))).ravel()
-        self._order = np.argsort(view)
-        self._sorted = view[self._order]
-
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        r = np.ascontiguousarray(rows, dtype=np.float64)
-        view = r.view(np.dtype((np.void, self._itemsize))).ravel()
-        pos = np.searchsorted(self._sorted, view)
-        pos = np.clip(pos, 0, len(self._sorted) - 1)
-        return self._order[pos]
-
-
 # -- the boosting loop --------------------------------------------------------
 
 
@@ -574,8 +640,10 @@ def boost(
     Per round: draw reweighted samples, train and select a weak hypothesis,
     add it on the safe set, recalibrate the risky set when the aggregate is
     over-confident there, then re-estimate the density. Returns the final
-    aggregated hypothesis and the per-round trace. Raises MaxRoundsExceeded
-    (carrying the trace) if the cap is hit first.
+    aggregated hypothesis and the per-round trace, whose scores field holds
+    the final score of every atom. A BoostFailure that stops the loop (the
+    round cap, a draw budget, an exhausted weak-learner sample) leaves with
+    the trace and aggregate of the rounds completed.
 
     The ablation flag disables the risky-set machinery entirely: weights are
     M(yG) with no cutoff, hypotheses apply everywhere, and no recalibration
@@ -583,142 +651,58 @@ def boost(
     bounded-noise property.
     """
     exact = params.mode == MODE_EXACT
-    dist = oracle.finite
-    if exact and dist is None:
-        raise ValueError("exact-oracle mode requires a finite-support oracle")
     withhold = not ablate_no_withholding
-
-    atom_index = AtomIndex(dist.xs) if exact else None
-    sigma = np.zeros(dist.n_atoms) if exact else None
+    state = ScoreState(oracle.source, params.lam, params.s, withhold)
     trace: List[Tuple[Callable, bool]] = []
     run = RunTrace()
     d_hat = 1.0
-    t = 0
     draws_mark = oracle.draws
-    prev_d_exact = 1.0  # d(mu_0) = 1 and Phi(0) = 1 exactly for G = 0
-    prev_phi = 1.0
-    if exact:
-        # joint label masses a+/a- and the measure-weighted u+/u- carried
-        # across rounds, so every exact round statistic is a dot product
-        f_plus = dist.f == 1
-        a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
-        a_minus = dist.p - a_plus
-        b_label = a_plus - a_minus
-        p_times_f = dist.p * dist.f
-        prob_plus = float(a_plus.sum())
-        prob_f_plus = float(dist.p[f_plus].sum())
-        u_plus = a_plus.copy()
-        u_minus = a_minus.copy()
-        u_diff = b_label.copy()
-        prev_d_exact = float(u_plus.sum() + u_minus.sum())
-        prev_phi = prev_d_exact
 
-    def g_from(sig: np.ndarray) -> _SigmaScorer:
-        return _SigmaScorer(sig, atom_index)
+    def finish() -> AggregatedHypothesis:
+        run.total_draws = oracle.draws
+        run.scores = state.sigma
+        return AggregatedHypothesis(params.lam, params.s, tuple(trace), ablated=not withhold)
 
-    def g_replay(frozen: Tuple) -> Callable[[np.ndarray], np.ndarray]:
-        return AggregatedHypothesis(params.lam, params.s, frozen, ablated=not withhold).g
+    try:
+        while d_hat > params.kappa:
+            if len(trace) >= params.max_rounds:
+                raise MaxRoundsExceeded(f"no termination within {params.max_rounds} rounds")
+            rec = RoundRecord(round=len(trace) + 1, d_hat=0.0, overconfident=False, raw_draws=0)
+            if exact:
+                pre = state.stats()
+                rec.d_exact_pre, rec.phi_pre = pre.density, pre.potential
+                rec.max_noise_rate = pre.max_noise_rate
 
-    while d_hat > params.kappa:
-        t += 1
-        if t > params.max_rounds:
-            agg = AggregatedHypothesis(params.lam, params.s, tuple(trace), ablated=not withhold)
-            raise MaxRoundsExceeded(f"no termination within {params.max_rounds} rounds", run, agg)
+            def source(count: int, r: np.random.Generator) -> LabeledSample:
+                sample, _ = samp(
+                    oracle, state, count, r,
+                    d_hat=d_hat, delta=params.delta, sample_scale=params.sample_scale,
+                )
+                return sample
 
-        sigma_prev = sigma
-        if exact:
-            g_prev = g_from(sigma_prev)
-        else:
-            g_prev = g_replay(tuple(trace))
-        measure_prev = Measure(g_prev, params.s, withhold=withhold)
+            h_t = repeat_weak_learner(wkl, source, params, rng)
+            hv = state.values(h_t)
+            if exact:
+                rec.adv_exact = state.advantage(hv)
+            added = state.step(hv, False)
+            b_t = withhold and over_confident(oracle, added, params, rng)
+            state = state.step(hv, True) if b_t else added
+            trace.append((h_t, b_t))
 
-        d_pre = phi_pre = max_rate = None
-        if exact:
-            d_pre = prev_d_exact
-            phi_pre = prev_phi
-            # flip mass over total mass per point; excluded points read 0
-            den = u_plus + u_minus
-            num = np.where(f_plus, u_minus, u_plus)
-            rates = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-            max_rate = float(rates.max())
-
-        def source(count: int, r: np.random.Generator) -> LabeledSample:
-            sample, _ = samp(
-                oracle, measure_prev, count, r,
-                d_hat=d_hat, delta=params.delta, sample_scale=params.sample_scale,
-            )
-            return sample
-
-        h_t = repeat_weak_learner(wkl, source, params, rng)
-
-        adv = None
-        if exact:
-            hv = np.clip(np.asarray(h_t(dist.xs), dtype=np.float64), -1.0, 1.0)
-            if d_pre > 0.0:
-                adv = 0.5 * float(np.dot(u_diff, hv)) / d_pre
-            sigma_mid = _step_scores(sigma_prev, hv, False, params.lam, params.s, not withhold)
-
-        if withhold:
-            provisional = AggregatedHypothesis(params.lam, params.s, tuple(trace) + ((h_t, False),))
-            b_t = over_confident(
-                oracle, provisional, params, rng,
-                _scores=sigma_mid if exact else None,
-            )
-        else:
-            b_t = False
-
-        trace.append((h_t, b_t))
-        if exact:
-            if b_t:
-                sigma = _step_scores(sigma_prev, hv, True, params.lam, params.s, False)
+            if exact:
+                post = state.stats()
+                d_hat = post.density
+                rec.d_exact, rec.phi, rec.risky_mass = post.density, post.potential, post.risky_mass
+                rec.lerr_exact, rec.ferr_exact = post.lerr, post.ferr
             else:
-                sigma = sigma_mid
-
-        rec = RoundRecord(
-            round=t,
-            d_hat=0.0,
-            overconfident=b_t,
-            raw_draws=0,
-            d_exact_pre=d_pre,
-            phi_pre=phi_pre,
-            adv_exact=adv,
-            max_noise_rate=max_rate,
-        )
-        if exact:
-            # one exponential pass per state: the termination density (exact
-            # mode draws nothing), the potential, and the error metrics all
-            # derive from the same raw weights
-            m_plus_raw = np.exp(np.minimum(-sigma, 0.0))  # M(sigma)
-            m_minus_raw = np.exp(np.minimum(sigma, 0.0))  # M(-sigma)
-            safe_now = np.abs(sigma) < params.s
-            if withhold:
-                w_plus_arr = np.where(safe_now, m_plus_raw, 0.0)
-                w_minus_arr = np.where(safe_now, m_minus_raw, 0.0)
-            else:
-                w_plus_arr, w_minus_arr = m_plus_raw, m_minus_raw
-            u_plus = a_plus * w_plus_arr
-            u_minus = a_minus * w_minus_arr
-            u_diff = u_plus - u_minus
-            # density and potential share the dot structure so the pointwise
-            # mu <= phi inequality survives float accumulation
-            d_hat = float(np.dot(a_plus, w_plus_arr) + np.dot(a_minus, w_minus_arr))
-            rec.d_exact = d_hat
-            phi_plus = m_plus_raw + np.maximum(-sigma, 0.0)   # phi(sigma)
-            phi_minus = m_minus_raw + np.maximum(sigma, 0.0)  # phi(-sigma)
-            rec.phi = float(np.dot(a_plus, phi_plus) + np.dot(a_minus, phi_minus))
-            prev_d_exact, prev_phi = rec.d_exact, rec.phi
-            pred_pos = sigma >= 0.0
-            rec.lerr_exact = prob_plus - float(np.dot(b_label, pred_pos))
-            rec.ferr_exact = prob_f_plus - float(np.dot(p_times_f, pred_pos))
-            rec.risky_mass = 1.0 - float(np.dot(dist.p, safe_now))
-        else:
-            measure_now = Measure(g_replay(tuple(trace)), params.s, withhold=withhold)
-            d_hat = est_density(oracle, measure_now, params, rng)
-        rec.d_hat = d_hat
-        rec.raw_draws = oracle.draws - draws_mark
-        run.rows.append(rec)
-        draws_mark = oracle.draws
-
-    run.total_draws = oracle.draws
-    agg = AggregatedHypothesis(params.lam, params.s, tuple(trace), ablated=not withhold)
-    return agg, run
+                d_hat = est_density(oracle, state, params, rng)
+            rec.overconfident = b_t
+            rec.d_hat = d_hat
+            rec.raw_draws = oracle.draws - draws_mark
+            run.rows.append(rec)
+            draws_mark = oracle.draws
+    except BoostFailure as exc:
+        exc.aggregated = finish()
+        exc.trace = run
+        raise
+    return finish(), run

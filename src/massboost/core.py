@@ -30,7 +30,6 @@ __all__ = [
     "BoundNotBelowHalf",
     "DuplicatePoint",
     "FiniteMassartDist",
-    "GenerativeSource",
     "LabeledExample",
     "LabeledSample",
     "MassartOracle",
@@ -38,6 +37,8 @@ __all__ = [
     "exact_advantage",
     "exact_ferr",
     "exact_lerr",
+    "ferr_of_labels",
+    "lerr_of_labels",
     "dump_dist",
     "load_dist",
     "make_massart",
@@ -97,8 +98,8 @@ class LabeledExample:
 class LabeledSample:
     """A batch of labeled examples stored as arrays (xs rows align with ys).
 
-    idx optionally carries the source atom index of each row when the sample
-    came from a finite-support oracle; purely an evaluation fast path.
+    idx carries the atom index of each row of an oracle draw, by which the
+    booster scores it; hand-built samples may leave it None.
     """
 
     xs: np.ndarray
@@ -186,6 +187,10 @@ class FiniteMassartDist:
         """Information-theoretic floor on misclassification error, E[eta(x)]."""
         return float(np.dot(self.p, self.eta))
 
+    def support(self) -> LabeledSample:
+        """Every atom once, labeled by f and carrying its atom index."""
+        return LabeledSample(self.xs, self.f, np.arange(self.n_atoms))
+
     def label_probs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-atom joint probabilities of (x, f(x)) and (x, -f(x))."""
         clean = self.p * (1.0 - self.eta)
@@ -215,15 +220,23 @@ def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
 
 def exact_lerr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact misclassification probability of a hypothesis under the joint distribution."""
-    hv = predict_labels(hypothesis, dist.xs)
-    wrong_clean = (hv != dist.f).astype(np.float64)
-    return float(np.dot(dist.p, wrong_clean * (1.0 - dist.eta) + (1.0 - wrong_clean) * dist.eta))
+    return lerr_of_labels(dist, predict_labels(hypothesis, dist.xs))
 
 
 def exact_ferr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact disagreement probability with the true labeling under the marginal."""
-    hv = predict_labels(hypothesis, dist.xs)
-    return float(np.dot(dist.p, (hv != dist.f).astype(np.float64)))
+    return ferr_of_labels(dist, predict_labels(hypothesis, dist.xs))
+
+
+def lerr_of_labels(dist: FiniteMassartDist, labels: np.ndarray) -> float:
+    """exact_lerr of a classifier given by its {-1,+1} label on each atom."""
+    wrong_clean = (labels != dist.f).astype(np.float64)
+    return float(np.dot(dist.p, wrong_clean * (1.0 - dist.eta) + (1.0 - wrong_clean) * dist.eta))
+
+
+def ferr_of_labels(dist: FiniteMassartDist, labels: np.ndarray) -> float:
+    """exact_ferr of a classifier given by its {-1,+1} label on each atom."""
+    return float(np.dot(dist.p, (labels != dist.f).astype(np.float64)))
 
 
 def exact_advantage(dist: FiniteMassartDist, hypothesis) -> float:
@@ -236,65 +249,35 @@ def exact_advantage(dist: FiniteMassartDist, hypothesis) -> float:
 # -- oracles ------------------------------------------------------------------
 
 
-@dataclass
-class GenerativeSource:
-    """Generative specification: a marginal sampler, a concept, and a noise function.
-
-    sample_x(rng, count) returns a (count, d) array; concept maps points to
-    {-1,+1}; noise maps points to flip probabilities in [0, eta_bound].
-    """
-
-    sample_x: Callable[[np.random.Generator, int], np.ndarray]
-    concept: Callable[[np.ndarray], np.ndarray]
-    noise: Callable[[np.ndarray], np.ndarray]
-    eta_bound: float
-
-
 class MassartOracle:
-    """Seeded noisy example oracle over a finite or generative source.
+    """Seeded noisy example oracle over a finite Massart distribution.
 
     Each draw emits (x, y) with x from the marginal and y = -f(x) with
-    probability exactly eta(x), independently per draw. The draw counter
-    meters every emitted example so experiment reports can account for all
-    oracle access.
+    probability exactly eta(x), independently per draw, and carries the
+    index of its atom. The draw counter meters every emitted example so
+    experiment reports can account for all oracle access.
     """
 
-    def __init__(self, source, rng_seed: int):
-        if not isinstance(source, (FiniteMassartDist, GenerativeSource)):
-            raise TypeError("source must be a FiniteMassartDist or GenerativeSource")
+    def __init__(self, source: FiniteMassartDist, rng_seed: int):
+        if not isinstance(source, FiniteMassartDist):
+            raise TypeError("source must be a FiniteMassartDist")
         self.source = source
         self.rng_seed = int(rng_seed)
         self.rng = np.random.default_rng(self.rng_seed)
         self.draws = 0
-        if isinstance(source, FiniteMassartDist):
-            self._cum = np.cumsum(source.p)
-            self._cum[-1] = 1.0  # guard float roundoff at the top bin
-
-    @property
-    def finite(self) -> Optional[FiniteMassartDist]:
-        return self.source if isinstance(self.source, FiniteMassartDist) else None
+        self._cum = np.cumsum(source.p)
+        self._cum[-1] = 1.0  # guard float roundoff at the top bin
 
     def sample_batch(self, count: int) -> LabeledSample:
         count = int(count)
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            d = self.source.dim if isinstance(self.source, FiniteMassartDist) else 0
-            return LabeledSample(np.empty((0, max(d, 1))), np.empty(0, dtype=np.int8))
-        idx = None
-        if isinstance(self.source, FiniteMassartDist):
-            idx = np.searchsorted(self._cum, self.rng.random(count), side="right")
-            xs = self.source.xs[idx]
-            truth = self.source.f[idx]
-            eta = self.source.eta[idx]
-        else:
-            xs = np.atleast_2d(np.asarray(self.source.sample_x(self.rng, count), dtype=np.float64))
-            truth = sign_pm1(np.asarray(self.source.concept(xs)))
-            eta = np.asarray(self.source.noise(xs), dtype=np.float64)
-        flips = self.rng.random(count) < eta
+        idx = np.searchsorted(self._cum, self.rng.random(count), side="right")
+        truth = self.source.f[idx]
+        flips = self.rng.random(count) < self.source.eta[idx]
         ys = np.where(flips, -truth, truth).astype(np.int8)
         self.draws += count
-        return LabeledSample(xs, ys, idx)
+        return LabeledSample(self.source.xs[idx], ys, idx)
 
 
 def sample_example(oracle: MassartOracle, rng: Optional[np.random.Generator] = None) -> LabeledExample:

@@ -3,9 +3,10 @@
 A run config is a flat key = value text file naming a distribution source, a
 weak learner, and the boosting parameters, plus a seed list. For each seed
 the runner builds a fresh oracle and RNG stream, boosts, evaluates the final
-hypothesis (exactly on finite supports, on a held-out sample otherwise), and
-aggregates success statistics. (config, seed) fully determines a run;
-reruns write byte-identical outputs.
+hypothesis exactly on the finite support, and aggregates success
+statistics. A seed whose run stops early keeps the rounds it completed and
+is evaluated on them. (config, seed) fully determines a run; reruns write
+byte-identical outputs.
 
 Outputs: summary.json with aggregate and per-seed fields, and one
 round_trace_<seed>.csv per seed in the booster's trace schema.
@@ -26,14 +27,14 @@ import numpy as np
 from .adversary import HardDistSpec, RudeState, RudeWeakLearner, hard_distribution
 from .booster import (
     AggregatedHypothesis,
+    BoostFailure,
     BoostParams,
     FixedHypothesisWeakLearner,
-    MaxRoundsExceeded,
     RunTrace,
     boost,
     compute_params,
 )
-from .core import FiniteMassartDist, MassartOracle, exact_ferr, exact_lerr, load_dist
+from .core import FiniteMassartDist, MassartOracle, ferr_of_labels, lerr_of_labels, load_dist, sign_pm1
 from .rectangles import BoxWeakLearner, Rectangle, RectangleUnion
 
 __all__ = [
@@ -262,15 +263,15 @@ class SeedResult:
     seed: int
     ok: bool
     error: str
-    lerr: Optional[float]
-    ferr: Optional[float]
+    lerr: float
+    ferr: float
     exact_eval: bool
     rounds: int
     total_draws: int
     overconfident_rounds: int
     max_noise_rate: Optional[float]
-    trace: Optional[RunTrace] = None
-    aggregated: Optional[AggregatedHypothesis] = None
+    trace: RunTrace
+    aggregated: AggregatedHypothesis
 
 
 @dataclass
@@ -332,38 +333,27 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     wkl = build_weak_learner(cfg, concept, dist)
     params = _boost_params(cfg)
     rng = np.random.default_rng(ss[2])
-    trace: Optional[RunTrace] = None
-    agg: Optional[AggregatedHypothesis] = None
     error = ""
-    ok = True
     try:
         agg, trace = boost(
             oracle, wkl, params, rng, ablate_no_withholding=cfg.ablate_no_withholding
         )
-    except MaxRoundsExceeded as exc:
-        ok = False
-        error = f"MaxRoundsExceeded: {exc}"
-        trace = exc.trace
-        agg = exc.aggregated
-    except (RuntimeError, ValueError) as exc:
-        ok = False
+    except BoostFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
+        agg, trace = exc.aggregated, exc.trace
 
-    lerr = ferr = None
-    if agg is not None:
-        lerr = exact_lerr(dist, agg.g)
-        ferr = exact_ferr(dist, agg.g)
-    rates = [r.max_noise_rate for r in trace.rows if r.max_noise_rate is not None] if trace else []
+    labels = sign_pm1(trace.scores)
+    rates = [r.max_noise_rate for r in trace.rows if r.max_noise_rate is not None]
     return SeedResult(
         seed=seed,
-        ok=ok,
+        ok=not error,
         error=error,
-        lerr=lerr,
-        ferr=ferr,
+        lerr=lerr_of_labels(dist, labels),
+        ferr=ferr_of_labels(dist, labels),
         exact_eval=True,
-        rounds=trace.rounds if trace else 0,
+        rounds=trace.rounds,
         total_draws=oracle.draws,
-        overconfident_rounds=sum(1 for r in trace.rows if r.overconfident) if trace else 0,
+        overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),
         max_noise_rate=max(rates) if rates else None,
         trace=trace,
         aggregated=agg,
@@ -371,8 +361,18 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:
-    """Run every configured seed and aggregate; per-seed failures are recorded, not fatal."""
-    workers = max(1, int(os.environ.get("MB_THREADS", "1")))
+    """Run every configured seed and aggregate; per-seed failures are recorded, not fatal.
+
+    Invalid boost parameters or MB_THREADS raise ConfigParse before any seed runs.
+    """
+    try:
+        _boost_params(cfg)
+    except ValueError as exc:
+        raise ConfigParse(f"boost parameters: {exc}") from None
+    try:
+        workers = max(1, int(os.environ.get("MB_THREADS", "1")))
+    except ValueError:
+        raise ConfigParse(f"MB_THREADS must be an integer, got {os.environ['MB_THREADS']!r}") from None
     seeds = list(cfg.seeds)
     if workers > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
@@ -381,10 +381,9 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         results = [_run_seed(cfg, s) for s in seeds]
 
     target = cfg.eta + cfg.epsilon
-    hits = [r for r in results if r.ok and r.lerr is not None and r.lerr <= target]
+    hits = [r for r in results if r.ok and r.lerr <= target]
     success = len(hits) / len(results) if results else 0.0
-    lerrs = [r.lerr for r in results if r.lerr is not None]
-    mean_lerr = float(np.mean(lerrs)) if lerrs else None
+    mean_lerr = float(np.mean([r.lerr for r in results])) if results else None
     rounds = np.asarray([r.rounds for r in results], dtype=np.float64)
     percentiles = {}
     if len(rounds):
@@ -418,7 +417,7 @@ def emit_metrics(report: RunReport, path) -> List[Path]:
         for r in report.results:
             trace_path = out_dir / f"round_trace_{r.seed}.csv"
             with open(trace_path, "w") as fh:
-                fh.write(r.trace.to_csv() if r.trace is not None else RunTrace.CSV_HEADER + "\n")
+                fh.write(r.trace.to_csv())
             written.append(trace_path)
         return written
     except OSError as exc:

@@ -22,14 +22,15 @@ single place that convention is recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Protocol, Union
 
 import numpy as np
 
-from .core import FiniteMassartDist
+from .core import FiniteMassartDist, LabeledSample
 
 __all__ = [
     "Measure",
+    "SampleScorer",
     "ZeroMass",
     "exact_density",
     "exact_potential",
@@ -38,6 +39,7 @@ __all__ = [
     "phi_point",
     "reweighted_noise_rate",
     "reweighted_noise_rates",
+    "sample_weights",
 ]
 
 
@@ -65,6 +67,19 @@ def phi_point(v: Union[float, np.ndarray]):
     return float(out) if out.ndim == 0 else out
 
 
+class SampleScorer(Protocol):
+    """Scores drawn examples for the measure mu with threshold s.
+
+    A Measure scores a sample through its point function, g(sample.xs); the
+    booster's ScoreState reads its per-atom scores at sample.idx.
+    """
+
+    s: float
+    withhold: bool
+
+    def sample_scores(self, sample: LabeledSample) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class Measure:
     """Measure mu_{g,s} induced by a score function and a withholding threshold.
@@ -81,19 +96,30 @@ class Measure:
     def scores(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self.g(xs), dtype=np.float64)
 
-    def weight(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.weight_from_scores(self.scores(xs), ys)
+    def sample_scores(self, sample: LabeledSample) -> np.ndarray:
+        return self.scores(sample.xs)
 
-    def weight_from_scores(self, scores: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        w = m_weight(np.asarray(ys, dtype=np.float64) * scores)
-        if self.withhold:
-            w = np.where(np.abs(scores) >= self.s, 0.0, w)
-        return w
+    def weight(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return _mu_from_scores(self.scores(xs), ys, self.s, self.withhold)
 
     def weight_both_labels(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights for label +1 and label -1 at each score."""
         ones = np.ones_like(scores)
-        return self.weight_from_scores(scores, ones), self.weight_from_scores(scores, -ones)
+        w_plus = _mu_from_scores(scores, ones, self.s, self.withhold)
+        return w_plus, _mu_from_scores(scores, -ones, self.s, self.withhold)
+
+
+def _mu_from_scores(scores: np.ndarray, ys: np.ndarray, s: float, withhold: bool) -> np.ndarray:
+    """Weight mu of labels ys at scores g(x), for threshold s."""
+    w = m_weight(np.asarray(ys, dtype=np.float64) * scores)
+    if withhold:
+        w = np.where(np.abs(scores) >= s, 0.0, w)
+    return w
+
+
+def sample_weights(scorer: SampleScorer, sample: LabeledSample) -> np.ndarray:
+    """Weight mu(x, y) of each example of a drawn sample."""
+    return _mu_from_scores(scorer.sample_scores(sample), sample.ys, scorer.s, scorer.withhold)
 
 
 def mu_weight(measure: Measure, x, y) -> float:

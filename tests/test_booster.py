@@ -194,7 +194,8 @@ class TestOverConfident:
     @staticmethod
     def agg_with_scores(scores, s):
         # one step of size 2h lands each atom at its target score
-        return AggregatedHypothesis(lam=2.0, s=s, trace=((lookup_h(np.asarray(scores) / 2.0), False),))
+        agg = AggregatedHypothesis(lam=2.0, s=s, trace=((lookup_h(np.asarray(scores) / 2.0), False),))
+        return Measure(agg.g, s)
 
     def test_small_risky_mass_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
@@ -366,9 +367,9 @@ class TestConditionalBudget:
             def __init__(self):
                 self.calls = 0
 
-            def g(self, xs):
+            def sample_scores(self, sample):
                 self.calls += 1
-                n = np.atleast_2d(xs).shape[0]
+                n = len(sample)
                 return np.full(n, 2.0 if self.calls == 1 else 0.0)
 
         with pytest.raises(ConditionalDrawBudgetExceeded):

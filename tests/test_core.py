@@ -8,7 +8,6 @@ from massboost import (
     BoundNotBelowHalf,
     DuplicatePoint,
     FiniteMassartDist,
-    GenerativeSource,
     LabeledExample,
     MassartOracle,
     NoiseExceedsBound,
@@ -108,20 +107,6 @@ class TestSampleExample:
             ea, eb = sample_example(a), sample_example(b)
             assert ea.y == eb.y
             assert np.array_equal(ea.x, eb.x)
-
-    def test_generative_source(self):
-        src = GenerativeSource(
-            sample_x=lambda rng, n: rng.random((n, 2)),
-            concept=lambda xs: np.where(xs[:, 0] < 0.5, 1, -1),
-            noise=lambda xs: np.full(xs.shape[0], 0.2),
-            eta_bound=0.2,
-        )
-        oracle = MassartOracle(src, rng_seed=5)
-        batch = oracle.sample_batch(20_000)
-        truth = np.where(batch.xs[:, 0] < 0.5, 1, -1)
-        flip_rate = np.mean(batch.ys != truth)
-        assert abs(flip_rate - 0.2) < 0.01
-        assert oracle.draws == 20_000
 
 
 class TestExactMetrics:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import massboost.booster as booster
 from massboost import ConfigParse, emit_metrics, run_experiment
 from massboost.harness import build_instance, load_config, parse_config
 
@@ -121,6 +122,65 @@ class TestEmitMetrics:
         assert blobs[0] == blobs[1]
 
 
+# Monte Carlo boosting with a tiny rectangle learner: at sample_scale 0.0005
+# the over-confidence test samples so little that seed 12 runs out of its
+# risky-conditioned draw budget in round 54
+CONFIG_MC_FRAGILE = """
+distribution = rect_grid
+rect_d = 2
+rect_k = 1
+rect_side = 10
+noise_profile = rcn
+weak_learner = box
+box_scale = 0.05
+eta = 0.05
+alpha = 0.1
+gamma = 0.45
+epsilon = 0.15
+delta = 0.1
+sample_scale = 0.0005
+mode = mc
+seeds = 12
+"""
+
+
+class TestFailedSeeds:
+    """A seed whose run stops early keeps and reports the rounds it completed."""
+
+    def check_partial(self, cfg, tmp_path, error):
+        rep = run_experiment(cfg)
+        emit_metrics(rep, tmp_path)
+        (r,) = rep.results
+        assert not r.ok and r.error.startswith(error + ":")
+        assert r.rounds > 0 and len(r.aggregated) == r.rounds
+        rows = (tmp_path / f"round_trace_{r.seed}.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, r.rounds + 1))
+        dist, _, _ = build_instance(cfg, r.seed)
+        assert np.array_equal(r.trace.scores, r.aggregated.g(dist.xs))
+        summary = json.loads((tmp_path / "summary.json").read_text())["seeds"][0]
+        assert summary["rounds"] == r.rounds and summary["lerr"] is not None
+
+    def test_draw_budget_keeps_completed_rounds(self, tmp_path, monkeypatch):
+        # a density estimate stuck at 0.9 while the true density collapses
+        # sizes the rejection-sampling budget for a measure that is no longer there
+        monkeypatch.setattr(booster, "est_density", lambda *args: 0.9)
+        cfg = parse_config(CONFIG_MC_FRAGILE.replace("sample_scale = 0.0005", "sample_scale = 0.028"))
+        self.check_partial(cfg, tmp_path, "DrawBudgetExceeded")
+
+    def test_conditional_budget_keeps_completed_rounds(self, tmp_path):
+        # fails inside the over-confidence test, after the round's provisional
+        # step: the scores must still be those of the completed rounds
+        self.check_partial(parse_config(CONFIG_MC_FRAGILE), tmp_path, "ConditionalDrawBudgetExceeded")
+
+    def test_other_errors_are_not_seed_failures(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a boosting failure")
+
+        monkeypatch.setattr(booster, "repeat_weak_learner", broken)
+        with pytest.raises(ValueError, match="not a boosting failure"):
+            run_experiment(parse_config(CONFIG_SMALL))
+
+
 class TestCli:
     def run_cli(self, args, env_extra=None):
         env = dict(os.environ)
@@ -160,6 +220,22 @@ class TestCli:
         cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds ="))
         res = self.run_cli(["run", str(cfg_path)])
         assert res.returncode == 0
+
+    def test_non_integer_thread_count_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        res = self.run_cli(["run", str(cfg_path)], env_extra={"MB_THREADS": "abc"})
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "MB_THREADS" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_epsilon_below_two_c_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL.replace("epsilon = 0.15", "epsilon = 0.01"))
+        res = self.run_cli(["run", str(cfg_path)])
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "epsilon" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestCliFlags:
