@@ -126,15 +126,117 @@ def _majority(ys: np.ndarray) -> int:
     return 1 if np.sum(ys == 1) >= np.sum(ys == -1) else -1
 
 
+def _suffix_table(inv, m, axes: Tuple[int, ...], positive: np.ndarray) -> np.ndarray:
+    """Counts and positive counts of the points with x[a] >= u_a[i_a] on every axis a in axes.
+
+    u_a holds the m[a] sorted unique values of x[:, a] and inv[a] each
+    point's index in it. Shape (2, m_a + 1, ...): index 0 counts all points,
+    index 1 the positive ones; the extra last cell along each axis is a zero
+    (the empty suffix). The suffix sums run as cumsums on reversed views, in
+    place.
+    """
+    shape = tuple(m[a] + 1 for a in axes)
+    flat = inv[axes[0]]
+    for a in axes[1:]:
+        flat = flat * (m[a] + 1) + inv[a]
+    size = int(np.prod(shape))
+    table = np.bincount(np.concatenate((flat, flat[positive] + size)), minlength=2 * size)
+    table = table.astype(np.float64).reshape((2,) + shape)
+    for ax in range(1, table.ndim):
+        rev = table[(slice(None),) * ax + (slice(None, None, -1),)]
+        np.cumsum(rev, axis=ax, out=rev)
+    return table
+
+
+def _box_counts(table: np.ndarray, signs, m) -> np.ndarray:
+    """Counts of one block of candidates, read off a suffix table by inclusion-exclusion.
+
+    signs[p] lists the directions the block uses on the table's p-th axis,
+    whose m[p] unique coordinates are u. Direction +1 at index i keeps
+    x >= u[i], the suffix itself. Direction -1 at index j keeps -x >= -u[m-1-j]:
+    everything minus the suffix from m-j, so index j runs over the reversed
+    coordinates exactly as the unique values of -x would. Both directions
+    give the slab u[i] <= x <= u[m-1-j], the difference of two suffixes;
+    when the slab is empty that difference is at most 0, and it is clipped
+    to 0 so that every later step works on true counts.
+    Every entry is an integer-valued float, so the counts are exact.
+    """
+    for p in range(len(signs) - 1, -1, -1):
+        head = (slice(None),) * (p + 1)
+        suffix = table[head + (slice(0, m[p]),)]
+        rest = table[head + (slice(m[p], 0, -1),)]
+        if signs[p] == (1,):
+            table = suffix
+        elif signs[p] == (-1,):
+            table = table[head + (slice(0, 1),)] - rest
+        else:
+            table = np.expand_dims(suffix, p + 2) - np.expand_dims(rest, p + 1)
+            np.maximum(table, 0.0, out=table)
+    return table
+
+
+def _blocks(xs: np.ndarray, positive: np.ndarray, k: int):
+    """Yield (signed axes, thresholds, counts) for every block of candidates, in rank order.
+
+    A block is one combination of at most k of the 2d signed axes (axis,
+    direction), in itertools.combinations order over (0,+1), (0,-1), (1,+1),
+    ...: all single inequalities first, then pairs, and so on. Its candidates
+    are every choice of one threshold per signed axis among the sorted
+    unique values of direction * x[:, axis]. counts has shape (2, m_1, ...,
+    m_r): the number of points and of positive points in each candidate.
+    All blocks over the same set of distinct axes share one suffix table.
+    """
+    d = xs.shape[1]
+    uniques, inverses = zip(*(np.unique(xs[:, axis], return_inverse=True) for axis in range(d)))
+    m = [len(u) for u in uniques]
+    families = [(axis, direction) for axis in range(d) for direction in (1, -1)]
+    tables = {}
+    for r in range(1, k + 1):
+        for combo in itertools.combinations(families, r):
+            axes = tuple(sorted({axis for axis, _ in combo}))
+            if axes not in tables:
+                tables[axes] = _suffix_table(inverses, m, axes, positive)
+            signs = [tuple(direction for a, direction in combo if a == axis) for axis in axes]
+            thresholds = [uniques[axis] if direction == 1 else -uniques[axis][::-1] for axis, direction in combo]
+            yield combo, thresholds, _box_counts(tables[axes], signs, [m[axis] for axis in axes])
+
+
+def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
+    """(ratio, count, flat index) of the block's best cell, or None if no cell clears the floor.
+
+    One linear pass each: the minimum positive fraction over the cells with
+    count / n > floor, then the largest count among the cells at that
+    fraction, of which argmax returns the first in flat (C) order.
+    """
+    ratio = np.divide(pos_counts, counts, out=np.full(counts.shape, np.inf), where=counts / n > floor)
+    best = ratio.min()
+    if best == np.inf:
+        return None
+    j = int(np.argmax(np.where(ratio == best, counts, -1.0)))
+    return float(best), float(counts.flat[j]), j
+
+
 def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesis:
     """Train the rectangle weak learner on a labeled sample.
 
     If the observed negative fraction is below alpha/2, returns the constant
-    +1 hypothesis. Otherwise enumerates every candidate rectangle with at
+    +1 hypothesis. Otherwise considers every candidate rectangle with at
     most k closed inequalities, directions over the 2d signed axes and
     thresholds at sample coordinates, keeps those with empirical mass
     strictly above alpha / (8 (2d)^k), and returns the one minimizing the
-    positive fraction inside (ties: larger support, then enumeration order).
+    key (positive fraction inside, -count inside, block rank, flat index).
+    A block is one combination of signed axes, ranked in enumeration order
+    (one inequality first, then pairs, ...); its flat index is the C-order
+    position of the thresholds' indices among the sorted unique values of
+    each signed coordinate. If no candidate clears the floor, returns the
+    constant sample majority; with k >= 1 that cannot happen, because the
+    smallest thresholds keep the whole sample.
+
+    The counts come from one suffix-sum table per set of distinct axes,
+    shared by every block over those axes (_blocks, _box_counts), and each
+    block's best cell is found by a linear-time pick (_pick), not a sort.
+    The counts are exact integers held in float64, so the hypothesis is the
+    one a direct enumeration of the candidates returns.
     """
     n = len(sample)
     if n == 0:
@@ -148,47 +250,19 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
         return BoxHypothesis(None, 1, constant_flag=True)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
-    pos = (ys == 1).astype(np.float64)
-    families = [(axis, direction) for axis in range(d) for direction in (1, -1)]
-    projections = [direction * xs[:, axis] for axis, direction in families]
-    fam_unique = [np.unique(proj, return_inverse=True) for proj in projections]
-
     best_key = None  # (ratio, -count, block_rank, flat_idx)
     best_rect: Optional[NegRectangle] = None
-    block_rank = 0
-
-    for r in range(1, k + 1):
-        for combo in itertools.combinations(range(len(families)), r):
-            uniques = [fam_unique[fi][0] for fi in combo]
-            inverses = [fam_unique[fi][1] for fi in combo]
-            shape = tuple(len(u) for u in uniques)
-            flat = np.ravel_multi_index(tuple(inverses), shape)
-            size = int(np.prod(shape))
-            counts = np.bincount(flat, minlength=size).reshape(shape).astype(np.float64)
-            pos_counts = np.bincount(flat, weights=pos, minlength=size).reshape(shape)
-            # suffix sums along every axis: cell -> count of samples with all
-            # projections >= the cell's thresholds
-            for ax in range(r):
-                counts = np.flip(np.cumsum(np.flip(counts, axis=ax), axis=ax), axis=ax)
-                pos_counts = np.flip(np.cumsum(np.flip(pos_counts, axis=ax), axis=ax), axis=ax)
-            counts = counts.ravel()
-            pos_counts = pos_counts.ravel()
-            mask = counts / n > floor
-            if mask.any():
-                idx = np.nonzero(mask)[0]
-                ratio = pos_counts[idx] / counts[idx]
-                order = np.lexsort((idx, -counts[idx], ratio))
-                j = order[0]
-                key = (float(ratio[j]), -float(counts[idx[j]]), block_rank, int(idx[j]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    cell = np.unravel_index(idx[j], shape)
-                    ineqs = tuple(
-                        (families[fi][0], families[fi][1], float(uniques[pos_i][cell[pos_i]]))
-                        for pos_i, fi in enumerate(combo)
-                    )
-                    best_rect = NegRectangle(ineqs)
-            block_rank += 1
+    for block_rank, (combo, thresholds, counts) in enumerate(_blocks(xs, ys == 1, k)):
+        pick = _pick(counts[0], counts[1], n, floor)
+        if pick is None:
+            continue
+        key = (pick[0], -pick[1], block_rank, pick[2])
+        if best_key is None or key < best_key:
+            best_key = key
+            cell = np.unravel_index(pick[2], counts.shape[1:])
+            best_rect = NegRectangle(
+                tuple((axis, direction, float(t[i])) for (axis, direction), t, i in zip(combo, thresholds, cell))
+            )
 
     if best_rect is None:
         z = _majority(ys)

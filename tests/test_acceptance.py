@@ -341,7 +341,7 @@ def test_criterion_6_density_estimate_calibration():
     failures = 0
     for trial in range(trials):
         oracle = MassartOracle(dist, rng_seed=10_000 + trial)
-        d_hat = est_density(oracle, measure, params, np.random.default_rng(trial))
+        d_hat = est_density(oracle, measure, params)
         if abs(d_hat - exact) > beta:
             failures += 1
     ok = failures <= delta_dens * trials

@@ -74,6 +74,15 @@ class TestComputeParams:
         with pytest.raises(EpsilonTooSmall):
             compute_params(eta=0.1, alpha=0.1, gamma=0.05, epsilon=0.05, delta=0.1)
 
+    def test_epsilon_on_the_two_c_boundary(self):
+        # 2c evaluates to 0.20000000000000004 and 0.10000000000000002 here
+        p = compute_params(eta=0.2, alpha=0.1, gamma=0.3, epsilon=0.2, delta=0.1)
+        assert p.epsilon == 0.2 and 2.0 * p.c > 0.2
+        p = compute_params(eta=0.1, alpha=0.1, gamma=0.3, epsilon=0.1, delta=0.1)
+        assert p.epsilon == 0.1
+        with pytest.raises(EpsilonTooSmall):
+            compute_params(eta=0.2, alpha=0.1, gamma=0.3, epsilon=0.19, delta=0.1)
+
     def test_eta_zero_requires_overrides(self):
         with pytest.raises(EtaZero):
             compute_params(eta=0.0, alpha=0.1, gamma=0.05, epsilon=0.15, delta=0.1)
@@ -168,7 +177,7 @@ class TestEstDensity:
         dist = index_dist(f=[1, -1], eta=[0.1, 0.1])
         oracle = MassartOracle(dist, rng_seed=1)
         params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
-        d = est_density(oracle, Measure(const_h(0.0), s=params.s), params, np.random.default_rng(0))
+        d = est_density(oracle, Measure(const_h(0.0), s=params.s), params)
         assert d == 1.0
         assert oracle.draws == 0
 
@@ -182,7 +191,7 @@ class TestEstDensity:
         params = compute_params(0.2, 0.1, 0.05, 0.3, 0.1, mode="mc", sample_scale=1.0)
         scores = rng.uniform(-2, 2, size=30)
         m = Measure(lookup_h(scores), s=1.0)
-        d_hat = est_density(oracle, m, params, np.random.default_rng(1))
+        d_hat = est_density(oracle, m, params)
         assert abs(d_hat - exact_density(dist, m)) < 0.02
 
 
@@ -201,31 +210,31 @@ class TestOverConfident:
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
         oracle = MassartOracle(dist, rng_seed=0)
         agg = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params(), np.random.default_rng(0)) is False
+        assert over_confident(oracle, agg, self.params()) is False
 
     def test_large_risky_error_returns_true(self):
         # risky mass 0.1 split between a clean and an inverted atom: error 1/2
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
         oracle = MassartOracle(dist, rng_seed=0)
         agg = self.agg_with_scores([1.5, 1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params(), np.random.default_rng(0)) is True
+        assert over_confident(oracle, agg, self.params()) is True
 
     def test_small_risky_error_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.1, 0.9])
         oracle = MassartOracle(dist, rng_seed=0)
         agg = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params(), np.random.default_rng(0)) is False
+        assert over_confident(oracle, agg, self.params()) is False
 
     def test_mc_mode_matches_exact_on_clear_cases(self):
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
         agg = self.agg_with_scores([1.5, 1.5, 0.1], s=1.0)
         mc = self.params(mode="mc")
         oracle = MassartOracle(dist, rng_seed=77)
-        assert over_confident(oracle, agg, mc, np.random.default_rng(1)) is True
+        assert over_confident(oracle, agg, mc) is True
         dist2 = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
         oracle2 = MassartOracle(dist2, rng_seed=78)
         agg2 = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle2, agg2, mc, np.random.default_rng(2)) is False
+        assert over_confident(oracle2, agg2, mc) is False
 
 
 class TestRepeatWeakLearner:
@@ -373,7 +382,7 @@ class TestConditionalBudget:
                 return np.full(n, 2.0 if self.calls == 1 else 0.0)
 
         with pytest.raises(ConditionalDrawBudgetExceeded):
-            over_confident(oracle, VanishingRisk(), params, np.random.default_rng(1))
+            over_confident(oracle, VanishingRisk(), params)
 
 
 class TestRealizableCase:
