@@ -223,9 +223,11 @@ class AggregatedHypothesis:
     def g(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         sigma = np.zeros(xs.shape[0])
+        tmp = np.empty_like(sigma)
         for h, b in self.trace:
-            sigma = _step_scores(sigma, np.clip(np.asarray(h(xs), dtype=np.float64), -1.0, 1.0),
-                                 b, self.lam, self.s, self.ablated)
+            hv = np.clip(np.asarray(h(xs), dtype=np.float64), -1.0, 1.0)
+            risky = None if self.ablated else np.abs(sigma) >= self.s
+            sigma = _step_scores(sigma, hv, b, self.lam, risky, np.empty_like(sigma), tmp)
         return sigma
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
@@ -235,16 +237,27 @@ class AggregatedHypothesis:
         return len(self.trace)
 
 
-def _step_scores(sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, s: float, ablated: bool) -> np.ndarray:
-    """One round of the score update, shared by the loop and trace replay."""
-    if ablated:
-        return sigma + lam * hv
-    safe = np.abs(sigma) < s
-    stepped = sigma + lam * hv
-    if b:
-        pulled = sigma - lam * np.where(sigma >= 0, 1.0, -1.0)
-        return np.where(safe, stepped, pulled)
-    return np.where(safe, stepped, sigma)
+def _step_scores(
+    sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, risky: Optional[np.ndarray],
+    out: np.ndarray, tmp: np.ndarray,
+) -> np.ndarray:
+    """One round of the score update into out, shared by the loop and trace replay.
+
+    risky is the mask |sigma| >= s, or None when withholding is ablated and
+    every atom takes the step. A safe atom gets sigma + lam * hv; a risky one
+    keeps sigma, or moves to sigma - lam * sign(sigma) if b. Each value comes
+    from that one IEEE operation, whichever buffers hold it. out must not be
+    sigma; tmp is scratch of sigma's shape.
+    """
+    np.multiply(hv, lam, out=tmp)
+    np.add(sigma, tmp, out=out)
+    if risky is None:
+        return out
+    if b:  # a risky sigma is nonzero, so copysign gives lam * sign(sigma) there
+        np.subtract(sigma, np.copysign(lam, sigma, out=tmp), out=out, where=risky)
+    else:
+        np.copyto(out, sigma, where=risky)
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,7 +270,9 @@ class ExactStats:
     ferr: float  # Pr[sign G(x) != f(x)]
     risky_mass: float  # Pr[|G(x)| >= s]
     max_noise_rate: float  # largest per-atom flip probability under D_mu
-    u_diff: np.ndarray  # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1)
+    # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1); a ScoreState
+    # workspace row (see ScoreState)
+    u_diff: np.ndarray
 
 
 class ScoreState:
@@ -272,6 +287,21 @@ class ScoreState:
     stats() computes a state's exact statistics on first use; each is a dot
     product of per-atom weights with the joint label masses
     a+ = P(x, y = +1) and a- = P(x, y = -1).
+
+    The states stepped from one constructed state share its workspace, eight
+    per-atom rows allocated once, and write every per-atom temporary into
+    them, so a round of boost() allocates no array of n_atoms elements. What
+    a method returns from the workspace stays valid only as follows; copy
+    what must live longer, as boost() copies the final scores.
+
+    - sigma and the risky mask |sigma| >= s alternate between two buffers:
+      step() writes into the one that does not hold this state's sigma. A
+      state stays valid until the step after next, that is, until a state
+      stepped from it is stepped in turn. Two states stepped from the same
+      state share a buffer, and only the later one is valid.
+    - values() returns the same row on every call.
+    - ExactStats.u_diff is one row, overwritten when another state of the
+      run computes its stats.
     """
 
     def __init__(self, dist: FiniteMassartDist, lam: float, s: float, withhold: bool):
@@ -279,14 +309,29 @@ class ScoreState:
         self.lam = lam
         self.s = s
         self.withhold = withhold
-        self.sigma = np.zeros(dist.n_atoms)
-        self._f_plus = dist.f == 1
-        self._a_plus = np.where(self._f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
+        n = dist.n_atoms
+        rows = np.zeros((8, n))
+        self._score_rows = rows[:2]
+        self._risky_rows = np.zeros((2, n), dtype=bool)
+        self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = rows[2:]
+        self._buf = 0
+        self.sigma = self._score_rows[0]
+        self._risky_mask: Optional[np.ndarray] = None
+        f_plus = dist.f == 1
+        self._a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
         self._a_minus = dist.p - self._a_plus
         self._b_label = self._a_plus - self._a_minus
         self._p_times_f = dist.p * dist.f
         self._prob_plus = float(self._a_plus.sum())
-        self._prob_f_plus = float(dist.p[self._f_plus].sum())
+        self._prob_f_plus = float(dist.p[f_plus].sum())
+        # an atom without mass on its flipped label has noise rate exactly 0,
+        # so rates are computed on the others only: first those with f = +1,
+        # then those with f = -1
+        flip = np.where(f_plus, self._a_minus, self._a_plus) > 0.0
+        noisy_plus = np.flatnonzero(flip & f_plus)
+        self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
+        self._n_noisy_plus = len(noisy_plus)
+        self._den_pos = np.empty(len(self._noisy), dtype=bool)
         # at G = 0 every weight is exactly 1, so density and potential are the
         # total mass; it is summed, not dotted, and round 1's recorded
         # pre-round values and advantage carry those bits
@@ -297,14 +342,22 @@ class ScoreState:
     def sample_scores(self, sample: LabeledSample) -> np.ndarray:
         return self.sigma[sample.idx]
 
+    def support_scores(self, dist: FiniteMassartDist) -> Tuple[np.ndarray, np.ndarray]:
+        """sigma and its risky mask; dist is this state's own support."""
+        return self.sigma, self._risky()
+
     def values(self, h: Callable) -> np.ndarray:
         """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
-        return np.clip(np.asarray(h(self.dist.xs), dtype=np.float64), -1.0, 1.0)
+        np.copyto(self._hv, h(self.dist.xs))
+        return np.clip(self._hv, -1.0, 1.0, out=self._hv)
 
     def step(self, hv: np.ndarray, b: bool) -> "ScoreState":
         """The state after one round adding values hv, recalibrating the risky set if b."""
         nxt = copy.copy(self)
-        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, self.s, not self.withhold)
+        nxt._buf = 1 - self._buf
+        risky = self._risky() if self.withhold else None
+        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, risky, self._score_rows[nxt._buf], self._t1)
+        nxt._risky_mask = None
         nxt._stats = None
         return nxt
 
@@ -315,41 +368,64 @@ class ScoreState:
             return 0.5 * float(np.dot(st.u_diff, hv)) / st.density
         return None
 
+    def _risky(self) -> np.ndarray:
+        """The mask |sigma| >= s, computed on first use; clobbers the scratch row t1."""
+        if self._risky_mask is None:
+            np.abs(self.sigma, out=self._t1)
+            self._risky_mask = np.greater_equal(self._t1, self.s, out=self._risky_rows[self._buf])
+        return self._risky_mask
+
     def stats(self) -> ExactStats:
         """The exact statistics of this state, computed on first use."""
         if self._stats is not None:
             return self._stats
-        sigma = self.sigma
-        m_plus = np.exp(np.minimum(-sigma, 0.0))  # M(sigma)
-        m_minus = np.exp(np.minimum(sigma, 0.0))  # M(-sigma)
-        safe = np.abs(sigma) < self.s
-        if self.withhold:
-            w_plus = np.where(safe, m_plus, 0.0)
-            w_minus = np.where(safe, m_minus, 0.0)
-        else:
-            w_plus, w_minus = m_plus, m_minus
-        u_plus = self._a_plus * w_plus
-        u_minus = self._a_minus * w_minus
-        # flip mass over total mass per atom; excluded atoms read 0
-        den = u_plus + u_minus
-        num = np.where(self._f_plus, u_minus, u_plus)
-        rates = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-        pred_pos = sigma >= 0.0
+        sigma, risky = self.sigma, self._risky()
+        m_plus, m_minus, t = self._t1, self._t2, self._t3
+        # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma
+        np.negative(sigma, out=t)
+        np.exp(np.minimum(t, 0.0, out=m_plus), out=m_plus)
+        np.add(m_plus, np.maximum(t, 0.0, out=t), out=t)
+        pot_plus = np.dot(self._a_plus, t)
+        np.exp(np.minimum(sigma, 0.0, out=m_minus), out=m_minus)
+        np.add(m_minus, np.maximum(sigma, 0.0, out=t), out=t)
+        potential = float(pot_plus + np.dot(self._a_minus, t))
+        if self.withhold:  # the weights mu: M zeroed on the risky set
+            np.copyto(m_plus, 0.0, where=risky)
+            np.copyto(m_minus, 0.0, where=risky)
+        # density and potential share the dot structure so the pointwise
+        # mu <= phi inequality survives float accumulation
+        density = float(np.dot(self._a_plus, m_plus) + np.dot(self._a_minus, m_minus))
+        u_plus = np.multiply(self._a_plus, m_plus, out=m_plus)
+        u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
+        np.subtract(u_plus, u_minus, out=self._u_diff)
+        max_noise_rate = self._max_noise_rate(u_plus, u_minus)
+        pred_pos = np.greater_equal(sigma, 0.0, out=t)
+        lerr = self._prob_plus - float(np.dot(self._b_label, pred_pos))
+        ferr = self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos))
+        safe = np.subtract(1.0, risky, out=t)
         self._stats = ExactStats(
-            # density and potential share the dot structure so the pointwise
-            # mu <= phi inequality survives float accumulation
-            density=float(np.dot(self._a_plus, w_plus) + np.dot(self._a_minus, w_minus)),
-            potential=float(
-                np.dot(self._a_plus, m_plus + np.maximum(-sigma, 0.0))
-                + np.dot(self._a_minus, m_minus + np.maximum(sigma, 0.0))
-            ),
-            lerr=self._prob_plus - float(np.dot(self._b_label, pred_pos)),
-            ferr=self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos)),
+            density=density,
+            potential=potential,
+            lerr=lerr,
+            ferr=ferr,
             risky_mass=1.0 - float(np.dot(self.dist.p, safe)),
-            max_noise_rate=float(rates.max()),
-            u_diff=u_plus - u_minus,
+            max_noise_rate=max_noise_rate,
+            u_diff=self._u_diff,
         )
         return self._stats
+
+    def _max_noise_rate(self, u_plus: np.ndarray, u_minus: np.ndarray) -> float:
+        """Largest flip mass over total mass on one atom; excluded atoms read 0."""
+        k, kp = len(self._noisy), self._n_noisy_plus
+        if k == 0:
+            return 0.0
+        num, den = self._t3[:k], self._t4[:k]
+        np.take(u_plus, self._noisy, out=den)
+        np.take(u_minus, self._noisy, out=num)  # the flipped label of f = +1 is -1
+        np.add(den, num, out=den)
+        np.take(u_plus, self._noisy[kp:], out=num[kp:])  # and that of f = -1 is +1
+        np.divide(num, den, out=num, where=np.greater(den, 0.0, out=self._den_pos))
+        return float(num.max())
 
 
 def evaluate_g(agg: AggregatedHypothesis, x) -> float:
@@ -478,14 +554,14 @@ def over_confident(
     s = scorer.s
     if params.mode == MODE_EXACT:
         dist = oracle.source
-        scores = scorer.sample_scores(dist.support())
-        risky = np.abs(scores) >= s
-        pr_risky = float(dist.p[risky].sum())
+        scores, risky = scorer.support_scores(dist)
+        p_risky = dist.p[risky]
+        pr_risky = float(p_risky.sum())
         if pr_risky <= params.epsilon / 4.0:
             return False
-        preds = sign_pm1(scores)
-        perr = np.where(preds == dist.f, dist.eta, 1.0 - dist.eta)
-        cond_err = float(np.dot(dist.p[risky], perr[risky])) / pr_risky
+        eta = dist.eta[risky]
+        perr = np.where(sign_pm1(scores[risky]) == dist.f[risky], eta, 1.0 - eta)
+        cond_err = float(np.dot(p_risky, perr)) / pr_risky
         return cond_err >= params.eta + 3.0 * params.epsilon / 4.0
 
     n1 = int(math.ceil(params.sample_scale * 32.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
@@ -652,7 +728,7 @@ def boost(
 
     def finish() -> AggregatedHypothesis:
         run.total_draws = oracle.draws
-        run.scores = state.sigma
+        run.scores = state.sigma.copy()
         return AggregatedHypothesis(params.lam, params.s, tuple(trace), ablated=not withhold)
 
     try:

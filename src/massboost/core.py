@@ -187,10 +187,6 @@ class FiniteMassartDist:
         """Information-theoretic floor on misclassification error, E[eta(x)]."""
         return float(np.dot(self.p, self.eta))
 
-    def support(self) -> LabeledSample:
-        """Every atom once, labeled by f and carrying its atom index."""
-        return LabeledSample(self.xs, self.f, np.arange(self.n_atoms))
-
     def label_probs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-atom joint probabilities of (x, f(x)) and (x, -f(x))."""
         clean = self.p * (1.0 - self.eta)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from massboost import (
     repetition_schedule,
     samp,
 )
-from massboost.booster import density_sample_size
+from massboost.booster import ScoreState, density_sample_size
 
 
 def const_h(v):
@@ -331,6 +333,19 @@ class TestBoost:
         assert err.value.trace.rounds == 3
         assert len(err.value.aggregated.trace) == 3
 
+    def test_final_scores_do_not_alias_the_workspace(self):
+        rng = np.random.default_rng(9)
+        dist, f = rcn_dist(rng, 20, eta=0.1)
+        params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, sample_scale=0.02)
+        wkl = FixedHypothesisWeakLearner(lookup_h(f), gamma=0.05)
+        agg, trace = boost(MassartOracle(dist, rng_seed=10), wkl, params, np.random.default_rng(11))
+        with pytest.raises(MaxRoundsExceeded) as err:
+            boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=3), np.random.default_rng(11))
+        boost(MassartOracle(dist, rng_seed=12), wkl, params, np.random.default_rng(13))
+        for run, scores in ((agg, trace.scores), (err.value.aggregated, err.value.trace.scores)):
+            assert scores.base is None  # a copy, not a view of a workspace row
+            assert np.array_equal(scores, run.g(dist.xs))
+
     def test_trace_csv_schema(self):
         _, _, _, trace = self.run_small(seed=12, n=30)
         csv = trace.to_csv()
@@ -357,6 +372,42 @@ class TestBoost:
     def test_draw_accounting(self):
         _, _, _, trace = self.run_small(seed=25, n=30)
         assert trace.total_draws == sum(r.raw_draws for r in trace.rows)
+
+
+def test_exact_round_allocates_no_per_atom_array():
+    """A steady-state exact round keeps its per-atom temporaries in the state's workspace.
+
+    The constant hypothesis's own output is one row of n floats; the bound
+    allows two, where the allocating round peaked at about 13.
+    """
+    n = 100_000
+    f = np.where(np.arange(n) % 3 == 0, 1, -1)
+    dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n), f,
+                             np.full(n, 0.1), 0.1)
+    params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
+    oracle = MassartOracle(dist, rng_seed=0)
+    minus_one = const_h(-1.0)
+
+    def one_round(state):
+        state.stats()
+        hv = state.values(minus_one)
+        state.advantage(hv)
+        nxt = state.step(hv, False)
+        over_confident(oracle, nxt, params)
+        nxt.stats()
+        return nxt
+
+    state = ScoreState(dist, params.lam, params.s, True)
+    for _ in range(3):
+        state = one_round(state)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        one_round(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * 8 * n
 
 
 class TestConditionalBudget:

@@ -1,11 +1,22 @@
 """Property tests over random finite distributions and random boosting traces."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massboost import AggregatedHypothesis, FiniteMassartDist, MassartOracle
+from massboost import (
+    AggregatedHypothesis,
+    FiniteMassartDist,
+    MassartOracle,
+    Measure,
+    exact_density,
+    exact_potential,
+    reweighted_noise_rates,
+)
 from massboost.booster import ScoreState
+from massboost.core import dump_dist, parse_dist
 
 
 def sawtooth(w: np.ndarray, c: float, amp: float):
@@ -69,3 +80,37 @@ def test_score_state_equals_trace_replay(data):
         assert np.array_equal(state.sigma, agg.g(dist.xs))
         sample = oracle.sample_batch(data.draw(st.integers(0, 20)))
         assert np.array_equal(state.sample_scores(sample), agg.g(sample.xs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_stats_match_the_measure(data):
+    """stats() of a random state satisfies mu <= phi and agrees with measure.py's independent sums."""
+    dist = data.draw(finite_dists())
+    trace = data.draw(traces(dist.dim))
+    lam = data.draw(st.floats(0.01, 1.0))
+    s = data.draw(st.floats(0.1, 3.0))
+    withhold = data.draw(st.booleans())
+
+    state = ScoreState(dist, lam, s, withhold)
+    for h, b in trace:
+        state = state.step(state.values(h), b)
+    st_ = state.stats()
+    assert st_.density <= st_.potential
+    agg = AggregatedHypothesis(lam, s, tuple(trace), ablated=not withhold)
+    measure = Measure(agg.g, s, withhold)
+    assert math.isclose(st_.density, exact_density(dist, measure), rel_tol=1e-12)
+    assert math.isclose(st_.potential, exact_potential(dist, agg.g), rel_tol=1e-12)
+    rates, included = reweighted_noise_rates(dist, measure)
+    want = float(rates[included].max()) if included.any() else 0.0
+    # a- = p - a+ differs from p * eta by a rounding of p, so the rate carries an absolute error
+    assert math.isclose(st_.max_noise_rate, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=finite_dists())
+def test_dist_serialization_round_trips(dist):
+    back = parse_dist(dump_dist(dist))
+    assert back.eta_bound == dist.eta_bound
+    for name in ("xs", "p", "f", "eta"):
+        assert getattr(back, name).tobytes() == getattr(dist, name).tobytes(), name
