@@ -7,8 +7,8 @@ verified without estimation error.
 
 Modules
 -------
-core        labeled examples, finite Massart distributions, example oracles,
-            exact error/advantage metrics, text serialization
+core        finite Massart distributions, example oracles, exact
+            error/advantage metrics, text serialization
 measure     the [0,1]-valued reweighting measure, its density, and the
             integral potential used for convergence accounting
 booster     the boosting loop with rejection sampling, density estimation,
@@ -18,95 +18,23 @@ rectangles  weak learner for unions of axis-aligned rectangles and the
 adversary   biased hard distribution, label simulator, and the heavy-hitter
             adversarial weak learner used as a stress harness
 harness     config-driven seeded experiment runner with CSV/JSON metrics
+
+The top level re-exports the names the demos and the acceptance gate use;
+everything else is imported from its module.
 """
 
-from .core import (
-    BadProbability,
-    BoundNotBelowHalf,
-    DuplicatePoint,
-    FiniteMassartDist,
-    LabeledExample,
-    LabeledSample,
-    MassartOracle,
-    NoiseExceedsBound,
-    exact_advantage,
-    exact_ferr,
-    exact_lerr,
-    load_dist,
-    make_massart,
-    sample_example,
-    save_dist,
-)
-from .measure import (
-    Measure,
-    ZeroMass,
-    exact_density,
-    exact_potential,
-    m_weight,
-    mu_weight,
-    phi_point,
-    reweighted_noise_rate,
-    reweighted_noise_rates,
-)
+from .core import FiniteMassartDist, MassartOracle, exact_advantage, exact_ferr, exact_lerr, make_massart
+from .measure import Measure, exact_density, exact_potential, m_weight, phi_point, reweighted_noise_rates
 from .booster import (
-    AggregatedHypothesis,
     BoostFailure,
-    BoostParams,
-    ConditionalDrawBudgetExceeded,
-    DegenerateThreshold,
-    DrawBudgetExceeded,
-    EpsilonTooSmall,
-    EtaZero,
     FixedHypothesisWeakLearner,
     MaxRoundsExceeded,
-    RoundRecord,
-    RunTrace,
-    WeakLearner,
     boost,
     compute_params,
     est_density,
-    evaluate_g,
-    over_confident,
-    predict,
-    repeat_weak_learner,
-    repetition_schedule,
-    samp,
 )
-from .rectangles import (
-    BoxHypothesis,
-    BoxWeakLearner,
-    EmptySample,
-    NegRectangle,
-    Rectangle,
-    RectangleUnion,
-    enumerate_negative_subrectangles,
-    load_union,
-    rect_union_eval,
-    save_union,
-    wkl_box,
-)
-from .adversary import (
-    HardDistSpec,
-    HeavyHitterHypothesis,
-    RhoOutOfRange,
-    RudeState,
-    RudeWeakLearner,
-    SampleSourceExhausted,
-    biased_function,
-    exsim,
-    exsim_batch,
-    hard_distribution,
-    wkl_rude,
-)
-from .harness import (
-    ConfigParse,
-    RunConfig,
-    RunReport,
-    SeedResult,
-    UnknownWeakLearner,
-    emit_metrics,
-    load_config,
-    run_experiment,
-)
+from .rectangles import BoxWeakLearner, RectangleUnion, enumerate_negative_subrectangles, wkl_box
+from .adversary import HardDistSpec, RudeState, RudeWeakLearner, hard_distribution
+from .harness import ConfigParse, emit_metrics, load_config, run_experiment
 
 __version__ = "0.1.0"

@@ -24,12 +24,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .booster import BoostFailure
-from .core import FiniteMassartDist, LabeledExample, LabeledSample
+from .core import FiniteMassartDist, LabeledSample
 
 __all__ = [
     "HardDistSpec",
@@ -37,14 +36,9 @@ __all__ = [
     "RhoOutOfRange",
     "RudeState",
     "RudeWeakLearner",
-    "SampleSourceExhausted",
-    "biased_function",
     "biased_labels",
-    "dump_spec",
-    "exsim",
     "exsim_batch",
     "hard_distribution",
-    "parse_spec",
     "wkl_rude",
 ]
 
@@ -53,24 +47,8 @@ class RhoOutOfRange(ValueError):
     """rho must lie in [0, alpha/1000)."""
 
 
-class SampleSourceExhausted(BoostFailure):
-    """The weak learner's sample source ran out of examples."""
-
-
-def _keyed_u64(seed: int, x: int) -> int:
-    key = int(seed).to_bytes(16, "big", signed=False)
-    h = hashlib.blake2b(int(x).to_bytes(8, "big", signed=False), key=key, digest_size=8)
-    return int.from_bytes(h.digest(), "big")
-
-
-def biased_function(seed: int, x: int, eta_prime: float) -> int:
-    """Deterministic keyed-hash labeling: +1 with probability eta_prime over uniform x."""
-    u = _keyed_u64(seed, x) / 2.0**64
-    return 1 if u < eta_prime else -1
-
-
 def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
-    """Vectorized biased_function over an integer array."""
+    """Deterministic keyed-hash labeling of integer points: +1 with probability eta_prime over uniform x."""
     out = np.empty(len(xs), dtype=np.int8)
     threshold = eta_prime * 2.0**64
     key = int(seed).to_bytes(16, "big", signed=False)
@@ -132,17 +110,12 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
     return FiniteMassartDist(xs, p, f, eta, eta_bound, _validated=True)
 
 
-def exsim(spec: HardDistSpec, rng: np.random.Generator) -> LabeledExample:
-    """Simulated example: uniform x, label -1 with probability 1 - eta' - rho + rho*eta.
+def exsim_batch(spec: HardDistSpec, rng: np.random.Generator, count: int) -> LabeledSample:
+    """Simulated examples: uniform x, label -1 with probability 1 - eta' - rho + rho*eta.
 
     The label never consults the target function, only its marginal. Draws x
     from the exactly representable range [0, min(2^n, 2^53)).
     """
-    sample = exsim_batch(spec, rng, 1)
-    return LabeledExample(sample.xs[0], int(sample.ys[0]))
-
-
-def exsim_batch(spec: HardDistSpec, rng: np.random.Generator, count: int) -> LabeledSample:
     high = min(2**spec.n, 2**53)
     xs = rng.integers(0, high, size=count).astype(np.float64).reshape(-1, 1)
     p_minus = 1.0 - spec.eta_prime - spec.rho + spec.rho * spec.eta
@@ -277,64 +250,8 @@ class RudeWeakLearner:
     def alpha(self) -> float:
         return 20.0 * self.state.gamma
 
-    @property
-    def sample_size(self) -> int:
-        return (
-            self.state.step1_size()
-            + self.state.step2_size()
-            + self.state.survivor_cap * self.state.step3_size()
-        )
-
-    def train(self, sample: LabeledSample, rng: np.random.Generator) -> HeavyHitterHypothesis:
-        cursor = 0
-
-        def source(count: int) -> LabeledSample:
-            nonlocal cursor
-            if cursor + count > len(sample):
-                raise SampleSourceExhausted(
-                    f"needed {count} more examples, {len(sample) - cursor} left"
-                )
-            out = sample[cursor : cursor + count]
-            cursor += count
-            return out
-
-        return wkl_rude(source, self.state, rng)
-
     def train_from_source(
         self, source: Callable[[int], LabeledSample], rng: np.random.Generator
     ) -> HeavyHitterHypothesis:
-        """Draw lazily from an open-ended source instead of a pre-drawn sample."""
+        """Run wkl_rude, drawing each step's examples lazily from the source."""
         return wkl_rude(source, self.state, rng)
-
-
-# -- spec serialization ---------------------------------------------------------
-
-
-def dump_spec(spec: HardDistSpec) -> str:
-    lines = [
-        f"n = {spec.n}",
-        f"eta = {format(spec.eta, '.17g')}",
-        f"alpha = {format(spec.alpha, '.17g')}",
-        f"rho = {format(spec.rho, '.17g')}",
-        f"seed = {spec.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_spec(text: str) -> HardDistSpec:
-    fields: Dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise ValueError(f"bad spec line {ln!r}")
-        key, _, value = ln.partition("=")
-        fields[key.strip()] = value.strip()
-    return HardDistSpec(
-        n=int(fields["n"]),
-        eta=float(fields["eta"]),
-        alpha=float(fields["alpha"]),
-        rho=float(fields["rho"]),
-        seed=int(fields["seed"]),
-    )

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Protocol, Tuple
 import numpy as np
 
 from .core import FiniteMassartDist, LabeledSample, MassartOracle, sign_pm1
-from .measure import SampleScorer, exact_density, sample_weights
+from .measure import SampleScorer, sample_weights
 
 __all__ = [
     "AggregatedHypothesis",
@@ -53,9 +53,7 @@ __all__ = [
     "compute_params",
     "density_sample_size",
     "est_density",
-    "evaluate_g",
     "over_confident",
-    "predict",
     "repeat_weak_learner",
     "repetition_schedule",
     "samp",
@@ -229,9 +227,6 @@ class AggregatedHypothesis:
             risky = None if self.ablated else np.abs(sigma) >= self.s
             sigma = _step_scores(sigma, hv, b, self.lam, risky, np.empty_like(sigma), tmp)
         return sigma
-
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        return sign_pm1(self.g(xs))
 
     def __len__(self) -> int:
         return len(self.trace)
@@ -428,24 +423,18 @@ class ScoreState:
         return float(num.max())
 
 
-def evaluate_g(agg: AggregatedHypothesis, x) -> float:
-    """Replay the trace at a single point and return the real-valued score."""
-    return float(agg.g(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
-
-def predict(agg: AggregatedHypothesis, x) -> int:
-    """Hard label at a single point: sign of the score, with sign(0) = +1."""
-    return 1 if evaluate_g(agg, x) >= 0 else -1
-
-
 # -- weak learner interface ---------------------------------------------------
 
 
 class WeakLearner(Protocol):
     """Trainable producer of weak hypotheses.
 
-    sample_size is the number of reweighted examples one training call wants;
     alpha and gamma are the advertised noise-tolerance margin and advantage.
+    repeat_weak_learner trains through one of two entry points. A learner
+    with a train_from_source(source, rng) method draws what it needs from
+    the reweighted distribution through source(count) (RudeWeakLearner);
+    any other learner gets one pre-drawn sample of sample_size reweighted
+    examples through train(sample, rng), the members declared here.
     """
 
     sample_size: int
@@ -531,9 +520,11 @@ def est_density(
     measure: SampleScorer,
     params: BoostParams,
 ) -> float:
-    """Estimate the density of the measure; in exact-oracle mode, exact_density of a Measure."""
-    if params.mode == MODE_EXACT:
-        return exact_density(oracle.source, measure)
+    """Monte Carlo estimate of the measure's density: its mean weight on fresh draws.
+
+    boost() calls it in Monte Carlo mode only; exact-oracle mode reads the
+    exact density off its ScoreState.
+    """
     n = density_sample_size(params.delta_dens, params.epsilon, params.eta, params.sample_scale)
     sample = oracle.sample_batch(n)
     return float(np.mean(sample_weights(measure, sample)))
@@ -710,8 +701,8 @@ def boost(
     over-confident there, then re-estimate the density. Returns the final
     aggregated hypothesis and the per-round trace, whose scores field holds
     the final score of every atom. A BoostFailure that stops the loop (the
-    round cap, a draw budget, an exhausted weak-learner sample) leaves with
-    the trace and aggregate of the rounds completed.
+    round cap or a draw budget) leaves with the trace and aggregate of the
+    rounds completed.
 
     The ablation flag disables the risky-set machinery entirely: weights are
     M(yG) with no cutoff, hypotheses apply everywhere, and no recalibration

@@ -44,7 +44,7 @@ def main(argv=None) -> int:
             lo, _, hi = args.seed_range.partition("..")
             cfg = replace(cfg, seeds=tuple(range(int(lo), int(hi) + 1)))
         if args.mode:
-            cfg = replace(cfg, mode={"exact": "exact-oracle", "mc": "monte-carlo"}[args.mode])
+            cfg = replace(cfg, mode=args.mode)
         if args.sample_scale is not None:
             cfg = replace(cfg, sample_scale=args.sample_scale)
         if args.ablate_no_withholding:

@@ -1,4 +1,4 @@
-"""Domain core: labeled examples, finite Massart distributions, example oracles.
+"""Domain core: finite Massart distributions, example oracles, exact metrics.
 
 A Massart distribution is specified by a marginal over domain points, a true
 labeling f(x) in {-1,+1}, and a per-point flip probability eta(x) <= eta < 1/2.
@@ -30,7 +30,6 @@ __all__ = [
     "BoundNotBelowHalf",
     "DuplicatePoint",
     "FiniteMassartDist",
-    "LabeledExample",
     "LabeledSample",
     "MassartOracle",
     "NoiseExceedsBound",
@@ -44,7 +43,6 @@ __all__ = [
     "make_massart",
     "parse_dist",
     "predict_labels",
-    "sample_example",
     "save_dist",
 ]
 
@@ -75,23 +73,6 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 def predict_labels(hypothesis: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
     """Evaluate a hypothesis on a batch of points and harden to {-1,+1}."""
     return sign_pm1(np.asarray(hypothesis(xs), dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A domain point paired with an observed label in {-1,+1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("example coordinates must be finite")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
 
 
 @dataclass(frozen=True)
@@ -187,12 +168,6 @@ class FiniteMassartDist:
         """Information-theoretic floor on misclassification error, E[eta(x)]."""
         return float(np.dot(self.p, self.eta))
 
-    def label_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-atom joint probabilities of (x, f(x)) and (x, -f(x))."""
-        clean = self.p * (1.0 - self.eta)
-        flipped = self.p * self.eta
-        return clean, flipped
-
 
 def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
     """Validate and normalize a raw atom list into a FiniteMassartDist.
@@ -274,19 +249,6 @@ class MassartOracle:
         ys = np.where(flips, -truth, truth).astype(np.int8)
         self.draws += count
         return LabeledSample(self.source.xs[idx], ys, idx)
-
-
-def sample_example(oracle: MassartOracle, rng: Optional[np.random.Generator] = None) -> LabeledExample:
-    """Draw one labeled example from the oracle (the oracle's own stream by default)."""
-    if rng is not None:
-        saved, oracle.rng = oracle.rng, rng
-        try:
-            batch = oracle.sample_batch(1)
-        finally:
-            oracle.rng = saved
-    else:
-        batch = oracle.sample_batch(1)
-    return LabeledExample(batch.xs[0], int(batch.ys[0]))
 
 
 # -- serialization ------------------------------------------------------------

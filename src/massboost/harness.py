@@ -265,7 +265,6 @@ class SeedResult:
     error: str
     lerr: float
     ferr: float
-    exact_eval: bool
     rounds: int
     total_draws: int
     overconfident_rounds: int
@@ -293,7 +292,6 @@ class RunReport:
                 "error": r.error,
                 "lerr": r.lerr,
                 "ferr": r.ferr,
-                "exact_eval": r.exact_eval,
                 "rounds": r.rounds,
                 "total_draws": r.total_draws,
                 "overconfident_rounds": r.overconfident_rounds,
@@ -350,7 +348,6 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         error=error,
         lerr=lerr_of_labels(dist, labels),
         ferr=ferr_of_labels(dist, labels),
-        exact_eval=True,
         rounds=trace.rounds,
         total_draws=oracle.draws,
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),

@@ -31,20 +31,13 @@ from .core import FiniteMassartDist, LabeledSample
 __all__ = [
     "Measure",
     "SampleScorer",
-    "ZeroMass",
     "exact_density",
     "exact_potential",
     "m_weight",
-    "mu_weight",
     "phi_point",
-    "reweighted_noise_rate",
     "reweighted_noise_rates",
     "sample_weights",
 ]
-
-
-class ZeroMass(ValueError):
-    """Both label weights of a point are zero: the point is excluded from D_mu."""
 
 
 def m_weight(v: Union[float, np.ndarray]):
@@ -131,12 +124,6 @@ def sample_weights(scorer: SampleScorer, sample: LabeledSample) -> np.ndarray:
     return _mu_from_scores(scorer.sample_scores(sample), sample.ys, scorer.s, scorer.withhold)
 
 
-def mu_weight(measure: Measure, x, y) -> float:
-    """Weight of a single labeled example under the measure."""
-    xs = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return float(measure.weight(xs, np.asarray([y]))[0])
-
-
 def exact_density(dist: FiniteMassartDist, measure: Measure) -> float:
     """Exact expectation of the measure under the joint distribution."""
     scores = measure.scores(dist.xs)
@@ -170,19 +157,3 @@ def reweighted_noise_rates(dist: FiniteMassartDist, measure: Measure) -> tuple[n
     included = den > 0.0
     rates = np.divide(num, den, out=np.zeros_like(num), where=included)
     return rates, included
-
-
-def reweighted_noise_rate(dist: FiniteMassartDist, measure: Measure, x) -> float:
-    """Conditional flip probability of a single support point under D_mu.
-
-    Raises ZeroMass when both label weights vanish (the point is withheld).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    matches = np.where(np.all(dist.xs == x[None, :], axis=1))[0]
-    if len(matches) == 0:
-        raise ValueError("point is not in the support of the distribution")
-    rates, included = reweighted_noise_rates(dist, measure)
-    i = int(matches[0])
-    if not included[i]:
-        raise ZeroMass("both label weights are zero at this point")
-    return float(rates[i])

@@ -31,12 +31,7 @@ __all__ = [
     "NegRectangle",
     "Rectangle",
     "RectangleUnion",
-    "dump_union",
     "enumerate_negative_subrectangles",
-    "load_union",
-    "parse_union",
-    "rect_union_eval",
-    "save_union",
     "wkl_box",
 ]
 
@@ -94,11 +89,6 @@ class RectangleUnion:
         for rect in self.rects:
             inside |= rect.contains(xs)
         return np.where(inside, 1, -1).astype(np.int8)
-
-
-def rect_union_eval(union: RectangleUnion, x) -> int:
-    """Membership label of a single point; boundary points fail the strict test."""
-    return int(union(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
 
 
 @dataclass(frozen=True)
@@ -332,52 +322,3 @@ class BoxWeakLearner:
 
     def train(self, sample: LabeledSample, rng: np.random.Generator) -> BoxHypothesis:
         return wkl_box(sample, self.d, self.k, self.alpha)
-
-
-# -- serialization ------------------------------------------------------------
-#
-# Same line-oriented style as distributions: header "d n_rects", then one
-# inequality per line as "rect_id axis direction threshold".
-
-
-def dump_union(union: RectangleUnion, d: int) -> str:
-    lines = [f"{d} {len(union.rects)}"]
-    for rid, rect in enumerate(union.rects):
-        for axis, direction, t in rect.ineqs:
-            lines.append(f"{rid} {axis} {direction} {format(float(t), '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_union(text: str) -> Tuple[RectangleUnion, int]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError("empty rectangle-union file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'd n_rects'")
-    d, n_rects = int(header[0]), int(header[1])
-    ineqs_by_rect: dict[int, list[Ineq]] = {rid: [] for rid in range(n_rects)}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad inequality line {ln!r}")
-        rid, axis, direction = int(parts[0]), int(parts[1]), int(parts[2])
-        if rid not in ineqs_by_rect:
-            raise ValueError(f"rect_id {rid} out of range")
-        if direction not in (-1, 1):
-            raise ValueError(f"direction must be -1 or +1, got {direction}")
-        if not 0 <= axis < d:
-            raise ValueError(f"axis {axis} out of range for d = {d}")
-        ineqs_by_rect[rid].append((axis, direction, float(parts[3])))
-    rects = tuple(Rectangle(tuple(ineqs_by_rect[rid])) for rid in range(n_rects))
-    return RectangleUnion(rects), d
-
-
-def save_union(union: RectangleUnion, d: int, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_union(union, d))
-
-
-def load_union(path) -> Tuple[RectangleUnion, int]:
-    with open(path) as fh:
-        return parse_union(fh.read())

@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from massboost import (
-    AggregatedHypothesis,
-    DegenerateThreshold,
-    DrawBudgetExceeded,
-    EpsilonTooSmall,
-    EtaZero,
     FiniteMassartDist,
     FixedHypothesisWeakLearner,
     MassartOracle,
@@ -19,17 +14,27 @@ from massboost import (
     boost,
     compute_params,
     est_density,
-    evaluate_g,
     exact_density,
     exact_lerr,
     make_massart,
+)
+from massboost.booster import (
+    AggregatedHypothesis,
+    ConditionalDrawBudgetExceeded,
+    DegenerateThreshold,
+    DrawBudgetExceeded,
+    EpsilonTooSmall,
+    EtaZero,
+    ScoreState,
+    density_sample_size,
     over_confident,
-    predict,
     repeat_weak_learner,
     repetition_schedule,
     samp,
 )
-from massboost.booster import ScoreState, density_sample_size
+from massboost.core import sign_pm1
+
+ORIGIN = np.zeros((1, 1))
 
 
 def const_h(v):
@@ -108,29 +113,29 @@ class TestComputeParams:
 class TestEvaluateG:
     def test_empty_trace(self):
         agg = AggregatedHypothesis(lam=0.5, s=1.79, trace=())
-        assert evaluate_g(agg, (0.0,)) == 0.0
+        assert agg.g(ORIGIN)[0] == 0.0
 
     def test_single_step(self):
         agg = AggregatedHypothesis(lam=0.5, s=1.79, trace=((const_h(1), False),))
-        assert evaluate_g(agg, (0.0,)) == 0.5
+        assert agg.g(ORIGIN)[0] == 0.5
 
     def test_hand_replay_with_recalibration(self):
         trace = ((const_h(1), False), (const_h(1), False), (const_h(1), True))
         agg = AggregatedHypothesis(lam=1.0, s=1.5, trace=trace)
         # sigma: 0 -> 1 -> 2 (>= s) -> 2 - 1 = 1
-        assert evaluate_g(agg, (0.0,)) == 1.0
+        assert agg.g(ORIGIN)[0] == 1.0
 
     def test_recalibration_moves_toward_zero_from_below(self):
         trace = ((const_h(-1), False), (const_h(-1), False), (const_h(-1), True))
         agg = AggregatedHypothesis(lam=1.0, s=1.5, trace=trace)
-        assert evaluate_g(agg, (0.0,)) == -1.0
+        assert agg.g(ORIGIN)[0] == -1.0
 
     def test_predict_sign_convention(self):
-        assert predict(AggregatedHypothesis(0.5, 1.0, ()), (0.0,)) == 1
+        assert sign_pm1(AggregatedHypothesis(0.5, 1.0, ()).g(ORIGIN))[0] == 1
         neg = AggregatedHypothesis(0.01, 1.0, ((const_h(-1), False),))
-        assert predict(neg, (0.0,)) == -1
+        assert sign_pm1(neg.g(ORIGIN))[0] == -1
         pos = AggregatedHypothesis(0.3, 1.0, ((const_h(1), False),))
-        assert predict(pos, (0.0,)) == 1
+        assert sign_pm1(pos.g(ORIGIN))[0] == 1
 
 
 class TestSamp:
@@ -175,14 +180,6 @@ class TestSamp:
 
 
 class TestEstDensity:
-    def test_exact_mode_zero_draws(self):
-        dist = index_dist(f=[1, -1], eta=[0.1, 0.1])
-        oracle = MassartOracle(dist, rng_seed=1)
-        params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
-        d = est_density(oracle, Measure(const_h(0.0), s=params.s), params)
-        assert d == 1.0
-        assert oracle.draws == 0
-
     def test_sample_size_formula(self):
         assert density_sample_size(0.01, epsilon=0.2, eta=0.1) == 3685
 
@@ -412,8 +409,6 @@ def test_exact_round_allocates_no_per_atom_array():
 
 class TestConditionalBudget:
     def test_stage_two_budget_trips(self):
-        from massboost import ConditionalDrawBudgetExceeded
-
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1])
         oracle = MassartOracle(dist, rng_seed=0)
         params = compute_params(0.1, 0.1, 0.05, 0.2, 0.1, mode="mc", sample_scale=0.05)

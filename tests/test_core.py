@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from massboost import (
+from massboost import FiniteMassartDist, MassartOracle, exact_advantage, exact_ferr, exact_lerr, make_massart
+from massboost.core import (
     BadProbability,
     BoundNotBelowHalf,
     DuplicatePoint,
-    FiniteMassartDist,
-    LabeledExample,
-    MassartOracle,
     NoiseExceedsBound,
-    exact_advantage,
-    exact_ferr,
-    exact_lerr,
-    make_massart,
-    sample_example,
+    dump_dist,
+    load_dist,
+    parse_dist,
+    save_dist,
 )
-from massboost.core import dump_dist, parse_dist
 
 
 def single_atom(f=1, eta=0.0, eta_bound=0.4):
@@ -32,20 +28,6 @@ def two_atoms(f=(1, 1), eta=(0.0, 0.0), eta_bound=0.4):
 
 def const(v):
     return lambda xs: np.full(np.atleast_2d(xs).shape[0], v)
-
-
-class TestLabeledExample:
-    def test_labels_are_plus_minus_one(self):
-        LabeledExample(np.array([0.5]), 1)
-        LabeledExample(np.array([0.5]), -1)
-        with pytest.raises(ValueError):
-            LabeledExample(np.array([0.5]), 0)
-
-    def test_rejects_nonfinite_coordinates(self):
-        with pytest.raises(ValueError):
-            LabeledExample(np.array([np.nan]), 1)
-        with pytest.raises(ValueError):
-            LabeledExample(np.array([np.inf]), -1)
 
 
 class TestMakeMassart:
@@ -86,9 +68,8 @@ class TestMakeMassart:
 class TestSampleExample:
     def test_zero_noise_point_always_clean(self):
         oracle = MassartOracle(single_atom(f=1, eta=0.0), rng_seed=7)
-        for _ in range(50):
-            ex = sample_example(oracle)
-            assert ex.y == 1 and ex.x[0] == 0.0
+        batch = oracle.sample_batch(50)
+        assert np.all(batch.ys == 1) and np.all(batch.xs == 0.0)
         assert oracle.draws == 50
 
     def test_flip_rate_matches_eta(self):
@@ -104,9 +85,9 @@ class TestSampleExample:
         a = MassartOracle(dist, rng_seed=99)
         b = MassartOracle(dist, rng_seed=99)
         for _ in range(100):
-            ea, eb = sample_example(a), sample_example(b)
-            assert ea.y == eb.y
-            assert np.array_equal(ea.x, eb.x)
+            ea, eb = a.sample_batch(1), b.sample_batch(1)
+            assert np.array_equal(ea.ys, eb.ys)
+            assert np.array_equal(ea.xs, eb.xs)
 
 
 class TestExactMetrics:
@@ -210,8 +191,6 @@ class TestSerialization:
         assert back.eta_bound == dist.eta_bound
 
     def test_file_round_trip(self, tmp_path):
-        from massboost import load_dist, save_dist
-
         dist = two_atoms(f=(1, -1), eta=(0.125, 1.0 / 3.0), eta_bound=0.4)
         path = tmp_path / "dist.txt"
         save_dist(dist, path)

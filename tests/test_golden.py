@@ -32,22 +32,22 @@ SLICES = {
 
 GOLDEN = {
     ('rect', 'exact-oracle'): {
-        'summary.json': '6ed4f1bcc91d6b82fc4c69231c3447101ff49d2f44209f5f93d4efdb7bffff74',
+        'summary.json': '0795fea1bd9d9a15b6b67a397a3706eb649b1a24b9c9e128c2b7ac3072a5abca',
         'round_trace_0.csv': '5b9e2736c6d04274650be152a1714e61a80317407042beedc2905d378cfbc404',
         'round_trace_1.csv': 'ca22d308f65f1a5327bb2eb5d033a1e7a7fabdd1f660177d2a9146d19b0a2e3e',
     },
     ('rect', 'monte-carlo'): {
-        'summary.json': '662055a280b5c89d68dd9f254c9b34c057b62fa94052de9063f4e19a60dd123f',
+        'summary.json': '5bd8912405e85ddd9a40425c10796164f69d276d1a3653f48d8f48f6c911364f',
         'round_trace_0.csv': '4accba40652de6be8e84e569f555bbde6df74414daff332b02aa4c5525b1e5ef',
         'round_trace_1.csv': '7bb073254110310ed5287cdc8834d7efa2b6ab30f0ddc63af28bfcbbd64cbb80',
     },
     ('hard', 'exact-oracle'): {
-        'summary.json': '3c7755ae1b4f93e6187822d4fae74f4f79d804e69c89e2281399f2247c3d6897',
+        'summary.json': '0bbe8e3b09286203d692bd76c30874ea1d3b19148dfdda3c1bc8b7ba94badc82',
         'round_trace_0.csv': '345b8597ef033676a382a869a3037e2c84e22da8a6af01be8fea07825e080328',
         'round_trace_1.csv': 'b9c6225a915e9b001257158e23b5efac0c0dc69ceaa748fabe98b11bf2144c04',
     },
     ('hard', 'monte-carlo'): {
-        'summary.json': '5d120b8cce7078c1c13adf25144b4655922b93f10575f1f62f7cd8eb27545433',
+        'summary.json': 'f4cb7763ff50001f34788385b0aa519f23aa71327cc8b2d280110edbc789f114',
         'round_trace_0.csv': 'ff68b9c689215bf8710512f3929b10ba07504f673c76af9711089370a1ba67bf',
         'round_trace_1.csv': 'dd194ae819bcedeacd4e08830167a1632d0d9b66124561701f0412fa5a9e7594',
     },

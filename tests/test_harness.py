@@ -257,6 +257,16 @@ class TestCliFlags:
         )
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("flag,config_mode", [("mc", "exact"), ("exact", "mc")])
+    def test_mode_flag_overrides_config(self, tmp_path, flag, config_mode):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL.replace("mode = exact", f"mode = {config_mode}"))
+        out_dir = tmp_path / "out"
+        res = self.run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--mode", flag, "--out", str(out_dir)])
+        assert res.returncode == 0, res.stderr
+        d_exact = (out_dir / "round_trace_0.csv").read_text().splitlines()[1].split(",")[2]
+        assert (d_exact != "") == (flag == "exact")  # exact columns are empty in Monte Carlo mode
+
     def test_ablation_flag_records_failures_but_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL + "max_rounds = 40\n")
@@ -271,8 +281,8 @@ class TestCliFlags:
 
 class TestFileDistribution:
     def test_build_instance_from_file(self, tmp_path):
-        import numpy as np
-        from massboost import make_massart, save_dist
+        from massboost import make_massart
+        from massboost.core import save_dist
 
         dist = make_massart(
             [((0.0, 0.0), 0.5, 1, 0.1), ((1.0, 1.0), 0.5, -1, 0.2)], eta_bound=0.25

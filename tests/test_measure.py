@@ -1,23 +1,20 @@
 import math
 
 import numpy as np
-import pytest
 
 from massboost import (
     FiniteMassartDist,
     Measure,
-    ZeroMass,
     exact_density,
     exact_potential,
     m_weight,
     make_massart,
-    mu_weight,
     phi_point,
-    reweighted_noise_rate,
     reweighted_noise_rates,
 )
 
 S_DEFAULT = 1.79
+POINT = np.zeros((1, 1))
 
 
 def const_g(v):
@@ -55,21 +52,21 @@ class TestMWeight:
 class TestMuWeight:
     def test_positive_margin(self):
         m = Measure(const_g(0.3), s=S_DEFAULT)
-        assert math.isclose(mu_weight(m, (0.0,), 1), math.exp(-0.3), rel_tol=1e-15)
+        assert math.isclose(m.weight(POINT, [1])[0], math.exp(-0.3), rel_tol=1e-15)
 
     def test_negative_margin_full_weight(self):
         m = Measure(const_g(0.3), s=S_DEFAULT)
-        assert mu_weight(m, (0.0,), -1) == 1.0
+        assert m.weight(POINT, [-1])[0] == 1.0
 
     def test_withheld_point_zero_both_labels(self):
         m = Measure(const_g(2.0), s=S_DEFAULT)
-        assert mu_weight(m, (0.0,), 1) == 0.0
-        assert mu_weight(m, (0.0,), -1) == 0.0
+        assert m.weight(POINT, [1])[0] == 0.0
+        assert m.weight(POINT, [-1])[0] == 0.0
 
     def test_ablated_measure_skips_cutoff(self):
         m = Measure(const_g(2.0), s=S_DEFAULT, withhold=False)
-        assert mu_weight(m, (0.0,), 1) == math.exp(-2.0)
-        assert mu_weight(m, (0.0,), -1) == 1.0
+        assert m.weight(POINT, [1])[0] == math.exp(-2.0)
+        assert m.weight(POINT, [-1])[0] == 1.0
 
 
 class TestExactDensity:
@@ -137,12 +134,14 @@ class TestExactPotential:
 class TestReweightedNoiseRate:
     def test_noiseless_point_rate_zero(self):
         dist = index_dist(f=[1], eta=[0.0])
-        assert reweighted_noise_rate(dist, Measure(const_g(0.5), s=2.0), (0.0,)) == 0.0
+        rates, included = reweighted_noise_rates(dist, Measure(const_g(0.5), s=2.0))
+        assert included[0] and rates[0] == 0.0
 
     def test_zero_score_rate_is_eta(self):
         dist = index_dist(f=[1], eta=[0.25])
-        rate = reweighted_noise_rate(dist, Measure(const_g(0.0), s=2.0), (0.0,))
-        assert math.isclose(rate, 0.25, abs_tol=1e-15)
+        rates, included = reweighted_noise_rates(dist, Measure(const_g(0.0), s=2.0))
+        assert included[0]
+        assert math.isclose(rates[0], 0.25, abs_tol=1e-15)
 
     def test_worst_case_hits_half_minus_alpha(self):
         # eta = alpha = 0.1: c = 0.05, s = log 6; at margin just below s the
@@ -152,19 +151,16 @@ class TestReweightedNoiseRate:
         s = math.log((1 - eta) / (eta + c))
         assert math.isclose(s, math.log(6.0), rel_tol=1e-15)
         dist = index_dist(f=[1], eta=[eta], eta_bound=eta)
-        rate = reweighted_noise_rate(dist, Measure(const_g(s - 1e-9), s=s), (0.0,))
-        assert math.isclose(rate, 0.4, abs_tol=1e-8)
-        assert rate <= 0.5 - alpha + 1e-12
+        rates, included = reweighted_noise_rates(dist, Measure(const_g(s - 1e-9), s=s))
+        assert included[0]
+        assert math.isclose(rates[0], 0.4, abs_tol=1e-8)
+        assert rates[0] <= 0.5 - alpha + 1e-12
 
-    def test_zero_mass_raises(self):
+    def test_zero_mass_excluded(self):
+        # a withheld atom has zero weight on both labels and is excluded from D_mu
         dist = index_dist(f=[1], eta=[0.1])
-        with pytest.raises(ZeroMass):
-            reweighted_noise_rate(dist, Measure(const_g(3.0), s=2.0), (0.0,))
-
-    def test_unknown_point_raises(self):
-        dist = index_dist(f=[1], eta=[0.1])
-        with pytest.raises(ValueError):
-            reweighted_noise_rate(dist, Measure(const_g(0.0), s=2.0), (9.0,))
+        rates, included = reweighted_noise_rates(dist, Measure(const_g(3.0), s=2.0))
+        assert not included[0] and rates[0] == 0.0
 
 
 class TestInvariants:
@@ -213,8 +209,8 @@ class TestInvariants:
 
     def test_full_weight_exactly_on_misclassified_safe_points(self):
         m = Measure(const_g(0.4), s=1.0)
-        assert mu_weight(m, (0.0,), -1) == 1.0  # sign(g) != y, |g| < s
-        assert mu_weight(m, (0.0,), 1) < 1.0
+        assert m.weight(POINT, [-1])[0] == 1.0  # sign(g) != y, |g| < s
+        assert m.weight(POINT, [1])[0] < 1.0
 
     def test_weight_monotone_in_margin(self):
         v = np.linspace(-2, 2, 101)

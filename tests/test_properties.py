@@ -3,19 +3,19 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from massboost import (
-    AggregatedHypothesis,
     FiniteMassartDist,
     MassartOracle,
     Measure,
+    compute_params,
     exact_density,
     exact_potential,
     reweighted_noise_rates,
 )
-from massboost.booster import ScoreState
+from massboost.booster import AggregatedHypothesis, DegenerateThreshold, ScoreState
 from massboost.core import dump_dist, parse_dist
 
 
@@ -49,6 +49,13 @@ def finite_dists(draw):
     eta_bound = draw(st.floats(0.0, 0.45))
     eta = draw(st.lists(st.floats(0.0, eta_bound), min_size=n, max_size=n))
     return FiniteMassartDist(np.asarray(points), mass / mass.sum(), f, eta, eta_bound)
+
+
+def state_at(dist, lam, s, withhold, scores) -> ScoreState:
+    """A state whose sigma is scores; a freshly stepped state has cached nothing, so it is set in place."""
+    state = ScoreState(dist, lam, s, withhold).step(np.zeros(dist.n_atoms), False)
+    state.sigma[:] = scores
+    return state
 
 
 @st.composite
@@ -105,6 +112,32 @@ def test_exact_stats_match_the_measure(data):
     want = float(rates[included].max()) if included.any() else 0.0
     # a- = p - a+ differs from p * eta by a rounding of p, so the rate carries an absolute error
     assert math.isclose(st_.max_noise_rate, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_safe_set_noise_rate_at_most_half_minus_alpha(data):
+    """With s from compute_params, every safe atom's flip rate under D_mu is at most 1/2 - alpha."""
+    dist = data.draw(finite_dists())
+    eta = dist.eta_bound
+    assume(1e-9 <= eta < 0.45)  # a bound within float underflow of 0 sends s to infinity
+    alpha = data.draw(st.floats(0.0, 0.5 - eta, exclude_min=True, exclude_max=True))
+    try:  # s does not depend on epsilon, which need only reach 2c; c < 2 alpha < 1 here
+        params = compute_params(eta, alpha, 0.1, 2.0, 0.1)
+    except DegenerateThreshold:  # alpha within rounding of 1/2 - eta rounds s to 0
+        reject()
+    s = params.s
+    inside = math.nextafter(s, 0.0)
+    element = st.one_of(st.sampled_from([0.0, inside, -inside, s, -s]), st.floats(-2.0 * s, 2.0 * s))
+    scores = np.asarray(data.draw(st.lists(element, min_size=dist.n_atoms, max_size=dist.n_atoms)))
+    bound = 0.5 - alpha + 1e-12
+
+    by_point = {x.tobytes(): v for x, v in zip(dist.xs, scores)}
+    measure = Measure(lambda xs: np.asarray([by_point[x.tobytes()] for x in xs]), s)
+    rates, _ = reweighted_noise_rates(dist, measure)
+    safe = np.abs(scores) < s
+    assert np.all(rates[safe] <= bound)
+    assert state_at(dist, params.lam, s, True, scores).stats().max_noise_rate <= bound
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,19 +6,15 @@ import pytest
 
 from massboost import (
     BoxWeakLearner,
-    EmptySample,
     FiniteMassartDist,
     MassartOracle,
-    NegRectangle,
-    Rectangle,
     RectangleUnion,
     enumerate_negative_subrectangles,
     exact_advantage,
-    rect_union_eval,
     wkl_box,
 )
 from massboost.core import LabeledSample
-from massboost.rectangles import dump_union, parse_union
+from massboost.rectangles import EmptySample, Rectangle
 
 
 def box(lo, hi):
@@ -47,24 +43,21 @@ def grid_dist(d, side, union, eta=0.0, eta_bound=0.4, rng=None):
 class TestRectUnionEval:
     def test_strictly_inside(self):
         union = RectangleUnion((box([0.0, 0.0], [0.5, 0.5]),))
-        assert rect_union_eval(union, (0.25, 0.25)) == 1
+        assert union(np.array([[0.25, 0.25]]))[0] == 1
 
     def test_boundary_fails_strict(self):
         union = RectangleUnion((box([0.0, 0.0], [0.5, 0.5]),))
-        assert rect_union_eval(union, (0.5, 0.25)) == -1
-        assert rect_union_eval(union, (0.0, 0.25)) == -1
+        assert np.array_equal(union(np.array([[0.5, 0.25], [0.0, 0.25]])), [-1, -1])
 
     def test_empty_union_all_negative(self):
         union = RectangleUnion(())
-        assert rect_union_eval(union, (0.3, 0.3)) == -1
+        assert union(np.array([[0.3, 0.3]]))[0] == -1
 
     def test_union_of_two(self):
         union = RectangleUnion(
             (box([0.0], [0.2]), box([0.7], [0.9]))
         )
-        assert rect_union_eval(union, (0.1,)) == 1
-        assert rect_union_eval(union, (0.8,)) == 1
-        assert rect_union_eval(union, (0.5,)) == -1
+        assert np.array_equal(union(np.array([[0.1], [0.8], [0.5]])), [1, 1, -1])
 
 
 class TestWklBox:
@@ -198,30 +191,3 @@ class TestWeakLearnerContract:
         learner = BoxWeakLearner(d=2, k=2, alpha=0.1)
         assert learner.gamma == 0.1**2 / (2 * 2) ** 2
         assert learner.sample_size == math.ceil(2 * (2 * 2) ** 2 / 0.1**2)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        union = RectangleUnion(
-            (box([0.1, 0.2], [0.5, 0.6]), Rectangle(((1, -1, -0.25),)))
-        )
-        text = dump_union(union, d=2)
-        back, d = parse_union(text)
-        assert d == 2
-        assert back == union
-        assert dump_union(back, 2) == text
-
-    def test_parse_rejects_bad_lines(self):
-        with pytest.raises(ValueError):
-            parse_union("2 1\n0 0 2 0.5\n")  # direction must be +-1
-        with pytest.raises(ValueError):
-            parse_union("2 1\n5 0 1 0.5\n")  # rect id out of range
-
-    def test_file_round_trip(self, tmp_path):
-        from massboost import load_union, save_union
-
-        union = RectangleUnion((box([0.0], [1.0 / 3.0]),))
-        path = tmp_path / "union.txt"
-        save_union(union, 1, path)
-        back, d = load_union(path)
-        assert back == union and d == 1

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from massboost import MassartOracle, compute_params
 from massboost.booster import ScoreState, over_confident
 from score_state_reference import ScoreStateReference, over_confident_reference
-from test_properties import finite_dists
+from test_properties import finite_dists, state_at
 
 EXACT = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
 
@@ -36,13 +36,6 @@ def adversarial_scores(draw, n: int, s: float, lam: float):
 def hypothesis_values(n: int):
     element = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
     return st.lists(element, min_size=n, max_size=n).map(lambda v: np.asarray(v, dtype=np.float64))
-
-
-def state_at(dist, lam, s, withhold, scores) -> ScoreState:
-    """A state whose sigma is scores; a freshly stepped state has cached nothing, so it is set in place."""
-    state = ScoreState(dist, lam, s, withhold).step(np.zeros(dist.n_atoms), False)
-    state.sigma[:] = scores
-    return state
 
 
 def assert_stats_equal(got, want):

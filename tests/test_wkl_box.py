@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from massboost import NegRectangle, wkl_box
+from massboost import wkl_box
 from massboost.core import LabeledSample
-from massboost.rectangles import _blocks
+from massboost.rectangles import NegRectangle, _blocks
 from wkl_box_reference import wkl_box_reference
 
 
