@@ -430,30 +430,25 @@ class WeakLearner(Protocol):
     """Trainable producer of weak hypotheses.
 
     alpha and gamma are the advertised noise-tolerance margin and advantage.
-    repeat_weak_learner trains through one of two entry points. A learner
-    with a train_from_source(source, rng) method draws what it needs from
-    the reweighted distribution through source(count) (RudeWeakLearner);
-    any other learner gets one pre-drawn sample of sample_size reweighted
-    examples through train(sample, rng), the members declared here.
+    train_from_source draws the reweighted examples it needs through
+    source(count) and returns a hypothesis.
     """
 
-    sample_size: int
     alpha: float
     gamma: float
 
-    def train(self, sample: LabeledSample, rng: np.random.Generator): ...
+    def train_from_source(self, source: Callable[[int], LabeledSample], rng: np.random.Generator): ...
 
 
 @dataclass
 class FixedHypothesisWeakLearner:
-    """Degenerate weak learner returning one fixed hypothesis (e.g. the true concept)."""
+    """Degenerate weak learner returning one fixed hypothesis (e.g. the true concept); draws nothing."""
 
     hypothesis: Callable
     alpha: float = 0.25
     gamma: float = 0.25
-    sample_size: int = 0
 
-    def train(self, sample: LabeledSample, rng: np.random.Generator):
+    def train_from_source(self, source: Callable[[int], LabeledSample], rng: np.random.Generator):
         return self.hypothesis
 
 
@@ -605,20 +600,13 @@ def repeat_weak_learner(
     (ties broken by first index). With a single scheduled candidate the test
     sample is skipped. A low-advantage winner is returned as-is; the loop's
     round cap is the backstop.
-
-    Learners that expose train_from_source draw lazily from the sample
-    source instead of receiving one pre-drawn sample of sample_size.
     """
     n_candidates, test_size = repetition_schedule(params.delta_err, params.gamma, params.sample_scale)
     streams = rng.spawn(n_candidates + 1)
     candidates = []
     for i in range(n_candidates):
         stream = streams[i]
-        if hasattr(wkl, "train_from_source"):
-            candidates.append(wkl.train_from_source(lambda c: mu_sample_source(c, stream), stream))
-        else:
-            sample = mu_sample_source(wkl.sample_size, stream)
-            candidates.append(wkl.train(sample, stream))
+        candidates.append(wkl.train_from_source(lambda c: mu_sample_source(c, stream), stream))
     if n_candidates == 1:
         return candidates[0]
     test = mu_sample_source(test_size, streams[-1])

@@ -14,7 +14,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import ConfigParse, IoFailure, UnknownWeakLearner, emit_metrics, load_config, run_experiment
+from .harness import ConfigParse, IoFailure, UnknownWeakLearner, _parse_seeds
+from .harness import emit_metrics, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a seeded experiment batch from a config file")
     run.add_argument("config", help="path to a flat key = value config file")
-    run.add_argument("--seed-range", help="inclusive seed range a..b, overriding the config")
+    run.add_argument("--seed-range", help="seeds a..b (inclusive) or a seed list, overriding the config")
     run.add_argument("--out", help="output directory for summary.json and trace CSVs")
     run.add_argument("--mode", choices=["exact", "mc"], help="override the execution mode")
     run.add_argument("--sample-scale", type=float, help="override the subroutine sample multiplier")
@@ -41,8 +42,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed_range:
-            lo, _, hi = args.seed_range.partition("..")
-            cfg = replace(cfg, seeds=tuple(range(int(lo), int(hi) + 1)))
+            cfg = replace(cfg, seeds=_parse_seeds(args.seed_range))
         if args.mode:
             cfg = replace(cfg, mode=args.mode)
         if args.sample_scale is not None:

@@ -227,6 +227,14 @@ class MassartOracle:
     probability exactly eta(x), independently per draw, and carries the
     index of its atom. The draw counter meters every emitted example so
     experiment reports can account for all oracle access.
+
+    A draw u ~ U[0, 1) lands on the atom i with cum[i] <= u < cum[i + 1],
+    where cum is the cumulative table of p padded with a leading 0.0; that
+    is np.searchsorted(cum[1:], u, side="right"). When every p is equal
+    (every shipped instance), the lookup guesses i = floor(u n) in O(1),
+    checks the guess against both neighbours, and sends only the draws
+    whose guess fails to searchsorted, so the indices are the binary
+    search's by construction. Any other table always takes searchsorted.
     """
 
     def __init__(self, source: FiniteMassartDist, rng_seed: int):
@@ -236,14 +244,34 @@ class MassartOracle:
         self.rng_seed = int(rng_seed)
         self.rng = np.random.default_rng(self.rng_seed)
         self.draws = 0
-        self._cum = np.cumsum(source.p)
+        self._cum = np.zeros(source.n_atoms + 1)
+        np.cumsum(source.p, out=self._cum[1:])
         self._cum[-1] = 1.0  # guard float roundoff at the top bin
+        # a cumulative sum of equal masses is sorted unless the top-bin guard
+        # lowered the last entry below the one before it
+        self._uniform = bool(source.p.min() == source.p.max() and self._cum[-2] <= 1.0)
+
+    def _atoms(self, u: np.ndarray) -> np.ndarray:
+        """The atom index of each draw u, equal to np.searchsorted(cum[1:], u, side="right")."""
+        upper = self._cum[1:]
+        if not self._uniform:
+            return np.searchsorted(upper, u, side="right")
+        # one float buffer serves the guess and both gathers; clipping keeps a
+        # guess of n (u n rounded up) in range, and such a guess fails the check
+        edge = u * len(upper)
+        idx = edge.astype(np.intp)
+        miss = u < np.take(self._cum, idx, mode="clip", out=edge)
+        miss |= u >= np.take(upper, idx, mode="clip", out=edge)
+        if miss.any():
+            at = np.flatnonzero(miss)
+            idx[at] = np.searchsorted(upper, u[at], side="right")
+        return idx
 
     def sample_batch(self, count: int) -> LabeledSample:
         count = int(count)
         if count < 0:
             raise ValueError("count must be nonnegative")
-        idx = np.searchsorted(self._cum, self.rng.random(count), side="right")
+        idx = self._atoms(self.rng.random(count))
         truth = self.source.f[idx]
         flips = self.rng.random(count) < self.source.eta[idx]
         ys = np.where(flips, -truth, truth).astype(np.int8)

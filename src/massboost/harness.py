@@ -87,12 +87,16 @@ class RunConfig:
 
 
 def _parse_seeds(text: str) -> Tuple[int, ...]:
+    """Seeds from an inclusive range a..b with a <= b, or a comma/space list; blank is none."""
     text = text.strip()
     if not text:
         return ()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ConfigParse(f"seed range {text!r} is reversed: {lo} > {hi}")
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
@@ -163,12 +167,20 @@ def load_config(path) -> RunConfig:
 # -- per-seed instance construction --------------------------------------------
 
 
+def _cfg_number(cfg: RunConfig, key: str, default, kind):
+    raw = cfg.params.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigParse(f"field {key!r}: expected {kind.__name__}, got {raw!r}") from None
+
+
 def _cfg_int(cfg: RunConfig, key: str, default: int) -> int:
-    return int(cfg.params.get(key, default))
+    return _cfg_number(cfg, key, default, int)
 
 
 def _cfg_float(cfg: RunConfig, key: str, default: float) -> float:
-    return float(cfg.params.get(key, default))
+    return _cfg_number(cfg, key, default, float)
 
 
 def _random_union(rng: np.random.Generator, d: int, k: int) -> RectangleUnion:
@@ -214,14 +226,13 @@ def build_instance(cfg: RunConfig, seed: int):
         dist = FiniteMassartDist(xs, p, f, eta, cfg.eta, _validated=True)
         return dist, union, ss
     if cfg.distribution == "hard":
-        spec = HardDistSpec(
-            n=_cfg_int(cfg, "hard_n", 64),
-            eta=cfg.eta,
-            alpha=cfg.alpha,
-            rho=_cfg_float(cfg, "hard_rho", 1e-4),
-            seed=int(seed),
-        )
-        dist = hard_distribution(spec, _cfg_int(cfg, "hard_support", 100_000))
+        n, rho = _cfg_int(cfg, "hard_n", 64), _cfg_float(cfg, "hard_rho", 1e-4)
+        support = _cfg_int(cfg, "hard_support", 100_000)
+        try:  # an out-of-range rho or support is a config error, not a seed failure
+            spec = HardDistSpec(n=n, eta=cfg.eta, alpha=cfg.alpha, rho=rho, seed=int(seed))
+            dist = hard_distribution(spec, support)
+        except ValueError as exc:
+            raise ConfigParse(f"hard instance: {exc}") from None
         concept = lambda xs: dist.f[np.clip(np.atleast_2d(xs)[:, 0].astype(int), 0, dist.n_atoms - 1)]
         return dist, concept, ss
     if cfg.distribution.startswith("file:"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -322,3 +322,9 @@ class BoxWeakLearner:
 
     def train(self, sample: LabeledSample, rng: np.random.Generator) -> BoxHypothesis:
         return wkl_box(sample, self.d, self.k, self.alpha)
+
+    def train_from_source(
+        self, source: Callable[[int], LabeledSample], rng: np.random.Generator
+    ) -> BoxHypothesis:
+        """Train on one reweighted sample of sample_size examples."""
+        return self.train(source(self.sample_size), rng)

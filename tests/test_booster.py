@@ -249,14 +249,13 @@ class TestRepeatWeakLearner:
         params = compute_params(0.1, 0.1, 0.1, 0.15, 0.1, mode="exact")
 
         class Cycler:
-            sample_size = 0
             alpha = 0.1
             gamma = 0.1
 
             def __init__(self):
                 self.calls = 0
 
-            def train(self, sample, rng):
+            def train_from_source(self, source, rng):
                 self.calls += 1
                 return lookup_h(f) if self.calls == 1 else lookup_h(-f)
 
@@ -272,7 +271,7 @@ class TestRepeatWeakLearner:
         wkl = FixedHypothesisWeakLearner(const_h(1))
         source = lambda count, r: samp(oracle, Measure(const_h(0.0), s=1.0), count, r)[0]
         repeat_weak_learner(wkl, source, params, np.random.default_rng(0))
-        assert oracle.draws == 0  # sample_size 0 and no test sample
+        assert oracle.draws == 0  # the fixed learner draws nothing and there is no test sample
 
 
 def replay_prefix_scores(agg, xs):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massboost import FiniteMassartDist, MassartOracle, exact_advantage, exact_ferr, exact_lerr, make_massart
 from massboost.core import (
@@ -88,6 +90,73 @@ class TestSampleExample:
             ea, eb = a.sample_batch(1), b.sample_batch(1)
             assert np.array_equal(ea.ys, eb.ys)
             assert np.array_equal(ea.xs, eb.xs)
+
+
+# table sizes where floor(u n) is most likely to land one bin off
+LOOKUP_SIZES = sorted({1, 2, 3, 10**5, 10**6} | {2**k + e for k in range(1, 20) for e in (-1, 0, 1)})
+
+
+def table_oracle(p, rng_seed=0):
+    """An oracle over len(p) atoms with masses p; the lookup reads only p."""
+    n = len(p)
+    xs = np.arange(n, dtype=np.float64)[:, None]
+    dist = FiniteMassartDist(xs, p, np.ones(n), np.full(n, 0.25), 0.4, _validated=True)
+    return MassartOracle(dist, rng_seed)
+
+
+def assert_lookup_is_searchsorted(p, seed):
+    """The oracle's atom lookup equals a binary search of the cumulative table.
+
+    The draws are random u together with every table entry, the float just
+    below each entry, 0.0 and the largest float below 1.0.
+    """
+    oracle = table_oracle(p)
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    u = np.concatenate(
+        [np.random.default_rng(seed).random(1000), cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    assert np.array_equal(oracle._atoms(u), np.searchsorted(cum, u, side="right"))
+    return oracle
+
+
+class TestAtomLookup:
+    @pytest.mark.parametrize("n", LOOKUP_SIZES)
+    def test_uniform_sizes(self, n):
+        assert assert_lookup_is_searchsorted(np.full(n, 1.0 / n), seed=n)._uniform
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_random_sizes(self, n, seed):
+        assert assert_lookup_is_searchsorted(np.full(n, 1.0 / n), seed)._uniform
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 10**5), seed=st.integers(0, 2**32 - 1))
+    def test_one_ulp_from_uniform(self, n, seed):
+        p = np.full(n, 1.0 / n)
+        k = np.random.default_rng(seed).integers(n)
+        p[k] = np.nextafter(p[k], 1.0)
+        assert not assert_lookup_is_searchsorted(p, seed)._uniform
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 10**5), seed=st.integers(0, 2**32 - 1))
+    def test_random_table(self, n, seed):
+        p = np.random.default_rng(seed).random(n) + 1e-3
+        p /= p.sum()
+        assert not assert_lookup_is_searchsorted(p, seed)._uniform
+
+    @pytest.mark.parametrize("n", [1, 3, 400, 10**4 + 1, 10**5])
+    def test_streams_equal_binary_search_streams(self, n):
+        fast = table_oracle(np.full(n, 1.0 / n), rng_seed=n)
+        slow = table_oracle(np.full(n, 1.0 / n), rng_seed=n)
+        slow._uniform = False
+        assert fast._uniform
+        for count in (0, 1, 7, 1000, 0, 50_000):
+            a, b = fast.sample_batch(count), slow.sample_batch(count)
+            assert np.array_equal(a.idx, b.idx) and a.idx.dtype == b.idx.dtype
+            assert np.array_equal(a.xs, b.xs)
+            assert np.array_equal(a.ys, b.ys)
+            assert fast.draws == slow.draws
 
 
 class TestExactMetrics:

@@ -221,6 +221,48 @@ class TestCli:
         res = self.run_cli(["run", str(cfg_path)])
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_reversed_seed_range_is_config_error(self, tmp_path, where):
+        cfg_path = tmp_path / "cfg.txt"
+        out_dir = tmp_path / "metrics"
+        args = ["run", str(cfg_path), "--out", str(out_dir)]
+        if where == "flag":
+            cfg_path.write_text(CONFIG_SMALL)
+            args += ["--seed-range", "5..3"]
+        else:
+            cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds = 5..3"))
+        res = self.run_cli(args)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "5..3" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out_dir.exists()
+
+    def test_single_seed_flag_runs_that_seed(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        out_dir = tmp_path / "metrics"
+        res = self.run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "7"])
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in out_dir.iterdir()) == ["round_trace_7.csv", "summary.json"]
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("rect_side = 20", "rect_side = 1e2", "rect_side"),
+            ("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_support = 1e5", "hard_support"),
+            ("distribution = rect_grid", "distribution = hard\nhard_rho = small", "hard_rho"),
+            ("distribution = rect_grid", "distribution = hard\nhard_rho = 0.5", "rho"),
+        ],
+        ids=["int", "hard-int", "float", "rho-out-of-range"],
+    )
+    def test_unparsable_generator_parameter_is_config_error(self, tmp_path, old, new, key):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL.replace(old, new))
+        res = self.run_cli(["run", str(cfg_path)])
+        assert res.returncode == 2
+        assert "config error" in res.stderr and key in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_non_integer_thread_count_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)

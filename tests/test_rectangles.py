@@ -191,3 +191,17 @@ class TestWeakLearnerContract:
         learner = BoxWeakLearner(d=2, k=2, alpha=0.1)
         assert learner.gamma == 0.1**2 / (2 * 2) ** 2
         assert learner.sample_size == math.ceil(2 * (2 * 2) ** 2 / 0.1**2)
+
+    def test_train_from_source_draws_one_sample_of_sample_size(self):
+        union = RectangleUnion((box([0.2, 0.2], [0.6, 0.7]),))
+        dist = grid_dist(2, 20, union, eta=0.1, rng=np.random.default_rng(5), eta_bound=0.1)
+        learner = BoxWeakLearner(d=2, k=1, alpha=0.1, sample_scale=0.5)
+        requests = []
+
+        def source(count):
+            requests.append(count)
+            return MassartOracle(dist, rng_seed=9).sample_batch(count)
+
+        h = learner.train_from_source(source, np.random.default_rng(0))
+        assert requests == [learner.sample_size]
+        assert h == learner.train(MassartOracle(dist, rng_seed=9).sample_batch(learner.sample_size), None)
