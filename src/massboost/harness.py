@@ -167,20 +167,23 @@ def load_config(path) -> RunConfig:
 # -- per-seed instance construction --------------------------------------------
 
 
-def _cfg_number(cfg: RunConfig, key: str, default, kind):
+def _cfg_number(cfg: RunConfig, key: str, default, kind, positive: bool):
     raw = cfg.params.get(key, default)
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigParse(f"field {key!r}: expected {kind.__name__}, got {raw!r}") from None
+    if positive and not value > 0:
+        raise ConfigParse(f"field {key!r}: must be > 0, got {raw!r}")
+    return value
 
 
-def _cfg_int(cfg: RunConfig, key: str, default: int) -> int:
-    return _cfg_number(cfg, key, default, int)
+def _cfg_int(cfg: RunConfig, key: str, default: int, positive: bool = False) -> int:
+    return _cfg_number(cfg, key, default, int, positive)
 
 
-def _cfg_float(cfg: RunConfig, key: str, default: float) -> float:
-    return _cfg_number(cfg, key, default, float)
+def _cfg_float(cfg: RunConfig, key: str, default: float, positive: bool = False) -> float:
+    return _cfg_number(cfg, key, default, float, positive)
 
 
 def _random_union(rng: np.random.Generator, d: int, k: int) -> RectangleUnion:
@@ -209,9 +212,9 @@ def build_instance(cfg: RunConfig, seed: int):
     ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(4)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":
-        d = _cfg_int(cfg, "rect_d", 2)
-        k = _cfg_int(cfg, "rect_k", 2)
-        side = _cfg_int(cfg, "rect_side", 100 if d == 2 else 22)
+        d = _cfg_int(cfg, "rect_d", 2, positive=True)
+        k = _cfg_int(cfg, "rect_k", 2, positive=True)
+        side = _cfg_int(cfg, "rect_side", 100 if d == 2 else 22, positive=True)
         union = _random_union(inst_rng, d, k)
         xs = _grid_points(d, side)
         f = union(xs)
@@ -244,16 +247,16 @@ def build_instance(cfg: RunConfig, seed: int):
 def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
     if cfg.weak_learner == "box":
         return BoxWeakLearner(
-            d=_cfg_int(cfg, "rect_d", dist.dim),
-            k=_cfg_int(cfg, "rect_k", 2),
+            d=_cfg_int(cfg, "rect_d", dist.dim, positive=True),
+            k=_cfg_int(cfg, "rect_k", 2, positive=True),
             alpha=cfg.alpha,
             c_const=_cfg_float(cfg, "box_c", 2.0),
-            sample_scale=_cfg_float(cfg, "box_scale", cfg.sample_scale),
+            sample_scale=_cfg_float(cfg, "box_scale", cfg.sample_scale, positive=True),
         )
     if cfg.weak_learner == "rude":
         state = RudeState(
-            m=_cfg_int(cfg, "rude_m", 32),
-            T=_cfg_int(cfg, "rude_t", 2000),
+            m=_cfg_int(cfg, "rude_m", 32, positive=True),
+            T=_cfg_int(cfg, "rude_t", 2000, positive=True),
             gamma=cfg.gamma,
             scale=_cfg_float(cfg, "rude_scale", 1e-3),
             survivor_cap=_cfg_int(cfg, "rude_survivor_cap", 16),

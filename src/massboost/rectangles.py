@@ -97,7 +97,8 @@ class BoxHypothesis:
 
     With constant_flag set there is no rectangle and the hypothesis is the
     constant z everywhere (z = +1 for the small-negative-fraction branch,
-    the sample majority when no candidate met the mass floor).
+    the sample majority when no candidate met the mass floor, which only
+    happens with k = 0).
     """
 
     b_best: Optional[NegRectangle]
@@ -165,30 +166,95 @@ def _box_counts(table: np.ndarray, signs, m) -> np.ndarray:
     return table
 
 
-def _blocks(xs: np.ndarray, positive: np.ndarray, k: int):
-    """Yield (signed axes, thresholds, counts) for every block of candidates, in rank order.
+def _axis_values(xs: np.ndarray):
+    """(uniques, inverses, m): each axis's sorted unique values, every point's index in them, their counts."""
+    uniques, inverses = zip(*(np.unique(xs[:, axis], return_inverse=True) for axis in range(xs.shape[1])))
+    return uniques, inverses, [len(u) for u in uniques]
+
+
+def _combos(d: int, k: int):
+    """Every block's signed axes, in rank order.
 
     A block is one combination of at most k of the 2d signed axes (axis,
     direction), in itertools.combinations order over (0,+1), (0,-1), (1,+1),
-    ...: all single inequalities first, then pairs, and so on. Its candidates
-    are every choice of one threshold per signed axis among the sorted
-    unique values of direction * x[:, axis]. counts has shape (2, m_1, ...,
-    m_r): the number of points and of positive points in each candidate.
-    All blocks over the same set of distinct axes share one suffix table.
+    ...: all single inequalities first, then pairs, and so on.
     """
-    d = xs.shape[1]
-    uniques, inverses = zip(*(np.unique(xs[:, axis], return_inverse=True) for axis in range(d)))
-    m = [len(u) for u in uniques]
     families = [(axis, direction) for axis in range(d) for direction in (1, -1)]
-    tables = {}
     for r in range(1, k + 1):
-        for combo in itertools.combinations(families, r):
-            axes = tuple(sorted({axis for axis, _ in combo}))
-            if axes not in tables:
-                tables[axes] = _suffix_table(inverses, m, axes, positive)
-            signs = [tuple(direction for a, direction in combo if a == axis) for axis in axes]
-            thresholds = [uniques[axis] if direction == 1 else -uniques[axis][::-1] for axis, direction in combo]
-            yield combo, thresholds, _box_counts(tables[axes], signs, [m[axis] for axis in axes])
+        yield from itertools.combinations(families, r)
+
+
+def _thresholds(uniques, combo):
+    """Each signed axis's candidate thresholds: the sorted unique values of direction * x[:, axis]."""
+    return [uniques[axis] if direction == 1 else -uniques[axis][::-1] for axis, direction in combo]
+
+
+def _blocks(xs: np.ndarray, positive: np.ndarray, k: int):
+    """Yield (signed axes, thresholds, counts) for every block of candidates, in rank order.
+
+    A block's candidates (see _combos) are every choice of one threshold per
+    signed axis among the sorted unique values of direction * x[:, axis].
+    counts has shape (2, m_1, ..., m_r): the number of points and of
+    positive points in each candidate. All blocks over the same set of
+    distinct axes share one suffix table.
+    """
+    uniques, inverses, m = _axis_values(xs)
+    tables = {}
+    for combo in _combos(xs.shape[1], k):
+        axes = tuple(sorted({axis for axis, _ in combo}))
+        if axes not in tables:
+            tables[axes] = _suffix_table(inverses, m, axes, positive)
+        signs = [tuple(direction for a, direction in combo if a == axis) for axis in axes]
+        yield combo, _thresholds(uniques, combo), _box_counts(tables[axes], signs, [m[axis] for axis in axes])
+
+
+def _staircase(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
+    """(signed axes, thresholds, cell) of the best positive-free candidate above the floor, or None.
+
+    For blocks of one or two signed axes (k <= 2) and a positive floor, so
+    that no empty candidate clears it. Along a signed axis, the candidate at index i keeps the points whose
+    signed index q (the point's index among the sorted unique values of
+    direction * x[:, axis]) is at least i; a slab keeps the points that
+    pass both of its signed axes. So a block's counts and positive counts
+    never increase with any index, and its positive-free cells form an
+    up-set, a staircase. In row i (the first signed axis; a one-axis block
+    is a single row that every point is in) the largest count among them
+    sits at the first positive-free column: 1 + the largest second index of
+    the positives in rows >= i, a scatter-max and a suffix max. Those
+    columns never increase with the row, so a point lies in the staircase
+    cells of one run of rows, from the first row whose column it reaches
+    to its own row, and every staircase count comes from one difference
+    array. A row with no positive-free cell gets the column past the last
+    index, which keeps no point. The winner has the largest count above the
+    floor, then the lowest block rank, then the first row, which is the
+    C-order first such cell; it is the global minimum of wkl_box's key.
+    """
+    uniques, inverses, m = _axis_values(xs)
+    signed = {}
+    for axis, inv in enumerate(inverses):
+        signed[axis, 1], signed[axis, -1] = inv, m[axis] - 1 - inv
+    signed_pos = {family: q[positive] for family, q in signed.items()}
+    best, best_count = None, 0
+    for combo in _combos(xs.shape[1], k):
+        cols = signed[combo[-1]]
+        if len(combo) == 1:
+            first = np.array([signed_pos[combo[0]].max(initial=-1) + 1])
+            counts = np.array([np.count_nonzero(cols >= first[0])])
+        else:
+            rows, n_rows = signed[combo[0]], m[combo[0][0]]
+            top = np.full(n_rows, -1)
+            np.maximum.at(top, signed_pos[combo[0]], signed_pos[combo[1]])
+            first = np.maximum.accumulate(top[::-1])[::-1] + 1
+            start = np.minimum(np.searchsorted(-first, -cols), rows + 1)
+            diff = np.bincount(start, minlength=n_rows + 1) - np.bincount(rows + 1, minlength=n_rows + 1)
+            counts = np.cumsum(diff[:n_rows])
+        counts = np.where(counts / n > floor, counts, 0)
+        row = int(np.argmax(counts))
+        if counts[row] > best_count:
+            best_count = counts[row]
+            cell = (row, int(first[row])) if len(combo) == 2 else (int(first[row]),)
+            best = combo, _thresholds(uniques, combo), cell
+    return best
 
 
 def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
@@ -206,6 +272,20 @@ def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
     return float(best), float(counts.flat[j]), j
 
 
+def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
+    """(signed axes, thresholds, cell) of the candidate minimizing wkl_box's key over every cell, or None."""
+    best_key, best = None, None  # (ratio, -count, block_rank, flat_idx)
+    for block_rank, (combo, thresholds, counts) in enumerate(_blocks(xs, positive, k)):
+        pick = _pick(counts[0], counts[1], n, floor)
+        if pick is None:
+            continue
+        key = (pick[0], -pick[1], block_rank, pick[2])
+        if best_key is None or key < best_key:
+            best_key = key
+            best = combo, thresholds, np.unravel_index(pick[2], counts.shape[1:])
+    return best
+
+
 def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesis:
     """Train the rectangle weak learner on a labeled sample.
 
@@ -219,14 +299,22 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     (one inequality first, then pairs, ...); its flat index is the C-order
     position of the thresholds' indices among the sorted unique values of
     each signed coordinate. If no candidate clears the floor, returns the
-    constant sample majority; with k >= 1 that cannot happen, because the
-    smallest thresholds keep the whole sample.
+    constant sample majority; for a finite alpha only k = 0 gets there,
+    because with k >= 1 the smallest thresholds keep the whole sample.
 
-    The counts come from one suffix-sum table per set of distinct axes,
-    shared by every block over those axes (_blocks, _box_counts), and each
-    block's best cell is found by a linear-time pick (_pick), not a sort.
-    The counts are exact integers held in float64, so the hypothesis is the
-    one a direct enumeration of the candidates returns.
+    The search has two stages. A candidate with no positive point inside
+    has fraction 0, so if one clears the floor, the winner is among them.
+    For k <= 2, _staircase finds the best such candidate of every block in
+    a few passes over the sample, not a scan of its m_1 x m_2 cells: along
+    each signed axis a block's counts and positive counts never increase,
+    so its positive-free cells form a staircase, and the largest count in
+    each row sits on the staircase's edge. Only when no block has a
+    positive-free cell above the floor, and for every k >= 3 or alpha <= 0,
+    does _exhaustive scan every cell: one suffix-sum table per set of
+    distinct axes, shared by every block over those axes (_blocks,
+    _box_counts), and a linear-time pick per block (_pick). All counts are
+    exact integers, so the hypothesis is the one a direct enumeration of
+    the candidates returns.
     """
     n = len(sample)
     if n == 0:
@@ -240,25 +328,19 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
         return BoxHypothesis(None, 1, constant_flag=True)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
-    best_key = None  # (ratio, -count, block_rank, flat_idx)
-    best_rect: Optional[NegRectangle] = None
-    for block_rank, (combo, thresholds, counts) in enumerate(_blocks(xs, ys == 1, k)):
-        pick = _pick(counts[0], counts[1], n, floor)
-        if pick is None:
-            continue
-        key = (pick[0], -pick[1], block_rank, pick[2])
-        if best_key is None or key < best_key:
-            best_key = key
-            cell = np.unravel_index(pick[2], counts.shape[1:])
-            best_rect = NegRectangle(
-                tuple((axis, direction, float(t[i])) for (axis, direction), t, i in zip(combo, thresholds, cell))
-            )
-
-    if best_rect is None:
+    positive = ys == 1
+    found = _staircase(xs, positive, k, n, floor) if k <= 2 and floor > 0 else None
+    if found is None:
+        found = _exhaustive(xs, positive, k, n, floor)
+    if found is None:
         z = _majority(ys)
-        logger.info("wkl_box: no candidate rectangle met the mass floor; constant %+d", z)
+        logger.info("wkl_box: no candidate rectangle met the mass floor (only k = 0 admits none); constant %+d", z)
         return BoxHypothesis(None, z, constant_flag=True)
 
+    combo, thresholds, cell = found
+    best_rect = NegRectangle(
+        tuple((axis, direction, float(t[i])) for (axis, direction), t, i in zip(combo, thresholds, cell))
+    )
     outside = ~best_rect.contains(xs)
     z = _majority(ys[outside])
     return BoxHypothesis(best_rect, z, constant_flag=False)

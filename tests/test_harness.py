@@ -252,8 +252,27 @@ class TestCli:
             ("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_support = 1e5", "hard_support"),
             ("distribution = rect_grid", "distribution = hard\nhard_rho = small", "hard_rho"),
             ("distribution = rect_grid", "distribution = hard\nhard_rho = 0.5", "rho"),
+            ("rect_d = 2", "rect_d = 0", "rect_d"),
+            ("rect_k = 1", "rect_k = 0", "rect_k"),
+            ("rect_k = 1", "rect_k = -1", "rect_k"),
+            ("rect_side = 20", "rect_side = 0", "rect_side"),
+            ("weak_learner = concept", "weak_learner = box\nbox_scale = -1", "box_scale"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_m = 0", "rude_m"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_t = 0", "rude_t"),
         ],
-        ids=["int", "hard-int", "float", "rho-out-of-range"],
+        ids=[
+            "int",
+            "hard-int",
+            "float",
+            "rho-out-of-range",
+            "rect-d-zero",
+            "rect-k-zero",
+            "rect-k-negative",
+            "rect-side-zero",
+            "box-scale-negative",
+            "rude-m-zero",
+            "rude-t-zero",
+        ],
     )
     def test_unparsable_generator_parameter_is_config_error(self, tmp_path, old, new, key):
         cfg_path = tmp_path / "cfg.txt"
