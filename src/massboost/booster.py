@@ -463,15 +463,14 @@ def samp(
     *,
     d_hat: float = 1.0,
     delta: float = 0.1,
-    sample_scale: float = 1.0,
 ) -> Tuple[LabeledSample, int]:
     """Rejection-sample m_wkl examples from the reweighted distribution.
 
     Draws (x, y) from the oracle and keeps each with probability mu(x, y).
     Returns the accepted sample and the raw draw count. Raises
     DrawBudgetExceeded once raw draws pass ten times the
-    log(1/delta)/d_hat^2 + 2*m_wkl/d_hat budget (scaled by sample_scale),
-    the signature of a measure whose true density has collapsed.
+    log(1/delta)/d_hat^2 + 2*m_wkl/d_hat budget, the signature of a measure
+    whose true density has collapsed.
     """
     m_wkl = int(m_wkl)
     if m_wkl == 0:
@@ -482,8 +481,7 @@ def samp(
     budget = 10.0 * (math.log(1.0 / delta) / d_ref**2 + 2.0 * m_wkl / d_ref)
     budget = max(int(math.ceil(budget)), 10 * m_wkl)
     parts: List[LabeledSample] = []
-    kept = 0
-    raw = 0
+    kept = raw = 0
     # first batch sized by the density estimate so a full-weight measure
     # draws exactly m_wkl; later batches use the observed acceptance rate
     accept_rate = min(d_ref, 1.0)
@@ -500,8 +498,7 @@ def samp(
             raise DrawBudgetExceeded(
                 f"rejection sampling exceeded {budget} raw draws for {m_wkl} accepted"
             )
-    out = LabeledSample.concat(parts)[:m_wkl]
-    return out, raw
+    return LabeledSample.concat(parts)[:m_wkl], raw
 
 
 def density_sample_size(delta_dens: float, epsilon: float, eta: float, sample_scale: float = 1.0) -> int:
@@ -557,9 +554,7 @@ def over_confident(
         return False
     n2 = int(math.ceil(params.sample_scale * 8.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
     budget = int(math.ceil(10.0 * n2 / frac))
-    mismatches = 0
-    collected = 0
-    raw = 0
+    mismatches = collected = raw = 0
     while collected < n2:
         batch = int(np.clip(math.ceil(1.3 * (n2 - collected) / frac), 64, budget - raw))
         sample = oracle.sample_batch(batch)
@@ -603,10 +598,9 @@ def repeat_weak_learner(
     """
     n_candidates, test_size = repetition_schedule(params.delta_err, params.gamma, params.sample_scale)
     streams = rng.spawn(n_candidates + 1)
-    candidates = []
-    for i in range(n_candidates):
-        stream = streams[i]
-        candidates.append(wkl.train_from_source(lambda c: mu_sample_source(c, stream), stream))
+    candidates = [
+        wkl.train_from_source(lambda c, stream=stream: mu_sample_source(c, stream), stream) for stream in streams[:-1]
+    ]
     if n_candidates == 1:
         return candidates[0]
     test = mu_sample_source(test_size, streams[-1])
@@ -652,18 +646,15 @@ class RunTrace:
     total_draws: int = 0
     scores: Optional[np.ndarray] = None  # final G on each atom; not part of the CSV
 
-    CSV_HEADER = "round,d_hat,d_exact,phi,overconfident,raw_draws,lerr_exact,ferr_exact"
+    # the RoundRecord fields the CSV carries, in column order
+    CSV_FIELDS = ("round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact")
 
     def to_csv(self) -> str:
-        def cell(v) -> str:
+        def cell(v) -> str:  # .17g prints an int or a bool as an integer
             return "" if v is None else format(v, ".17g")
 
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.round},{cell(r.d_hat)},{cell(r.d_exact)},{cell(r.phi)},"
-                f"{int(r.overconfident)},{r.raw_draws},{cell(r.lerr_exact)},{cell(r.ferr_exact)}"
-            )
+        lines = [",".join(self.CSV_FIELDS)]
+        lines += [",".join(cell(getattr(r, name)) for name in self.CSV_FIELDS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     @property
@@ -672,6 +663,19 @@ class RunTrace:
 
 
 # -- the boosting loop --------------------------------------------------------
+
+
+def _exact_fields(pre: ScoreState, hv: np.ndarray, post: ScoreState) -> dict:
+    """The exact RoundRecord fields of a round that stepped pre to post adding values hv.
+
+    pre.advantage(hv) is read before post.stats(): every state of a run
+    writes ExactStats.u_diff into the same workspace row, so post's stats
+    would overwrite the row pre's advantage reads.
+    """
+    adv = pre.advantage(hv)
+    a, b = pre.stats(), post.stats()
+    return dict(d_exact=b.density, phi=b.potential, lerr_exact=b.lerr, ferr_exact=b.ferr, d_exact_pre=a.density,
+                phi_pre=a.potential, adv_exact=adv, max_noise_rate=a.max_noise_rate, risky_mass=b.risky_mass)
 
 
 def boost(
@@ -705,6 +709,9 @@ def boost(
     d_hat = 1.0
     draws_mark = oracle.draws
 
+    def source(count: int, r: np.random.Generator) -> LabeledSample:  # D_mu of the current state
+        return samp(oracle, state, count, r, d_hat=d_hat, delta=params.delta)[0]
+
     def finish() -> AggregatedHypothesis:
         run.total_draws = oracle.draws
         run.scores = state.sigma.copy()
@@ -714,39 +721,22 @@ def boost(
         while d_hat > params.kappa:
             if len(trace) >= params.max_rounds:
                 raise MaxRoundsExceeded(f"no termination within {params.max_rounds} rounds")
-            rec = RoundRecord(round=len(trace) + 1, d_hat=0.0, overconfident=False, raw_draws=0)
-            if exact:
-                pre = state.stats()
-                rec.d_exact_pre, rec.phi_pre = pre.density, pre.potential
-                rec.max_noise_rate = pre.max_noise_rate
-
-            def source(count: int, r: np.random.Generator) -> LabeledSample:
-                sample, _ = samp(
-                    oracle, state, count, r,
-                    d_hat=d_hat, delta=params.delta, sample_scale=params.sample_scale,
-                )
-                return sample
-
+            # sample from D_mu and train
             h_t = repeat_weak_learner(wkl, source, params, rng)
             hv = state.values(h_t)
-            if exact:
-                rec.adv_exact = state.advantage(hv)
+            # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
             added = state.step(hv, False)
             b_t = withhold and over_confident(oracle, added, params)
-            state = state.step(hv, True) if b_t else added
+            pre, state = state, (state.step(hv, True) if b_t else added)
             trace.append((h_t, b_t))
-
+            # measure the density and record the round
             if exact:
-                post = state.stats()
-                d_hat = post.density
-                rec.d_exact, rec.phi, rec.risky_mass = post.density, post.potential, post.risky_mass
-                rec.lerr_exact, rec.ferr_exact = post.lerr, post.ferr
+                fields = _exact_fields(pre, hv, state)
+                d_hat = fields["d_exact"]
             else:
+                fields = {}
                 d_hat = est_density(oracle, state, params)
-            rec.overconfident = b_t
-            rec.d_hat = d_hat
-            rec.raw_draws = oracle.draws - draws_mark
-            run.rows.append(rec)
+            run.rows.append(RoundRecord(len(trace), d_hat, b_t, oracle.draws - draws_mark, **fields))
             draws_mark = oracle.draws
     except BoostFailure as exc:
         exc.aggregated = finish()

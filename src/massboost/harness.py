@@ -64,6 +64,9 @@ class IoFailure(OSError):
 
 
 _REQUIRED_KEYS = ("distribution", "weak_learner", "eta", "alpha", "gamma", "epsilon", "delta")
+# the keys build_instance and build_weak_learner read from RunConfig.params
+_GENERATOR_KEYS = {"rect_d", "rect_k", "rect_side", "noise_profile", "hard_n", "hard_rho", "hard_support",
+                   "box_c", "box_scale", "rude_m", "rude_t", "rude_scale", "rude_survivor_cap"}
 
 
 @dataclass
@@ -101,7 +104,7 @@ def _parse_seeds(text: str) -> Tuple[int, ...]:
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse the flat key = value format, with line diagnostics on errors."""
+    """Parse the flat key = value format, with line diagnostics on errors; unknown keys are errors."""
     fields: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -152,6 +155,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigParse(f"{source}: {exc}") from None
+    unknown = sorted(set(cfg.params) - _GENERATOR_KEYS)
+    if unknown:
+        raise ConfigParse(f"{source}: unknown keys: {', '.join(unknown)}")
     return cfg
 
 
@@ -250,7 +256,7 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
             d=_cfg_int(cfg, "rect_d", dist.dim, positive=True),
             k=_cfg_int(cfg, "rect_k", 2, positive=True),
             alpha=cfg.alpha,
-            c_const=_cfg_float(cfg, "box_c", 2.0),
+            c_const=_cfg_float(cfg, "box_c", 2.0, positive=True),
             sample_scale=_cfg_float(cfg, "box_scale", cfg.sample_scale, positive=True),
         )
     if cfg.weak_learner == "rude":

@@ -309,7 +309,7 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     each signed axis a block's counts and positive counts never increase,
     so its positive-free cells form a staircase, and the largest count in
     each row sits on the staircase's edge. Only when no block has a
-    positive-free cell above the floor, and for every k >= 3 or alpha <= 0,
+    positive-free cell above the floor, and for every k >= 3 or alpha = 0,
     does _exhaustive scan every cell: one suffix-sum table per set of
     distinct axes, shared by every block over those axes (_blocks,
     _box_counts), and a linear-time pick per block (_pick). All counts are
@@ -323,6 +323,8 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     ys = np.asarray(sample.ys)
     if xs.shape[1] != d:
         raise ValueError(f"sample dimension {xs.shape[1]} != d = {d}")
+    if not alpha >= 0.0:  # a negative floor admits empty candidates, whose fraction is 0/0
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
 
     if np.mean(ys == -1) < alpha / 2.0:
         return BoxHypothesis(None, 1, constant_flag=True)

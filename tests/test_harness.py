@@ -257,8 +257,12 @@ class TestCli:
             ("rect_k = 1", "rect_k = -1", "rect_k"),
             ("rect_side = 20", "rect_side = 0", "rect_side"),
             ("weak_learner = concept", "weak_learner = box\nbox_scale = -1", "box_scale"),
+            ("weak_learner = concept", "weak_learner = box\nbox_c = 0", "box_c"),
+            ("weak_learner = concept", "weak_learner = box\nbox_c = -1", "box_c"),
             ("weak_learner = concept", "weak_learner = rude\nrude_m = 0", "rude_m"),
             ("weak_learner = concept", "weak_learner = rude\nrude_t = 0", "rude_t"),
+            ("rect_side = 20", "rect_sid = 20", "rect_sid"),
+            ("noise_profile = rcn", "noise_profil = rcn", "noise_profil"),
         ],
         ids=[
             "int",
@@ -270,8 +274,12 @@ class TestCli:
             "rect-k-negative",
             "rect-side-zero",
             "box-scale-negative",
+            "box-c-zero",
+            "box-c-negative",
             "rude-m-zero",
             "rude-t-zero",
+            "unknown-key-rect-sid",
+            "unknown-key-noise-profil",
         ],
     )
     def test_unparsable_generator_parameter_is_config_error(self, tmp_path, old, new, key):

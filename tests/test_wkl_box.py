@@ -96,6 +96,23 @@ def test_staircase_matches_frozen_reference(case):
     assert wkl_box(sample, d, k, alpha) == wkl_box_reference(sample, d, k, alpha)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=samples(max_n=60, max_grid=4, max_k=2))
+@example(case=TWINNED)
+def test_zero_alpha_matches_frozen_reference(case):
+    # alpha = 0 gives the floor 0, which every nonempty candidate clears
+    sample, d, k, _ = case
+    assert wkl_box(sample, d, k, 0.0) == wkl_box_reference(sample, d, k, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, -1e-9, float("nan")])
+def test_negative_or_nan_alpha_is_rejected(alpha):
+    # a negative floor would admit empty candidates, whose positive fraction is 0/0
+    sample, d, k, _ = TWINNED
+    with pytest.raises(ValueError, match="alpha"):
+        wkl_box(sample, d, k, alpha)
+
+
 def test_examples_reach_both_search_paths():
     # the staircase answers for ALL_NEGATIVE; TWINNED has no positive-free cell and falls back
     for (sample, d, k, alpha), found in [(ALL_NEGATIVE, True), (TWINNED, False)]:
