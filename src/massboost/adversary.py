@@ -48,14 +48,25 @@ class RhoOutOfRange(ValueError):
 
 
 def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
-    """Deterministic keyed-hash labeling of integer points: +1 with probability eta_prime over uniform x."""
-    out = np.empty(len(xs), dtype=np.int8)
-    threshold = eta_prime * 2.0**64
-    key = int(seed).to_bytes(16, "big", signed=False)
-    for i, x in enumerate(xs):
-        h = hashlib.blake2b(int(x).to_bytes(8, "big", signed=False), key=key, digest_size=8)
-        out[i] = 1 if int.from_bytes(h.digest(), "big") < threshold else -1
-    return out
+    """Deterministic keyed-hash labeling of integer points: +1 with probability eta_prime over uniform x.
+
+    x is labeled +1 when the 8-byte keyed blake2b digest of its 8 big-endian
+    bytes, read as a big-endian integer, is below eta_prime * 2^64; for an
+    integer that is the same as being below its ceiling.
+    """
+    xs = np.asarray(xs)
+    if xs.size and xs.min() < 0:  # a negative point has no unsigned 8-byte form to hash
+        raise OverflowError("biased_labels needs points in [0, 2^64)")
+    keyed = hashlib.blake2b(key=int(seed).to_bytes(16, "big", signed=False), digest_size=8)
+    buf = xs.astype(">u8").tobytes()
+
+    def digest(i: int) -> bytes:
+        h = keyed.copy()
+        h.update(buf[i : i + 8])
+        return h.digest()
+
+    digests = np.fromiter(map(digest, range(0, len(buf), 8)), dtype="S8", count=len(buf) // 8).view(">u8")
+    return np.where(digests < math.ceil(eta_prime * 2.0**64), 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True)

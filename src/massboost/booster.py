@@ -270,6 +270,14 @@ class ExactStats:
     u_diff: np.ndarray
 
 
+@dataclass
+class _SignMemo:
+    """lerr and ferr of the sign mask sigma >= 0 they were last computed for, kept in a row of its own."""
+
+    sign: np.ndarray
+    errors: Optional[Tuple[float, float]] = None
+
+
 class ScoreState:
     """The aggregate's score G on every atom of a finite support.
 
@@ -284,10 +292,25 @@ class ScoreState:
     a+ = P(x, y = +1) and a- = P(x, y = -1).
 
     The states stepped from one constructed state share its workspace, eight
-    per-atom rows allocated once, and write every per-atom temporary into
-    them, so a round of boost() allocates no array of n_atoms elements. What
-    a method returns from the workspace stays valid only as follows; copy
-    what must live longer, as boost() copies the final scores.
+    per-atom float rows and four per-atom bool rows allocated once, and write
+    every per-atom float temporary into them, so a round of boost()
+    allocates no float array of n_atoms elements. The float rows are two
+    score rows, the values row, the u_diff row (scratch until stats() writes
+    u_diff into it) and four scratch rows; the bool rows are two risky mask
+    rows, a scratch row for the sign mask sigma >= 0 and the memo's row.
+
+    Some statistics depend on a mask alone, and from round to round the masks
+    rarely change, so stats() skips the work a mask makes constant. lerr and
+    ferr depend only on the sign mask. The run's states share one memo of
+    them, keyed by the contents of the sign mask they were computed for: the
+    memo copies that mask into its own row, never into a row a step
+    overwrites, and a state whose mask has the same contents reads the memo,
+    whichever state of the run wrote it. With no atom risky, the risky mass
+    is the run constant 1 - dot(p, 1) and no weight is zeroed; otherwise the
+    safe row 1 - risky gives the risky mass and zeroes the weights.
+
+    What a method returns from the workspace stays valid only as follows;
+    copy what must live longer, as boost() copies the final scores.
 
     - sigma and the risky mask |sigma| >= s alternate between two buffers:
       step() writes into the one that does not hold this state's sigma. A
@@ -307,8 +330,11 @@ class ScoreState:
         n = dist.n_atoms
         rows = np.zeros((8, n))
         self._score_rows = rows[:2]
-        self._risky_rows = np.zeros((2, n), dtype=bool)
         self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = rows[2:]
+        masks = np.zeros((4, n), dtype=bool)
+        self._risky_rows = masks[:2]
+        self._sign_now = masks[2]
+        self._sign_memo = _SignMemo(masks[3])
         self._buf = 0
         self.sigma = self._score_rows[0]
         self._risky_mask: Optional[np.ndarray] = None
@@ -327,6 +353,7 @@ class ScoreState:
         self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
         self._n_noisy_plus = len(noisy_plus)
         self._den_pos = np.empty(len(self._noisy), dtype=bool)
+        self._risky_mass_none = 1.0 - float(np.dot(dist.p, np.ones(n)))
         # at G = 0 every weight is exactly 1, so density and potential are the
         # total mass; it is summed, not dotted, and round 1's recorded
         # pre-round values and advantage carry those bits
@@ -343,7 +370,10 @@ class ScoreState:
 
     def values(self, h: Callable) -> np.ndarray:
         """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
-        np.copyto(self._hv, h(self.dist.xs))
+        v = h(self.dist.xs)
+        if isinstance(v, np.ndarray) and v.dtype.kind == "i":  # one pass: clipped in v's dtype, then converted
+            return np.clip(v, -1, 1, out=self._hv)
+        np.copyto(self._hv, v)
         return np.clip(self._hv, -1.0, 1.0, out=self._hv)
 
     def step(self, hv: np.ndarray, b: bool) -> "ScoreState":
@@ -375,39 +405,62 @@ class ScoreState:
         if self._stats is not None:
             return self._stats
         sigma, risky = self.sigma, self._risky()
-        m_plus, m_minus, t = self._t1, self._t2, self._t3
-        # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma
-        np.negative(sigma, out=t)
-        np.exp(np.minimum(t, 0.0, out=m_plus), out=m_plus)
-        np.add(m_plus, np.maximum(t, 0.0, out=t), out=t)
-        pot_plus = np.dot(self._a_plus, t)
-        np.exp(np.minimum(sigma, 0.0, out=m_minus), out=m_minus)
-        np.add(m_minus, np.maximum(sigma, 0.0, out=t), out=t)
-        potential = float(pot_plus + np.dot(self._a_minus, t))
-        if self.withhold:  # the weights mu: M zeroed on the risky set
-            np.copyto(m_plus, 0.0, where=risky)
-            np.copyto(m_minus, 0.0, where=risky)
+        # M+ is built in the u_diff row and turned into u_diff in place, which
+        # spares the memory traffic of one more row
+        lo, m_minus, m_plus, phi = self._t1, self._t2, self._u_diff, self._t4
+        # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma;
+        # min(-sigma, 0) is -max(sigma, 0) and max(-sigma, 0) is -min(sigma, 0)
+        # up to the sign of a zero, which neither exp nor the sum with M >= 1 sees
+        np.minimum(sigma, 0.0, out=lo)
+        np.exp(lo, out=m_minus)
+        np.add(m_minus, np.maximum(sigma, 0.0, out=m_plus), out=phi)
+        pot_minus = np.dot(self._a_minus, phi)
+        np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
+        np.subtract(m_plus, lo, out=phi)
+        potential = float(np.dot(self._a_plus, phi) + pot_minus)
+        if risky.any():
+            safe = np.subtract(1.0, risky, out=phi)
+            risky_mass = 1.0 - float(np.dot(self.dist.p, safe))
+            # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
+            if self.withhold:
+                np.multiply(m_plus, safe, out=m_plus)
+                np.multiply(m_minus, safe, out=m_minus)
+        else:
+            risky_mass = self._risky_mass_none
         # density and potential share the dot structure so the pointwise
-        # mu <= phi inequality survives float accumulation
-        density = float(np.dot(self._a_plus, m_plus) + np.dot(self._a_minus, m_minus))
+        # mu <= phi inequality survives float accumulation; each dot runs
+        # next to the product that reads the same two rows, while they are
+        # in cache
+        d_plus = np.dot(self._a_plus, m_plus)
         u_plus = np.multiply(self._a_plus, m_plus, out=m_plus)
+        d_minus = np.dot(self._a_minus, m_minus)
         u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
-        np.subtract(u_plus, u_minus, out=self._u_diff)
+        density = float(d_plus + d_minus)
         max_noise_rate = self._max_noise_rate(u_plus, u_minus)
-        pred_pos = np.greater_equal(sigma, 0.0, out=t)
-        lerr = self._prob_plus - float(np.dot(self._b_label, pred_pos))
-        ferr = self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos))
-        safe = np.subtract(1.0, risky, out=t)
+        np.subtract(u_plus, u_minus, out=self._u_diff)
+        lerr, ferr = self._sign_errors()
         self._stats = ExactStats(
             density=density,
             potential=potential,
             lerr=lerr,
             ferr=ferr,
-            risky_mass=1.0 - float(np.dot(self.dist.p, safe)),
+            risky_mass=risky_mass,
             max_noise_rate=max_noise_rate,
             u_diff=self._u_diff,
         )
         return self._stats
+
+    def _sign_errors(self) -> Tuple[float, float]:
+        """lerr and ferr of sign(sigma), read off the run's memo unless the mask sigma >= 0 changed."""
+        memo, now = self._sign_memo, np.greater_equal(self.sigma, 0.0, out=self._sign_now)
+        if memo.errors is None or np.not_equal(now, memo.sign, out=now).any():  # the test spends now
+            np.greater_equal(self.sigma, 0.0, out=memo.sign)
+            pred_pos = np.greater_equal(self.sigma, 0.0, out=self._t4)
+            memo.errors = (
+                self._prob_plus - float(np.dot(self._b_label, pred_pos)),
+                self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos)),
+            )
+        return memo.errors
 
     def _max_noise_rate(self, u_plus: np.ndarray, u_minus: np.ndarray) -> float:
         """Largest flip mass over total mass on one atom; excluded atoms read 0."""

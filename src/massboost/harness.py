@@ -64,9 +64,20 @@ class IoFailure(OSError):
 
 
 _REQUIRED_KEYS = ("distribution", "weak_learner", "eta", "alpha", "gamma", "epsilon", "delta")
-# the keys build_instance and build_weak_learner read from RunConfig.params
-_GENERATOR_KEYS = {"rect_d", "rect_k", "rect_side", "noise_profile", "hard_n", "hard_rho", "hard_support",
-                   "box_c", "box_scale", "rude_m", "rude_t", "rude_scale", "rude_survivor_cap"}
+_POSITIVE = ("> 0", lambda v: v > 0)
+# the keys build_instance and build_weak_learner read from RunConfig.params,
+# each with its type and its range; a float must also be finite. parse_config
+# checks every key present, whichever generator reads it; a range that
+# depends on another key (hard_rho < alpha/1000, hard_support <= 2^hard_n)
+# is checked where the instance is built.
+_GENERATOR_KEYS = {
+    "rect_d": (int, _POSITIVE), "rect_k": (int, _POSITIVE), "rect_side": (int, _POSITIVE),
+    "noise_profile": (str, ("'rcn' or 'random'", lambda v: v in ("rcn", "random"))),
+    "hard_n": (int, ("in [1, 64]", lambda v: 1 <= v <= 64)), "hard_rho": (float, (">= 0", lambda v: v >= 0)),
+    "hard_support": (int, _POSITIVE), "box_c": (float, _POSITIVE), "box_scale": (float, _POSITIVE),
+    "rude_m": (int, _POSITIVE), "rude_t": (int, _POSITIVE), "rude_scale": (float, _POSITIVE),
+    "rude_survivor_cap": (int, _POSITIVE),
+}
 
 
 @dataclass
@@ -155,9 +166,14 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigParse(f"{source}: {exc}") from None
-    unknown = sorted(set(cfg.params) - _GENERATOR_KEYS)
+    unknown = sorted(set(cfg.params) - set(_GENERATOR_KEYS))
     if unknown:
         raise ConfigParse(f"{source}: unknown keys: {', '.join(unknown)}")
+    for key in cfg.params:
+        try:
+            _cfg(cfg, key)
+        except ConfigParse as exc:
+            raise ConfigParse(f"{source}: {exc}") from None
     return cfg
 
 
@@ -173,23 +189,19 @@ def load_config(path) -> RunConfig:
 # -- per-seed instance construction --------------------------------------------
 
 
-def _cfg_number(cfg: RunConfig, key: str, default, kind, positive: bool):
+def _cfg(cfg: RunConfig, key: str, default=None):
+    """Generator parameter key, or default when it is absent; ConfigParse unless it obeys its rule."""
+    kind, (rule, holds) = _GENERATOR_KEYS[key]
     raw = cfg.params.get(key, default)
     try:
         value = kind(raw)
     except ValueError:
         raise ConfigParse(f"field {key!r}: expected {kind.__name__}, got {raw!r}") from None
-    if positive and not value > 0:
-        raise ConfigParse(f"field {key!r}: must be > 0, got {raw!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigParse(f"field {key!r}: must be finite, got {raw!r}")
+    if not holds(value):
+        raise ConfigParse(f"field {key!r}: must be {rule}, got {raw!r}")
     return value
-
-
-def _cfg_int(cfg: RunConfig, key: str, default: int, positive: bool = False) -> int:
-    return _cfg_number(cfg, key, default, int, positive)
-
-
-def _cfg_float(cfg: RunConfig, key: str, default: float, positive: bool = False) -> float:
-    return _cfg_number(cfg, key, default, float, positive)
 
 
 def _random_union(rng: np.random.Generator, d: int, k: int) -> RectangleUnion:
@@ -218,25 +230,22 @@ def build_instance(cfg: RunConfig, seed: int):
     ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(4)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":
-        d = _cfg_int(cfg, "rect_d", 2, positive=True)
-        k = _cfg_int(cfg, "rect_k", 2, positive=True)
-        side = _cfg_int(cfg, "rect_side", 100 if d == 2 else 22, positive=True)
+        d = _cfg(cfg, "rect_d", 2)
+        k = _cfg(cfg, "rect_k", 2)
+        side = _cfg(cfg, "rect_side", 100 if d == 2 else 22)
         union = _random_union(inst_rng, d, k)
         xs = _grid_points(d, side)
         f = union(xs)
-        profile = cfg.params.get("noise_profile", "rcn")
-        if profile == "rcn":
+        if _cfg(cfg, "noise_profile", "rcn") == "rcn":
             eta = np.full(len(xs), cfg.eta)
-        elif profile == "random":
-            eta = cfg.eta * inst_rng.random(len(xs))
         else:
-            raise ConfigParse(f"unknown noise_profile {profile!r}")
+            eta = cfg.eta * inst_rng.random(len(xs))
         p = np.full(len(xs), 1.0 / len(xs))
         dist = FiniteMassartDist(xs, p, f, eta, cfg.eta, _validated=True)
         return dist, union, ss
     if cfg.distribution == "hard":
-        n, rho = _cfg_int(cfg, "hard_n", 64), _cfg_float(cfg, "hard_rho", 1e-4)
-        support = _cfg_int(cfg, "hard_support", 100_000)
+        n, rho = _cfg(cfg, "hard_n", 64), _cfg(cfg, "hard_rho", 1e-4)
+        support = _cfg(cfg, "hard_support", 100_000)
         try:  # an out-of-range rho or support is a config error, not a seed failure
             spec = HardDistSpec(n=n, eta=cfg.eta, alpha=cfg.alpha, rho=rho, seed=int(seed))
             dist = hard_distribution(spec, support)
@@ -253,19 +262,19 @@ def build_instance(cfg: RunConfig, seed: int):
 def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
     if cfg.weak_learner == "box":
         return BoxWeakLearner(
-            d=_cfg_int(cfg, "rect_d", dist.dim, positive=True),
-            k=_cfg_int(cfg, "rect_k", 2, positive=True),
+            d=_cfg(cfg, "rect_d", dist.dim),
+            k=_cfg(cfg, "rect_k", 2),
             alpha=cfg.alpha,
-            c_const=_cfg_float(cfg, "box_c", 2.0, positive=True),
-            sample_scale=_cfg_float(cfg, "box_scale", cfg.sample_scale, positive=True),
+            c_const=_cfg(cfg, "box_c", 2.0),
+            sample_scale=_cfg(cfg, "box_scale", cfg.sample_scale),
         )
     if cfg.weak_learner == "rude":
         state = RudeState(
-            m=_cfg_int(cfg, "rude_m", 32, positive=True),
-            T=_cfg_int(cfg, "rude_t", 2000, positive=True),
+            m=_cfg(cfg, "rude_m", 32),
+            T=_cfg(cfg, "rude_t", 2000),
             gamma=cfg.gamma,
-            scale=_cfg_float(cfg, "rude_scale", 1e-3),
-            survivor_cap=_cfg_int(cfg, "rude_survivor_cap", 16),
+            scale=_cfg(cfg, "rude_scale", 1e-3),
+            survivor_cap=_cfg(cfg, "rude_survivor_cap", 16),
         )
         return RudeWeakLearner(state)
     if cfg.weak_learner == "concept":

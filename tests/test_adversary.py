@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,44 @@ def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7, n=64):
     return HardDistSpec(n=n, eta=eta, alpha=alpha, rho=rho, seed=seed)
 
 
+def biased_labels_per_point(seed, xs, eta_prime):
+    """A frozen copy of the original labeling loop: one keyed hash per point, compared as a Python int."""
+    out = np.empty(len(xs), dtype=np.int8)
+    threshold = eta_prime * 2.0**64
+    key = int(seed).to_bytes(16, "big", signed=False)
+    for i, x in enumerate(xs):
+        h = hashlib.blake2b(int(x).to_bytes(8, "big", signed=False), key=key, digest_size=8)
+        out[i] = 1 if int.from_bytes(h.digest(), "big") < threshold else -1
+    return out
+
+
 class TestBiasedFunction:
+    # 0.25 * 2^64 is an exact integer, where < and < ceil coincide trivially;
+    # 0.104 is eta' of the shipped hard instance
+    @pytest.mark.parametrize("seed,eta_prime", [(0, 0.104), (1, 0.104), (7, 0.104), (0, 0.25), (7, 0.25)])
+    def test_matches_per_point_loop(self, seed, eta_prime):
+        xs = np.concatenate([np.arange(20_000), [2**40, 2**63 - 1, 2**63]]).astype(np.uint64)
+        got = biased_labels(seed, xs, eta_prime)
+        assert got.dtype == np.int8
+        assert got.tobytes() == biased_labels_per_point(seed, xs, eta_prime).tobytes()
+
+    def test_negative_point_is_rejected(self):
+        with pytest.raises(OverflowError):
+            biased_labels(0, np.array([3, -1, 5]), 0.1)
+        with pytest.raises(OverflowError):
+            biased_labels_per_point(0, np.array([3, -1, 5]), 0.1)
+
+    def test_threshold_at_a_digest(self):
+        """eta' * 2^64 at each point's digest rounded to a float, and at that float's neighbours."""
+        xs = np.arange(40)
+        key = (3).to_bytes(16, "big")
+        for x in xs:
+            digest = hashlib.blake2b(int(x).to_bytes(8, "big"), key=key, digest_size=8).digest()
+            t = float(int.from_bytes(digest, "big"))
+            for threshold in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)):
+                eta_prime = float(threshold) / 2.0**64
+                assert np.array_equal(biased_labels(3, xs, eta_prime), biased_labels_per_point(3, xs, eta_prime))
+
     def test_deterministic(self):
         xs = np.array([0, 1, 2**40, 2**63 - 1])
         assert np.array_equal(biased_labels(123, xs, 0.12), biased_labels(123, xs, 0.12))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import massboost.booster as booster
 from massboost import ConfigParse, emit_metrics, run_experiment
 from massboost.harness import build_instance, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG_SMALL = """
 # tiny rectangle benchmark driven by the true concept
@@ -261,8 +264,15 @@ class TestCli:
             ("weak_learner = concept", "weak_learner = box\nbox_c = -1", "box_c"),
             ("weak_learner = concept", "weak_learner = rude\nrude_m = 0", "rude_m"),
             ("weak_learner = concept", "weak_learner = rude\nrude_t = 0", "rude_t"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_scale = nan", "rude_scale"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_scale = inf", "rude_scale"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_scale = -1", "rude_scale"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_scale = 0", "rude_scale"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = -1", "rude_survivor_cap"),
+            ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = 0", "rude_survivor_cap"),
             ("rect_side = 20", "rect_sid = 20", "rect_sid"),
             ("noise_profile = rcn", "noise_profil = rcn", "noise_profil"),
+            ("noise_profile = rcn", "noise_profile = pink", "noise_profile"),
         ],
         ids=[
             "int",
@@ -278,8 +288,15 @@ class TestCli:
             "box-c-negative",
             "rude-m-zero",
             "rude-t-zero",
+            "rude-scale-nan",
+            "rude-scale-inf",
+            "rude-scale-negative",
+            "rude-scale-zero",
+            "rude-survivor-cap-negative",
+            "rude-survivor-cap-zero",
             "unknown-key-rect-sid",
             "unknown-key-noise-profil",
+            "unknown-noise-profile",
         ],
     )
     def test_unparsable_generator_parameter_is_config_error(self, tmp_path, old, new, key):
@@ -288,6 +305,19 @@ class TestCli:
         res = self.run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and key in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "line",
+        ["rude_m = 0", "hard_n = 0", "hard_n = 65", "rude_scale = nan", "hard_rho = -1e-5", "box_c = -1"],
+    )
+    def test_other_generators_parameter_is_config_error(self, tmp_path, line):
+        """A key that the configured generators never read is still checked by the rule of the one that does."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL + line + "\n")
+        res = self.run_cli(["run", str(cfg_path)])
+        assert res.returncode == 2
+        assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_non_integer_thread_count_is_config_error(self, tmp_path):
@@ -365,3 +395,21 @@ class TestFileDistribution:
         assert concept is None
         assert np.array_equal(loaded.eta, dist.eta)
         assert np.array_equal(loaded.xs, dist.xs)
+
+    @pytest.mark.parametrize("config", ["configs/rect_benchmark.cfg", "perfbench/configs/rect_mc.cfg"])
+    def test_fixed_instance_configs_parse(self, tmp_path, config):
+        """perfbench reruns a rect config on a saved instance, keeping its rect_*, noise_profile and box lines."""
+        from massboost.core import save_dist
+        from massboost.harness import build_weak_learner
+
+        path = tmp_path / "instance.txt"
+        save_dist(build_instance(load_config(ROOT / config), 0)[0], path)
+        lines = [
+            f"distribution = file:{path}" if line.partition("=")[0].strip() == "distribution" else line
+            for line in (ROOT / config).read_text().splitlines()
+        ]
+        cfg = parse_config("\n".join(lines) + "\n")
+        assert {"rect_d", "rect_k", "rect_side", "noise_profile"} <= set(cfg.params)
+        dist, concept, _ = build_instance(cfg, 0)
+        assert concept is None and dist.n_atoms == int(cfg.params["rect_side"]) ** int(cfg.params["rect_d"])
+        assert build_weak_learner(cfg, concept, dist).d == int(cfg.params["rect_d"])

@@ -12,10 +12,11 @@ import math
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massboost import MassartOracle, compute_params
+from massboost import FiniteMassartDist, MassartOracle, compute_params
 from massboost.booster import ScoreState, over_confident
 from score_state_reference import ScoreStateReference, over_confident_reference
 from test_properties import finite_dists, state_at
@@ -71,3 +72,47 @@ def test_score_state_matches_reference(data):
         b = data.draw(st.booleans())
         state, ref = state.step(hv, b), ref.step(hv, b)
 
+
+
+# scores on a 1/4 grid with lam = 0.5 and s = 1, so every step below is exact
+# and stepping an atom by +lam and back returns it to the same bits
+MEMO_SCORES = [-0.25, 0.25, 0.75, -0.75, 0.0, -0.0, 0.5, -0.5]
+# (atoms given +1, atoms given -1, b): hv = 0 rounds keep both masks, round 3
+# flips the sign of atom 0, round 5 makes atom 2 risky, round 7 returns both
+# (atom 2 by recalibration when withheld, by its -1 when ablated)
+MEMO_SCHEDULE = [((), (), False), ((), (), False), ((0,), (), False), ((), (), False), ((2,), (), False),
+                 ((), (), False), ((), (0, 2), True), ((), (), False), ((), (), False)]
+
+
+@pytest.mark.parametrize("withhold", [True, False], ids=["withheld", "ablated"])
+def test_memo_follows_mask_changes(withhold):
+    """Masks that hold, change and return: every stats field still matches the reference, step by step."""
+    n = len(MEMO_SCORES)
+    dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n),
+                             [1, -1, 1, 1, -1, 1, -1, 1], [0.1, 0.0, 0.2, 0.3, 0.1, 0.0, 0.4, 0.2], 0.45)
+    params = replace(EXACT, epsilon=0.01)
+    oracle = MassartOracle(dist, rng_seed=0)
+    state = state_at(dist, 0.5, 1.0, withhold, MEMO_SCORES)
+    ref = ScoreStateReference(dist, 0.5, 1.0, withhold).at(MEMO_SCORES)
+    signs, risky = set(), set()
+    for plus, minus, b in MEMO_SCHEDULE:
+        hv = np.zeros(n)
+        hv[list(plus)], hv[list(minus)] = 1.0, -1.0
+        state, ref = state.step(hv, b), ref.step(hv, b)
+        assert state.sigma.tobytes() == ref.sigma.tobytes()
+        assert_stats_equal(state.stats(), ref.stats())
+        assert over_confident(oracle, state, params) == over_confident_reference(dist, ref, params.eta, 0.01)
+        signs.add((ref.sigma >= 0).tobytes())
+        risky.add((np.abs(ref.sigma) >= 1.0).tobytes())
+    assert len(signs) == len(risky) == 2
+    assert np.array_equal(state.sigma, MEMO_SCORES)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_values_of_integer_hypotheses(dtype):
+    """Integer values are clipped before they become floats; the clipped floats are the same."""
+    dist = FiniteMassartDist(np.arange(6, dtype=np.float64).reshape(-1, 1), np.full(6, 1 / 6), [1] * 6, [0.0] * 6, 0.0)
+    values = np.array([-3, 0, 3, -1, 1, -128 if dtype == np.int8 else -(2**40)], dtype=dtype)
+    got = ScoreState(dist, 0.5, 1.0, True).values(lambda xs: values)
+    want = ScoreStateReference(dist, 0.5, 1.0, True).values(lambda xs: values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
