@@ -156,6 +156,8 @@ def compute_params(
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
     if sample_scale <= 0.0:
         raise ValueError("sample_scale must be positive")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if eta == 0.0 and (s_max is None or kappa_min is None):
         raise EtaZero("eta = 0 requires explicit s_max and kappa_min overrides")
 

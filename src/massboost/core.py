@@ -307,16 +307,19 @@ def parse_dist(text: str) -> FiniteMassartDist:
         raise ValueError(f"bad header {lines[0]!r}, expected 'd eta_bound'")
     d = int(header[0])
     eta_bound = float(header[1])
-    xs, p, f, eta = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != d + 3:
-            raise ValueError(f"bad atom line {ln!r}, expected {d + 3} fields")
-        xs.append([float(v) for v in parts[:d]])
-        p.append(float(parts[d]))
-        f.append(int(parts[d + 1]))
-        eta.append(float(parts[d + 2]))
-    return FiniteMassartDist(np.asarray(xs), p, f, eta, eta_bound)
+    f = []
+
+    def tokens():  # line by line, so that no token outlives its line
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != d + 3:
+                raise ValueError(f"bad atom line {ln!r}, expected {d + 3} fields")
+            f.append(int(parts[d + 1]))  # float() alone would accept a label such as 1.5
+            yield from parts
+
+    table = np.fromiter(map(float, tokens()), np.float64, (len(lines) - 1) * (d + 3))
+    table = table.reshape(-1, d + 3).T.copy()  # one contiguous row per field
+    return FiniteMassartDist(table[:d].T, table[d], f, table[d + 2], eta_bound)
 
 
 def save_dist(dist: FiniteMassartDist, path) -> None:

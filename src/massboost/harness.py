@@ -65,6 +65,7 @@ class IoFailure(OSError):
 
 _REQUIRED_KEYS = ("distribution", "weak_learner", "eta", "alpha", "gamma", "epsilon", "delta")
 _POSITIVE = ("> 0", lambda v: v > 0)
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 # the keys build_instance and build_weak_learner read from RunConfig.params,
 # each with its type and its range; a float must also be finite. parse_config
 # checks every key present, whichever generator reads it; a range that
@@ -144,6 +145,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         except ValueError as exc:
             raise ConfigParse(f"{source}: field {key!r}: {exc}") from None
 
+    ablate = fields.pop("ablate_no_withholding", "false")
+    if ablate.lower() not in _BOOLEANS:
+        raise ConfigParse(f"{source}: field 'ablate_no_withholding': expected {'/'.join(_BOOLEANS)}, got {ablate!r}")
     try:
         cfg = RunConfig(
             distribution=fields.pop("distribution"),
@@ -158,8 +162,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             max_rounds=int(fields.pop("max_rounds")) if "max_rounds" in fields else None,
             seeds=_parse_seeds(fields.pop("seeds", "")),
             out=fields.pop("out", None),
-            ablate_no_withholding=fields.pop("ablate_no_withholding", "false").lower()
-            in ("1", "true", "yes"),
+            ablate_no_withholding=_BOOLEANS[ablate.lower()],
             params=fields,
         )
     except ConfigParse:
@@ -179,8 +182,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))
@@ -254,8 +256,10 @@ def build_instance(cfg: RunConfig, seed: int):
         concept = lambda xs: dist.f[np.clip(np.atleast_2d(xs)[:, 0].astype(int), 0, dist.n_atoms - 1)]
         return dist, concept, ss
     if cfg.distribution.startswith("file:"):
-        dist = load_dist(cfg.distribution[5:])
-        return dist, None, ss
+        try:  # a missing or malformed file is a config error, not a seed failure
+            return load_dist(cfg.distribution[5:]), None, ss
+        except (OSError, ValueError) as exc:
+            raise ConfigParse(f"distribution {cfg.distribution!r}: {exc}") from None
     raise ConfigParse(f"unknown distribution {cfg.distribution!r}")
 
 

@@ -114,7 +114,7 @@ class BoxHypothesis:
 
 def _majority(ys: np.ndarray) -> int:
     """Majority label; ties (including empty input) default to +1."""
-    return 1 if np.sum(ys == 1) >= np.sum(ys == -1) else -1
+    return 1 if np.count_nonzero(ys == 1) >= np.count_nonzero(ys == -1) else -1
 
 
 def _suffix_table(inv, m, axes: Tuple[int, ...], positive: np.ndarray) -> np.ndarray:
@@ -169,7 +169,7 @@ def _box_counts(table: np.ndarray, signs, m) -> np.ndarray:
 def _axis_values(xs: np.ndarray):
     """(uniques, inverses, m): each axis's sorted unique values, every point's index in them, their counts."""
     uniques, inverses = zip(*(np.unique(xs[:, axis], return_inverse=True) for axis in range(xs.shape[1])))
-    return uniques, inverses, [len(u) for u in uniques]
+    return uniques, np.array(inverses), np.array([len(u) for u in uniques])
 
 
 def _combos(d: int, k: int):
@@ -211,50 +211,51 @@ def _blocks(xs: np.ndarray, positive: np.ndarray, k: int):
 def _staircase(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
     """(signed axes, thresholds, cell) of the best positive-free candidate above the floor, or None.
 
-    For blocks of one or two signed axes (k <= 2) and a positive floor, so
-    that no empty candidate clears it. Along a signed axis, the candidate at index i keeps the points whose
-    signed index q (the point's index among the sorted unique values of
-    direction * x[:, axis]) is at least i; a slab keeps the points that
-    pass both of its signed axes. So a block's counts and positive counts
-    never increase with any index, and its positive-free cells form an
-    up-set, a staircase. In row i (the first signed axis; a one-axis block
-    is a single row that every point is in) the largest count among them
-    sits at the first positive-free column: 1 + the largest second index of
-    the positives in rows >= i, a scatter-max and a suffix max. Those
-    columns never increase with the row, so a point lies in the staircase
-    cells of one run of rows, from the first row whose column it reaches
-    to its own row, and every staircase count comes from one difference
-    array. A row with no positive-free cell gets the column past the last
-    index, which keeps no point. The winner has the largest count above the
-    floor, then the lowest block rank, then the first row, which is the
-    C-order first such cell; it is the global minimum of wkl_box's key.
+    For k = 1 or 2 and a positive floor, which no empty candidate clears.
+    The candidate at index i of a signed axis keeps the points whose signed
+    index (among the sorted unique values of direction * x[:, axis]) is at
+    least i, so a block's positive-free cells form a staircase. In row i of
+    a block (its first signed axis; a one-axis block is one row) the largest
+    count among them lies on the staircase's edge: 1 + the largest column of
+    the positives in rows >= i, which never increases with i. So a point
+    counts in the rows from start, the first row whose edge it reaches, to
+    its own row, and one difference array gives every row's count.
+
+    signed holds every point's index on the 2d signed axes, one row per
+    one-axis block. The pair blocks share padded (pairs, W) tables, W the
+    largest unique count plus 1, block b in cells b * W onward; a padded row
+    has edge 0 and keeps no point. start in column c is the number of rows
+    with edge > c: W minus the edges' cumulative histogram at c. All counts
+    stack in rank order into one (blocks, W) table, whose first maximum in
+    C order, one argmax, is the largest count, then the lowest block rank,
+    then the first row: if it clears the floor, the minimum of wkl_box's key.
     """
     uniques, inverses, m = _axis_values(xs)
-    signed = {}
-    for axis, inv in enumerate(inverses):
-        signed[axis, 1], signed[axis, -1] = inv, m[axis] - 1 - inv
-    signed_pos = {family: q[positive] for family, q in signed.items()}
-    best, best_count = None, 0
-    for combo in _combos(xs.shape[1], k):
-        cols = signed[combo[-1]]
-        if len(combo) == 1:
-            first = np.array([signed_pos[combo[0]].max(initial=-1) + 1])
-            counts = np.array([np.count_nonzero(cols >= first[0])])
-        else:
-            rows, n_rows = signed[combo[0]], m[combo[0][0]]
-            top = np.full(n_rows, -1)
-            np.maximum.at(top, signed_pos[combo[0]], signed_pos[combo[1]])
-            first = np.maximum.accumulate(top[::-1])[::-1] + 1
-            start = np.minimum(np.searchsorted(-first, -cols), rows + 1)
-            diff = np.bincount(start, minlength=n_rows + 1) - np.bincount(rows + 1, minlength=n_rows + 1)
-            counts = np.cumsum(diff[:n_rows])
-        counts = np.where(counts / n > floor, counts, 0)
-        row = int(np.argmax(counts))
-        if counts[row] > best_count:
-            best_count = counts[row]
-            cell = (row, int(first[row])) if len(combo) == 2 else (int(first[row]),)
-            best = combo, _thresholds(uniques, combo), cell
-    return best
+    signed = np.stack((inverses, m[:, None] - 1 - inverses), axis=1).reshape(2 * len(m), n)
+    signed_pos = signed[:, positive]
+    edge = signed_pos.max(axis=1, initial=-1) + 1
+    combos = list(_combos(len(m), k))
+    counts = np.zeros((len(combos), m.max() + 1), dtype=np.intp)
+    counts[: len(edge), 0] = np.count_nonzero(signed >= edge[:, None], axis=1)
+    pairs = counts[len(edge) :]
+    pair_axes = list(itertools.combinations(range(len(edge)), 2)) if k == 2 else []
+    row_axis, col_axis = np.array(pair_axes, dtype=np.intp).reshape(-1, 2).T
+    offset = np.arange(len(pairs))[:, None] * pairs.shape[1]
+    top = np.full(pairs.size, -1)
+    np.maximum.at(top, (offset + signed_pos[row_axis]).ravel(), signed_pos[col_axis].ravel())
+    first = np.maximum.accumulate(top.reshape(pairs.shape)[:, ::-1], axis=1)[:, ::-1] + 1
+    below = np.bincount((offset + first).ravel(), minlength=pairs.size).reshape(pairs.shape).cumsum(axis=1)
+    rows = signed[row_axis]
+    start = np.minimum(pairs.shape[1] - below.take(offset + signed[col_axis]), rows + 1)
+    diff = np.bincount((offset + start).ravel(), minlength=pairs.size)
+    diff -= np.bincount((offset + rows + 1).ravel(), minlength=pairs.size)
+    np.cumsum(diff.reshape(pairs.shape), axis=1, out=pairs)
+    block, row = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    if not counts[block, row] / n > floor:  # then no count clears it: c / n never falls as c grows
+        return None
+    combo = combos[block]
+    cell = (int(edge[block]),) if block < len(edge) else (int(row), int(first[block - len(edge), row]))
+    return combo, _thresholds(uniques, combo), cell
 
 
 def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
@@ -303,18 +304,14 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     because with k >= 1 the smallest thresholds keep the whole sample.
 
     The search has two stages. A candidate with no positive point inside
-    has fraction 0, so if one clears the floor, the winner is among them.
-    For k <= 2, _staircase finds the best such candidate of every block in
-    a few passes over the sample, not a scan of its m_1 x m_2 cells: along
-    each signed axis a block's counts and positive counts never increase,
-    so its positive-free cells form a staircase, and the largest count in
-    each row sits on the staircase's edge. Only when no block has a
-    positive-free cell above the floor, and for every k >= 3 or alpha = 0,
-    does _exhaustive scan every cell: one suffix-sum table per set of
-    distinct axes, shared by every block over those axes (_blocks,
-    _box_counts), and a linear-time pick per block (_pick). All counts are
-    exact integers, so the hypothesis is the one a direct enumeration of
-    the candidates returns.
+    has fraction 0, so if one clears the floor, the winner is among them;
+    for k = 1 or 2, _staircase finds it for all blocks in one batched pass
+    over padded tables of their staircase edges, with one argmax over the
+    stacked counts for the tie-break. Only when none clears the floor, and
+    for k = 0, k >= 3 or alpha = 0, does _exhaustive scan every cell, with
+    one suffix-sum table per set of distinct axes (_blocks, _box_counts) and
+    a linear-time pick per block (_pick). All counts are exact integers, so
+    the hypothesis is the one a direct enumeration of the candidates returns.
     """
     n = len(sample)
     if n == 0:
@@ -326,12 +323,12 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     if not alpha >= 0.0:  # a negative floor admits empty candidates, whose fraction is 0/0
         raise ValueError(f"alpha must be >= 0, got {alpha}")
 
-    if np.mean(ys == -1) < alpha / 2.0:
+    if np.count_nonzero(ys == -1) / n < alpha / 2.0:
         return BoxHypothesis(None, 1, constant_flag=True)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
     positive = ys == 1
-    found = _staircase(xs, positive, k, n, floor) if k <= 2 and floor > 0 else None
+    found = _staircase(xs, positive, k, n, floor) if 0 < k <= 2 and floor > 0 else None
     if found is None:
         found = _exhaustive(xs, positive, k, n, floor)
     if found is None:
@@ -340,12 +337,8 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
         return BoxHypothesis(None, z, constant_flag=True)
 
     combo, thresholds, cell = found
-    best_rect = NegRectangle(
-        tuple((axis, direction, float(t[i])) for (axis, direction), t, i in zip(combo, thresholds, cell))
-    )
-    outside = ~best_rect.contains(xs)
-    z = _majority(ys[outside])
-    return BoxHypothesis(best_rect, z, constant_flag=False)
+    best_rect = NegRectangle(tuple((a, s, float(t[i])) for (a, s), t, i in zip(combo, thresholds, cell)))
+    return BoxHypothesis(best_rect, _majority(ys[~best_rect.contains(xs)]), constant_flag=False)
 
 
 def enumerate_negative_subrectangles(
@@ -364,8 +357,7 @@ def enumerate_negative_subrectangles(
     if any(len(rect.ineqs) == 0 for rect in union.rects):
         # an unconstrained rectangle covers everything: nothing to violate
         return NegRectangle(()), 0.0
-    best_rect = None
-    best_mass = -1.0
+    best_rect, best_mass = None, -1.0
     for choice in itertools.product(*(rect.ineqs for rect in union.rects)):
         cand = NegRectangle(tuple(choice))
         inside = cand.contains(dist.xs)
@@ -375,8 +367,6 @@ def enumerate_negative_subrectangles(
         if mass > best_mass:
             best_mass = mass
             best_rect = cand
-    if best_rect is None:
-        return NegRectangle(()), 0.0
     return best_rect, max(best_mass, 0.0)
 
 

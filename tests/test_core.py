@@ -259,6 +259,29 @@ class TestSerialization:
         assert np.array_equal(back.eta, dist.eta)
         assert back.eta_bound == dist.eta_bound
 
+    def test_round_trip_edge_values_bit_exact(self):
+        # negatives, both zeros, subnormals, extremes and values that need all 17 digits
+        edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, -1.0 / 3.0, -1.7976931348623157e308,
+                np.nextafter(1.0, 2.0)]
+        xs = np.array([[v, -float(i)] for i, v in enumerate(edge)])  # the second column keeps rows distinct
+        p = np.array([5e-324, 0.1, 0.2, 0.3, 1.0 / 3.0, 1.0 / 7.0, 2.0 / 3.0, 0.05])
+        eta = np.array([-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 0.125, 1e-300, 0.30000000000000004])
+        dist = FiniteMassartDist(xs, p / p.sum(), [1, -1] * 4, eta, 0.35)
+        back = parse_dist(dump_dist(dist))
+        assert back.eta_bound == dist.eta_bound
+        for name in ("xs", "p", "f", "eta"):
+            assert getattr(back, name).tobytes() == getattr(dist, name).tobytes(), name
+
+    def test_accepted_and_rejected_lines(self):
+        text = "# comment\n\n2 0.25\n  # indented comment\n0.5 -1 0.5 +1 0.25\n\n1 2 0.5 -1 0\n"
+        dist = parse_dist(text)
+        assert dist.xs.tolist() == [[0.5, -1.0], [1.0, 2.0]] and dist.f.tolist() == [1, -1]
+        assert dist.p.tolist() == [0.5, 0.5] and dist.eta.tolist() == [0.25, 0.0]
+        for bad, match in [("2 0.25 1\n", "header"), ("2 0.25\n0.5 1 0.5 1\n", "5 fields"),
+                           ("2 0.25\n0.5 1 1.0 1.0 0\n", "int"), ("2 0.25\n0.5 x 1.0 1 0\n", "float")]:
+            with pytest.raises(ValueError, match=match):
+                parse_dist(bad)
+
     def test_file_round_trip(self, tmp_path):
         dist = two_atoms(f=(1, -1), eta=(0.125, 1.0 / 3.0), eta_bound=0.4)
         path = tmp_path / "dist.txt"

@@ -59,6 +59,12 @@ class TestConfigParsing:
         assert parse_config(CONFIG_SMALL.replace("seeds = 0..2", "seeds = 3, 5, 9")).seeds == (3, 5, 9)
         assert parse_config(CONFIG_SMALL.replace("seeds = 0..2", "seeds =")).seeds == ()
 
+    @pytest.mark.parametrize(
+        "raw,value", [("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)]
+    )
+    def test_boolean_spellings(self, raw, value):
+        assert parse_config(CONFIG_SMALL + f"ablate_no_withholding = {raw}\n").ablate_no_withholding is value
+
 
 class TestRunExperiment:
     def test_report_fields_and_determinism(self):
@@ -335,6 +341,35 @@ class TestCli:
         assert res.returncode == 2
         assert "config error" in res.stderr and "epsilon" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "line", ["max_rounds = -5", "max_rounds = 0", "ablate_no_withholding = ture", "ablate_no_withholding = on"]
+    )
+    def test_bad_run_setting_is_config_error(self, tmp_path, line):
+        """max_rounds below 1 would fail every seed; an unknown boolean would silently read as false."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL + line + "\n")
+        res = self.run_cli(["run", str(cfg_path)])
+        assert res.returncode == 2
+        assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("content", [None, "2 0.25\n0.5 0.5 1.0 1\n"], ids=["missing", "short-atom-line"])
+    def test_bad_distribution_file_is_config_error(self, tmp_path, content):
+        dist_path = tmp_path / "dist.txt"
+        if content is not None:
+            dist_path.write_text(content)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{dist_path}").replace(
+                "weak_learner = concept", "weak_learner = box"
+            )
+        )
+        res = self.run_cli(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert res.returncode == 2
+        assert "config error" in res.stderr and "dist.txt" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliFlags:

@@ -11,17 +11,22 @@ faithful. A third test checks every candidate count against
 NegRectangle.contains.
 """
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from massboost import wkl_box
+from massboost import MassartOracle, load_config, wkl_box
 from massboost.core import LabeledSample
+from massboost.harness import build_instance
 from massboost.rectangles import NegRectangle, _blocks, _staircase
 from wkl_box_reference import wkl_box_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @st.composite
@@ -118,6 +123,44 @@ def test_examples_reach_both_search_paths():
     for (sample, d, k, alpha), found in [(ALL_NEGATIVE, True), (TWINNED, False)]:
         floor = alpha / (8.0 * (2.0 * d) ** k)
         assert (_staircase(sample.xs, sample.ys == 1, k, len(sample), floor) is not None) == found
+
+
+def rejection_sample(dist, oracle, rng, n):
+    """The first n oracle draws accepted with probability exp(-score), the score 0 on a random box and 4 elsewhere.
+
+    A boosting round samples this way against its current scores. The box
+    leaves each axis with its own number of unique values.
+    """
+    lo = rng.uniform(0.0, 0.5, dist.dim)
+    hi = lo + rng.uniform(0.05, 0.5, dist.dim)
+    weights = np.exp(-np.where(np.all((dist.xs >= lo) & (dist.xs < hi), axis=1), 0.0, 4.0))
+    kept = []
+    while sum(map(len, kept)) < n:
+        batch = oracle.sample_batch(4 * n)
+        keep = rng.random(len(batch)) < weights[batch.idx]
+        kept.append(LabeledSample(batch.xs[keep], batch.ys[keep]))
+    sample = LabeledSample.concat(kept)
+    return LabeledSample(sample.xs[:n], sample.ys[:n])
+
+
+@pytest.mark.parametrize("d,count", [(2, 40), (3, 4)])
+def test_desk_scale_samples_match_frozen_reference(d, count):
+    # the benchmark's 400-point samples of seed 0's rect_benchmark instance
+    # (22 cells a side for d = 3) have up to 100 unique values per axis, and
+    # the staircase pads every pair block to the largest of them; even seeds
+    # are plain oracle samples, odd seeds rejection samples
+    cfg = load_config(ROOT / "configs" / "rect_benchmark.cfg")
+    cfg = dataclasses.replace(cfg, params={**cfg.params, "rect_d": str(d), "rect_side": str(100 if d == 2 else 22)})
+    dist = build_instance(cfg, 0)[0]
+    unique_counts = set()
+    for seed in range(count):
+        oracle = MassartOracle(dist, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        sample = oracle.sample_batch(400) if seed % 2 == 0 else rejection_sample(dist, oracle, rng, 400)
+        unique_counts.add(tuple(len(np.unique(sample.xs[:, axis])) for axis in range(d)))
+        assert wkl_box(sample, d, 2, 0.1) == wkl_box_reference(sample, d, 2, 0.1), seed
+    if d == 2:  # some pair blocks must have rows and columns of different lengths
+        assert any(rows != cols for rows, cols in unique_counts)
 
 
 def objective(rect, xs, ys):
