@@ -1,12 +1,16 @@
 """Config-driven seeded experiment runner.
 
 A run config is a flat key = value text file naming a distribution source, a
-weak learner, and the boosting parameters, plus a seed list. For each seed
-the runner builds a fresh oracle and RNG stream, boosts, evaluates the final
-hypothesis exactly on the finite support, and aggregates success
-statistics. A seed whose run stops early keeps the rounds it completed and
-is evaluated on them. (config, seed) fully determines a run; reruns write
-byte-identical outputs.
+weak learner, and the boosting parameters, plus a seed list. RunConfig is its
+schema: one field per key, whose annotation is the key's type and whose
+metadata holds its range, its derived default and what reads it;
+_check_rules holds the rules that tie keys together. parse_config checks them
+all, so a config that parses is one that runs. For each seed the runner
+builds a fresh oracle and RNG stream, boosts, evaluates the final hypothesis
+exactly on the finite support, and aggregates success statistics. A seed
+whose run stops early keeps the rounds it completed and is evaluated on
+them. (config, seed) fully determines a run; reruns write byte-identical
+outputs.
 
 Outputs: summary.json with aggregate and per-seed fields, and one
 round_trace_<seed>.csv per seed in the booster's trace schema.
@@ -17,10 +21,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +48,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SeedResult",
-    "UnknownWeakLearner",
     "emit_metrics",
     "load_config",
     "parse_config",
@@ -52,72 +56,129 @@ __all__ = [
 
 
 class ConfigParse(ValueError):
-    """A config file line or field could not be parsed."""
-
-
-class UnknownWeakLearner(ValueError):
-    """The config names a weak learner this runner does not know."""
+    """A config file line or field could not be parsed, or breaks a rule."""
 
 
 class IoFailure(OSError):
     """Writing metrics failed."""
 
 
-_REQUIRED_KEYS = ("distribution", "weak_learner", "eta", "alpha", "gamma", "epsilon", "delta")
-_POSITIVE = ("> 0", lambda v: v > 0)
 _BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-# the keys build_instance and build_weak_learner read from RunConfig.params,
-# each with its type and its range; a float must also be finite. parse_config
-# checks every key present, whichever generator reads it; a range that
-# depends on another key (hard_rho < alpha/1000, hard_support <= 2^hard_n)
-# is checked where the instance is built.
-_GENERATOR_KEYS = {
-    "rect_d": (int, _POSITIVE), "rect_k": (int, _POSITIVE), "rect_side": (int, _POSITIVE),
-    "noise_profile": (str, ("'rcn' or 'random'", lambda v: v in ("rcn", "random"))),
-    "hard_n": (int, ("in [1, 64]", lambda v: 1 <= v <= 64)), "hard_rho": (float, (">= 0", lambda v: v >= 0)),
-    "hard_support": (int, _POSITIVE), "box_c": (float, _POSITIVE), "box_scale": (float, _POSITIVE),
-    "rude_m": (int, _POSITIVE), "rude_t": (int, _POSITIVE), "rude_scale": (float, _POSITIVE),
-    "rude_survivor_cap": (int, _POSITIVE),
-}
+_POSITIVE = ("> 0", lambda v: v > 0)
+
+
+def _key(reader: str, default=MISSING, rule=None, derive=None):
+    """One config key, read by reader; rule = (text, predicate) is its range, and
+    derive(cfg) gives its default when that depends on other keys."""
+    return field(default=None if derive else default, metadata={"reader": reader, "rule": rule, "derive": derive})
 
 
 @dataclass
 class RunConfig:
-    """Fully parsed run description; params holds generator-specific extras."""
+    """A checked run config, one field per key; build it with parse_config or load_config.
 
-    distribution: str
-    weak_learner: str
-    eta: float
-    alpha: float
-    gamma: float
-    epsilon: float
-    delta: float
-    sample_scale: float = 1.0
-    mode: str = "exact-oracle"
-    max_rounds: Optional[int] = None
-    seeds: Tuple[int, ...] = ()
-    out: Optional[str] = None
-    ablate_no_withholding: bool = False
-    params: Dict[str, str] = field(default_factory=dict)
+    The ranges of the keys read by "boost" are those compute_params checks.
+    A file: distribution is loaded once, into instance, and every seed
+    boosts on it.
+    """
+
+    distribution: str = _key(
+        "instance", rule=("rect_grid, hard or file:PATH", lambda v: v in ("rect_grid", "hard") or v.startswith("file:"))
+    )
+    weak_learner: str = _key("learner", rule=("box, rude or concept", lambda v: v in ("box", "rude", "concept")))
+    eta: float = _key("boost")
+    alpha: float = _key("boost")
+    gamma: float = _key("boost")
+    epsilon: float = _key("boost")
+    delta: float = _key("boost")
+    sample_scale: float = _key("boost", 1.0)
+    mode: str = _key("boost", "exact-oracle")
+    max_rounds: Optional[int] = _key("boost", None)
+    seeds: Tuple[int, ...] = _key("run", (), (">= 0", lambda v: all(s >= 0 for s in v)))
+    out: Optional[str] = _key("run", None)
+    ablate_no_withholding: bool = _key("boost", False)
+    rect_d: int = _key("rect_grid", rule=_POSITIVE, derive=lambda c: 2 if c.instance is None else c.instance.dim)
+    rect_k: int = _key("rect_grid, box", 2, _POSITIVE)
+    rect_side: int = _key("rect_grid", rule=_POSITIVE, derive=lambda c: 100 if c.rect_d == 2 else 22)
+    noise_profile: str = _key("rect_grid", "rcn", ("rcn or random", lambda v: v in ("rcn", "random")))
+    hard_n: int = _key("hard", 64, ("in [1, 64]", lambda v: 1 <= v <= 64))
+    hard_rho: float = _key("hard", 1e-4, (">= 0", lambda v: v >= 0))
+    hard_support: int = _key("hard", 100_000, _POSITIVE)
+    box_c: float = _key("box", 2.0, _POSITIVE)
+    box_scale: float = _key("box", rule=_POSITIVE, derive=lambda c: c.sample_scale)
+    rude_m: int = _key("rude", 32, _POSITIVE)
+    rude_t: int = _key("rude", 2000, _POSITIVE)
+    rude_scale: float = _key("rude", 1e-3, _POSITIVE)
+    rude_survivor_cap: int = _key("rude", 16, _POSITIVE)
+    instance: Optional[FiniteMassartDist] = field(default=None, compare=False, repr=False)
+
+
+_KEYS = {f.name: f for f in fields(RunConfig) if f.metadata}
+_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _parse_seeds(text: str) -> Tuple[int, ...]:
     """Seeds from an inclusive range a..b with a <= b, or a comma/space list; blank is none."""
-    text = text.strip()
-    if not text:
-        return ()
     if ".." in text:
         lo, _, hi = text.partition("..")
         lo, hi = int(lo), int(hi)
         if lo > hi:
-            raise ConfigParse(f"seed range {text!r} is reversed: {lo} > {hi}")
+            raise ValueError(f"seed range {text!r} is reversed: {lo} > {hi}")
         return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse the flat key = value format, with line diagnostics on errors; unknown keys are errors."""
-    fields: Dict[str, str] = {}
+def _convert(kind, text: str):
+    """A key's value from its text by the key's annotated type; ValueError if it does not parse."""
+    if typing.get_origin(kind) is tuple:
+        return _parse_seeds(text)
+    if typing.get_origin(kind) is typing.Union:  # Optional[X]
+        kind = typing.get_args(kind)[0]
+    if kind is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"expected {'/'.join(_BOOLEANS)}, got {text!r}")
+        return _BOOLEANS[text.lower()]
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _boost_params(cfg: RunConfig) -> BoostParams:
+    return compute_params(
+        cfg.eta,
+        cfg.alpha,
+        cfg.gamma,
+        cfg.epsilon,
+        cfg.delta,
+        sample_scale=cfg.sample_scale,
+        mode=cfg.mode,
+        max_rounds=cfg.max_rounds,
+    )
+
+
+def _check_rules(cfg: RunConfig) -> None:
+    """The rules between keys; each raises ValueError when it fails."""
+    _boost_params(cfg)  # epsilon >= 2c = 8 eta alpha/(1 - 2 alpha), and the boost keys' ranges
+    if cfg.distribution == "hard":  # hard_rho < alpha/1000
+        HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=0)
+        if cfg.hard_support > 2**cfg.hard_n:
+            raise ValueError(f"hard_support {cfg.hard_support} > 2^hard_n = {2**cfg.hard_n}")
+    if cfg.instance is not None:
+        if cfg.weak_learner == "concept":
+            raise ValueError("the 'concept' learner needs a generated distribution, not a file")
+        if cfg.rect_d != cfg.instance.dim:
+            raise ValueError(f"rect_d = {cfg.rect_d}, but {cfg.distribution!r} has dimension {cfg.instance.dim}")
+
+
+def parse_config(text: str, source: str = "<config>", overrides: Mapping[str, str] = {}) -> RunConfig:
+    """Parse and check the flat key = value format, with line diagnostics on errors.
+
+    overrides maps keys to values in the file's syntax, such as the command
+    line's, and take the place of the file's lines. Unknown keys, values out
+    of range and broken rules between keys are all ConfigParse.
+    """
+    given: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,84 +187,52 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigParse(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.split("#", 1)[0].strip()
         if not key:
             raise ConfigParse(f"{source}:{lineno}: empty key")
-        if key in fields:
+        if key in given:
             raise ConfigParse(f"{source}:{lineno}: duplicate key {key!r}")
-        fields[key] = value
-    missing = [k for k in _REQUIRED_KEYS if k not in fields]
-    if missing:
-        raise ConfigParse(f"{source}: missing required keys: {', '.join(missing)}")
-
-    def grab_float(key: str, default=None) -> float:
-        raw = fields.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigParse(f"{source}: field {key!r}: {exc}") from None
-
-    ablate = fields.pop("ablate_no_withholding", "false")
-    if ablate.lower() not in _BOOLEANS:
-        raise ConfigParse(f"{source}: field 'ablate_no_withholding': expected {'/'.join(_BOOLEANS)}, got {ablate!r}")
-    try:
-        cfg = RunConfig(
-            distribution=fields.pop("distribution"),
-            weak_learner=fields.pop("weak_learner"),
-            eta=grab_float("eta"),
-            alpha=grab_float("alpha"),
-            gamma=grab_float("gamma"),
-            epsilon=grab_float("epsilon"),
-            delta=grab_float("delta"),
-            sample_scale=grab_float("sample_scale", 1.0),
-            mode=fields.pop("mode", "exact-oracle"),
-            max_rounds=int(fields.pop("max_rounds")) if "max_rounds" in fields else None,
-            seeds=_parse_seeds(fields.pop("seeds", "")),
-            out=fields.pop("out", None),
-            ablate_no_withholding=_BOOLEANS[ablate.lower()],
-            params=fields,
-        )
-    except ConfigParse:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise ConfigParse(f"{source}: {exc}") from None
-    unknown = sorted(set(cfg.params) - set(_GENERATOR_KEYS))
+        given[key] = value.split("#", 1)[0].strip()
+    given.update(overrides)
+    unknown = sorted(set(given) - set(_KEYS))
     if unknown:
         raise ConfigParse(f"{source}: unknown keys: {', '.join(unknown)}")
-    for key in cfg.params:
+    missing = [k for k, f in _KEYS.items() if f.default is MISSING and k not in given]
+    if missing:
+        raise ConfigParse(f"{source}: missing required keys: {', '.join(missing)}")
+    values = {}
+    for key, value in given.items():
         try:
-            _cfg(cfg, key)
-        except ConfigParse as exc:
-            raise ConfigParse(f"{source}: {exc}") from None
+            values[key] = _convert(_TYPES[key], value)
+        except ValueError as exc:
+            raise ConfigParse(f"{source}: field {key!r}: {exc}") from None
+    cfg = RunConfig(**values)
+    if cfg.distribution.startswith("file:"):
+        try:  # a missing or malformed file is a config error, not a seed failure
+            cfg.instance = load_dist(cfg.distribution[5:])
+        except (OSError, ValueError) as exc:
+            raise ConfigParse(f"{source}: distribution {cfg.distribution!r}: {exc}") from None
+    for key, f in _KEYS.items():
+        rule, derive = f.metadata["rule"], f.metadata["derive"]
+        if key in given and rule and not rule[1](getattr(cfg, key)):
+            raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, got {given[key]!r}")
+        if key not in given and derive:
+            setattr(cfg, key, derive(cfg))
+    try:
+        _check_rules(cfg)
+    except ValueError as exc:
+        raise ConfigParse(f"{source}: {exc}") from None
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: Mapping[str, str] = {}) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, source=str(path))
+    return parse_config(text, source=str(path), overrides=overrides)
 
 
 # -- per-seed instance construction --------------------------------------------
-
-
-def _cfg(cfg: RunConfig, key: str, default=None):
-    """Generator parameter key, or default when it is absent; ConfigParse unless it obeys its rule."""
-    kind, (rule, holds) = _GENERATOR_KEYS[key]
-    raw = cfg.params.get(key, default)
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise ConfigParse(f"field {key!r}: expected {kind.__name__}, got {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigParse(f"field {key!r}: must be finite, got {raw!r}")
-    if not holds(value):
-        raise ConfigParse(f"field {key!r}: must be {rule}, got {raw!r}")
-    return value
 
 
 def _random_union(rng: np.random.Generator, d: int, k: int) -> RectangleUnion:
@@ -232,13 +261,10 @@ def build_instance(cfg: RunConfig, seed: int):
     ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(4)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":
-        d = _cfg(cfg, "rect_d", 2)
-        k = _cfg(cfg, "rect_k", 2)
-        side = _cfg(cfg, "rect_side", 100 if d == 2 else 22)
-        union = _random_union(inst_rng, d, k)
-        xs = _grid_points(d, side)
+        union = _random_union(inst_rng, cfg.rect_d, cfg.rect_k)
+        xs = _grid_points(cfg.rect_d, cfg.rect_side)
         f = union(xs)
-        if _cfg(cfg, "noise_profile", "rcn") == "rcn":
+        if cfg.noise_profile == "rcn":
             eta = np.full(len(xs), cfg.eta)
         else:
             eta = cfg.eta * inst_rng.random(len(xs))
@@ -246,46 +272,24 @@ def build_instance(cfg: RunConfig, seed: int):
         dist = FiniteMassartDist(xs, p, f, eta, cfg.eta, _validated=True)
         return dist, union, ss
     if cfg.distribution == "hard":
-        n, rho = _cfg(cfg, "hard_n", 64), _cfg(cfg, "hard_rho", 1e-4)
-        support = _cfg(cfg, "hard_support", 100_000)
-        try:  # an out-of-range rho or support is a config error, not a seed failure
-            spec = HardDistSpec(n=n, eta=cfg.eta, alpha=cfg.alpha, rho=rho, seed=int(seed))
-            dist = hard_distribution(spec, support)
-        except ValueError as exc:
-            raise ConfigParse(f"hard instance: {exc}") from None
+        spec = HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=int(seed))
+        dist = hard_distribution(spec, cfg.hard_support)
         concept = lambda xs: dist.f[np.clip(np.atleast_2d(xs)[:, 0].astype(int), 0, dist.n_atoms - 1)]
         return dist, concept, ss
-    if cfg.distribution.startswith("file:"):
-        try:  # a missing or malformed file is a config error, not a seed failure
-            return load_dist(cfg.distribution[5:]), None, ss
-        except (OSError, ValueError) as exc:
-            raise ConfigParse(f"distribution {cfg.distribution!r}: {exc}") from None
-    raise ConfigParse(f"unknown distribution {cfg.distribution!r}")
+    return cfg.instance, None, ss  # file:, loaded by parse_config
 
 
 def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
     if cfg.weak_learner == "box":
         return BoxWeakLearner(
-            d=_cfg(cfg, "rect_d", dist.dim),
-            k=_cfg(cfg, "rect_k", 2),
-            alpha=cfg.alpha,
-            c_const=_cfg(cfg, "box_c", 2.0),
-            sample_scale=_cfg(cfg, "box_scale", cfg.sample_scale),
+            d=dist.dim, k=cfg.rect_k, alpha=cfg.alpha, c_const=cfg.box_c, sample_scale=cfg.box_scale
         )
     if cfg.weak_learner == "rude":
         state = RudeState(
-            m=_cfg(cfg, "rude_m", 32),
-            T=_cfg(cfg, "rude_t", 2000),
-            gamma=cfg.gamma,
-            scale=_cfg(cfg, "rude_scale", 1e-3),
-            survivor_cap=_cfg(cfg, "rude_survivor_cap", 16),
+            m=cfg.rude_m, T=cfg.rude_t, gamma=cfg.gamma, scale=cfg.rude_scale, survivor_cap=cfg.rude_survivor_cap
         )
         return RudeWeakLearner(state)
-    if cfg.weak_learner == "concept":
-        if concept is None:
-            raise UnknownWeakLearner("the 'concept' learner needs a generated concept")
-        return FixedHypothesisWeakLearner(concept, alpha=cfg.alpha, gamma=cfg.gamma)
-    raise UnknownWeakLearner(f"unknown weak learner {cfg.weak_learner!r}")
+    return FixedHypothesisWeakLearner(concept, alpha=cfg.alpha, gamma=cfg.gamma)
 
 
 # -- running -------------------------------------------------------------------
@@ -345,19 +349,6 @@ class RunReport:
         }
 
 
-def _boost_params(cfg: RunConfig) -> BoostParams:
-    return compute_params(
-        cfg.eta,
-        cfg.alpha,
-        cfg.gamma,
-        cfg.epsilon,
-        cfg.delta,
-        sample_scale=cfg.sample_scale,
-        mode=cfg.mode,
-        max_rounds=cfg.max_rounds,
-    )
-
-
 def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     dist, concept, ss = build_instance(cfg, seed)
     oracle = MassartOracle(dist, rng_seed=ss[1].generate_state(1)[0])
@@ -393,12 +384,8 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
 def run_experiment(cfg: RunConfig) -> RunReport:
     """Run every configured seed and aggregate; per-seed failures are recorded, not fatal.
 
-    Invalid boost parameters or MB_THREADS raise ConfigParse before any seed runs.
+    An invalid MB_THREADS raises ConfigParse before any seed runs.
     """
-    try:
-        _boost_params(cfg)
-    except ValueError as exc:
-        raise ConfigParse(f"boost parameters: {exc}") from None
     try:
         workers = max(1, int(os.environ.get("MB_THREADS", "1")))
     except ValueError:

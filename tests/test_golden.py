@@ -24,12 +24,12 @@ from massboost import emit_metrics, load_config, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# (config, instance overrides, boost overrides): the rect slice raises gamma
-# and eta (with epsilon = 2c) so a seed stops within about a hundred rounds
-# on a 12x12 grid; the hard slice raises gamma on a 2000-point support
+# (config, overrides): the rect slice raises gamma and eta (with epsilon =
+# 2c) so a seed stops within about a hundred rounds on a 12x12 grid; the
+# hard slice raises gamma on a 2000-point support
 SLICES = {
-    "rect": ("rect_benchmark.cfg", {"rect_side": "12"}, {"gamma": 0.45, "eta": 0.3, "epsilon": 0.3}),
-    "hard": ("hard_floor.cfg", {"hard_support": "2000"}, {"gamma": 0.2}),
+    "rect": ("rect_benchmark.cfg", {"rect_side": "12", "gamma": "0.45", "eta": "0.3", "epsilon": "0.3"}),
+    "hard": ("hard_floor.cfg", {"hard_support": "2000", "gamma": "0.2"}),
 }
 
 GOLDEN = {
@@ -71,9 +71,8 @@ def record_digest(report) -> str:
 
 
 def run_slice(name: str, mode: str, out_dir: Path) -> dict:
-    cfg_file, params, fields = SLICES[name]
-    cfg = load_config(CONFIGS / cfg_file)
-    cfg = dataclasses.replace(cfg, mode=mode, seeds=(0, 1), params={**cfg.params, **params}, **fields)
+    cfg_file, overrides = SLICES[name]
+    cfg = load_config(CONFIGS / cfg_file, {**overrides, "mode": mode, "seeds": "0..1"})
     report = run_experiment(cfg)
     written = emit_metrics(report, out_dir)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}

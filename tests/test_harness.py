@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
 import massboost.booster as booster
-from massboost import ConfigParse, emit_metrics, run_experiment
+import massboost.harness as harness
+from massboost import ConfigParse, cli, emit_metrics, run_experiment
+from massboost.core import load_dist, save_dist
 from massboost.harness import build_instance, load_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,13 +36,20 @@ seeds = 0..2
 """
 
 
+def save_small_instance(tmp_path) -> Path:
+    """Seed 0's instance of CONFIG_SMALL, saved as a distribution file."""
+    path = tmp_path / "dist.txt"
+    save_dist(build_instance(parse_config(CONFIG_SMALL), 0)[0], path)
+    return path
+
+
 class TestConfigParsing:
     def test_parse_happy_path(self):
         cfg = parse_config(CONFIG_SMALL)
         assert cfg.distribution == "rect_grid"
         assert cfg.seeds == (0, 1, 2)
         assert cfg.eta == 0.1
-        assert cfg.params["rect_side"] == "20"
+        assert cfg.rect_side == 20
 
     def test_missing_key_diagnostic(self):
         with pytest.raises(ConfigParse) as err:
@@ -64,6 +75,76 @@ class TestConfigParsing:
     )
     def test_boolean_spellings(self, raw, value):
         assert parse_config(CONFIG_SMALL + f"ablate_no_withholding = {raw}\n").ablate_no_withholding is value
+
+
+# A value that each config key rejects on top of CONFIG_SMALL; None marks a
+# key that accepts every value (any directory name is a valid out). The type
+# errors come from each key's annotation (TYPE_ERRORS).
+REJECTED = {
+    "distribution": "grid",
+    "weak_learner": "adaboost",
+    "eta": "0.5",
+    "alpha": "0",
+    "gamma": "0.5",
+    "epsilon": "0.01",
+    "delta": "0.6",
+    "sample_scale": "0",
+    "mode": "fast",
+    "max_rounds": "0",
+    "seeds": "-3",
+    "out": None,
+    "ablate_no_withholding": "on",
+    "rect_d": "0",
+    "rect_k": "-1",
+    "rect_side": "0",
+    "noise_profile": "pink",
+    "hard_n": "65",
+    "hard_rho": "-1e-5",
+    "hard_support": "0",
+    "box_c": "0",
+    "box_scale": "-1",
+    "rude_m": "0",
+    "rude_t": "0",
+    "rude_scale": "0",
+    "rude_survivor_cap": "0",
+}
+TYPE_ERRORS = {
+    int: ["1.5", "1e2"],
+    Optional[int]: ["1.5"],
+    float: ["abc", "nan", "inf", "-inf"],
+    bool: ["maybe"],
+    Tuple[int, ...]: ["0..x"],
+    str: [],
+    Optional[str]: [],
+}
+
+
+def rejection_cases():
+    for key in harness._KEYS:
+        bad = [] if REJECTED.get(key) is None else [REJECTED[key]]
+        for value in bad + TYPE_ERRORS[harness._TYPES[key]]:
+            yield pytest.param(key, value, id=f"{key}={value}")
+
+
+class TestConfigSchema:
+    def test_every_key_has_a_rejection_case(self):
+        assert set(REJECTED) == set(harness._KEYS)
+        assert len(harness._KEYS) == 26
+
+    @pytest.mark.parametrize("key,value", list(rejection_cases()))
+    def test_rejected_value_exits_2(self, tmp_path, capsys, key, value):
+        lines = dict(line.split(" = ") for line in CONFIG_SMALL.splitlines() if " = " in line)
+        lines[key] = value
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_readme_tables_every_key(self):
+        readme = (ROOT / "README.md").read_text()
+        rows = {line.split("|")[1].strip().strip("`") for line in readme.splitlines() if line.startswith("| `")}
+        assert set(harness._KEYS) <= rows
 
 
 class TestRunExperiment:
@@ -354,6 +435,60 @@ class TestCli:
         assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
 
+    def assert_config_error(self, res, key):
+        assert res.returncode == 2
+        assert "config error" in res.stderr and key in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("sample_scale = 0.02", "sample_scale = nan"),
+            ("epsilon = 0.15", "epsilon = nan"),
+            ("epsilon = 0.15", "epsilon = inf"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, old, new):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL.replace(old, new))
+        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), new.split(" = ")[0])
+
+    def test_non_finite_sample_scale_flag_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        self.assert_config_error(self.run_cli(["run", str(cfg_path), "--sample-scale", "nan"]), "sample_scale")
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_config_error(self, tmp_path, where):
+        cfg_path = tmp_path / "cfg.txt"
+        args = ["run", str(cfg_path)]
+        if where == "flag":
+            cfg_path.write_text(CONFIG_SMALL)
+            args.append("--seed-range=-2..-1")
+        else:
+            cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds = -3"))
+        self.assert_config_error(self.run_cli(args), "seeds")
+
+    @pytest.mark.parametrize("rule", ["hard-rho", "concept-on-file"])
+    def test_cross_key_rule_is_checked_without_seeds(self, tmp_path, rule):
+        text = CONFIG_SMALL.replace("seeds = 0..2", "seeds =")
+        if rule == "hard-rho":
+            text = text.replace("distribution = rect_grid", "distribution = hard\nhard_rho = 0.5")
+        else:
+            text = text.replace("distribution = rect_grid", f"distribution = file:{save_small_instance(tmp_path)}")
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), "rho" if rule == "hard-rho" else "concept")
+
+    def test_rect_d_must_match_distribution_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{save_small_instance(tmp_path)}")
+            .replace("weak_learner = concept", "weak_learner = box")
+            .replace("rect_d = 2", "rect_d = 3")
+        )
+        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), "rect_d")
+
     @pytest.mark.parametrize("content", [None, "2 0.25\n0.5 0.5 1.0 1\n"], ids=["missing", "short-atom-line"])
     def test_bad_distribution_file_is_config_error(self, tmp_path, content):
         dist_path = tmp_path / "dist.txt"
@@ -424,7 +559,9 @@ class TestFileDistribution:
         path = tmp_path / "dist.txt"
         save_dist(dist, path)
         cfg = parse_config(
-            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{path}")
+            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{path}").replace(
+                "weak_learner = concept", "weak_learner = box"
+            )
         )
         loaded, concept, _ = build_instance(cfg, 0)
         assert concept is None
@@ -443,8 +580,40 @@ class TestFileDistribution:
             f"distribution = file:{path}" if line.partition("=")[0].strip() == "distribution" else line
             for line in (ROOT / config).read_text().splitlines()
         ]
+        assert {"rect_d", "rect_k", "rect_side", "noise_profile"} <= {line.partition("=")[0].strip() for line in lines}
         cfg = parse_config("\n".join(lines) + "\n")
-        assert {"rect_d", "rect_k", "rect_side", "noise_profile"} <= set(cfg.params)
         dist, concept, _ = build_instance(cfg, 0)
-        assert concept is None and dist.n_atoms == int(cfg.params["rect_side"]) ** int(cfg.params["rect_d"])
-        assert build_weak_learner(cfg, concept, dist).d == int(cfg.params["rect_d"])
+        assert concept is None and dist.n_atoms == cfg.rect_side**cfg.rect_d
+        assert build_weak_learner(cfg, concept, dist).d == cfg.rect_d
+
+
+    def file_config(self, tmp_path) -> str:
+        """Three seeds of a box learner boosting on seed 0's instance of CONFIG_SMALL, saved to a file."""
+        return (
+            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{save_small_instance(tmp_path)}")
+            .replace("weak_learner = concept", "weak_learner = box\nbox_scale = 0.05")
+            .replace("gamma = 0.1", "gamma = 0.45")
+        )
+
+    def test_file_is_loaded_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "load_dist", lambda path: calls.append(path) or load_dist(path))
+        cfg = parse_config(self.file_config(tmp_path))
+        report = run_experiment(cfg)
+        assert len(calls) == 1 and len(report.results) == 3 and all(r.ok for r in report.results)
+        copy = dataclasses.replace(cfg)
+        assert copy == cfg and "instance" not in repr(copy) and "array" not in repr(copy)
+
+    def test_shared_file_instance_writes_the_bytes_of_a_per_seed_load(self, tmp_path, monkeypatch):
+        cfg = parse_config(self.file_config(tmp_path))
+        emit_metrics(run_experiment(cfg), tmp_path / "once")
+        build = harness.build_instance
+        monkeypatch.setattr(
+            harness,
+            "build_instance",
+            lambda cfg, seed: build(dataclasses.replace(cfg, instance=load_dist(cfg.distribution[5:])), seed),
+        )
+        emit_metrics(run_experiment(cfg), tmp_path / "per_seed")
+        once = {p.name: p.read_bytes() for p in (tmp_path / "once").iterdir()}
+        assert len(once) == 4
+        assert once == {p.name: p.read_bytes() for p in (tmp_path / "per_seed").iterdir()}

@@ -11,7 +11,6 @@ faithful. A third test checks every candidate count against
 NegRectangle.contains.
 """
 
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -149,8 +148,7 @@ def test_desk_scale_samples_match_frozen_reference(d, count):
     # (22 cells a side for d = 3) have up to 100 unique values per axis, and
     # the staircase pads every pair block to the largest of them; even seeds
     # are plain oracle samples, odd seeds rejection samples
-    cfg = load_config(ROOT / "configs" / "rect_benchmark.cfg")
-    cfg = dataclasses.replace(cfg, params={**cfg.params, "rect_d": str(d), "rect_side": str(100 if d == 2 else 22)})
+    cfg = load_config(ROOT / "configs" / "rect_benchmark.cfg", {"rect_d": str(d), "rect_side": str(100 if d == 2 else 22)})
     dist = build_instance(cfg, 0)[0]
     unique_counts = set()
     for seed in range(count):
