@@ -14,7 +14,6 @@ import numpy as np
 from massboost import (
     HardDistSpec,
     MassartOracle,
-    RudeState,
     RudeWeakLearner,
     boost,
     compute_params,
@@ -29,7 +28,7 @@ print(f"positive fraction {np.mean(dist.f == 1):.4f}, noisy atoms {np.sum(dist.e
 
 params = compute_params(eta=0.1, alpha=0.2, gamma=spec.alpha / 20, epsilon=0.28,
                         delta=0.1, sample_scale=0.02, mode="exact")
-wkl = RudeWeakLearner(RudeState(m=32, T=2000, gamma=spec.alpha / 20, scale=2e-4))
+wkl = RudeWeakLearner(m=32, T=2000, gamma=spec.alpha / 20, scale=2e-4)
 oracle = MassartOracle(dist, rng_seed=12)
 
 t0 = time.time()

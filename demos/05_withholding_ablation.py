@@ -13,7 +13,6 @@ from massboost import (
     HardDistSpec,
     MassartOracle,
     MaxRoundsExceeded,
-    RudeState,
     RudeWeakLearner,
     boost,
     compute_params,
@@ -24,7 +23,7 @@ spec = HardDistSpec(n=64, eta=0.1, alpha=0.2, rho=1e-4, seed=21)
 dist = hard_distribution(spec, 10_000)
 params = compute_params(eta=0.1, alpha=0.2, gamma=0.08, epsilon=0.28, delta=0.1,
                         sample_scale=0.02, mode="exact", max_rounds=260)
-wkl = RudeWeakLearner(RudeState(m=32, T=2000, gamma=0.08, scale=2e-4))
+wkl = RudeWeakLearner(m=32, T=2000, gamma=0.08, scale=2e-4)
 oracle = MassartOracle(dist, rng_seed=22)
 
 try:

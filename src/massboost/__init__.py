@@ -34,7 +34,7 @@ from .booster import (
     est_density,
 )
 from .rectangles import BoxWeakLearner, RectangleUnion, enumerate_negative_subrectangles, wkl_box
-from .adversary import HardDistSpec, RudeState, RudeWeakLearner, hard_distribution
+from .adversary import HardDistSpec, RudeWeakLearner, hard_distribution
 from .harness import ConfigParse, emit_metrics, load_config, run_experiment
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "HardDistSpec",
     "HeavyHitterHypothesis",
     "RhoOutOfRange",
-    "RudeState",
     "RudeWeakLearner",
     "biased_labels",
     "exsim_batch",
@@ -138,8 +137,8 @@ def exsim_batch(spec: HardDistSpec, rng: np.random.Generator, count: int) -> Lab
 
 
 @dataclass(frozen=True)
-class RudeState:
-    """Configuration of the heavy-hitter adversary.
+class RudeWeakLearner:
+    """The heavy-hitter adversary as a weak learner: advertised advantage gamma, alpha = 20*gamma.
 
     m is the booster's example budget and T its round bound; gamma defaults
     to alpha/20 at the call site. scale multiplies the step sample sizes;
@@ -152,6 +151,10 @@ class RudeState:
     gamma: float
     scale: float = 1.0
     survivor_cap: int = 16
+
+    @property
+    def alpha(self) -> float:
+        return 20.0 * self.gamma
 
     @property
     def v_h_range(self) -> Tuple[float, float]:
@@ -169,6 +172,12 @@ class RudeState:
 
     def step3_size(self) -> int:
         return self.step2_size()
+
+    def train_from_source(
+        self, source: Callable[[int], LabeledSample], rng: np.random.Generator
+    ) -> "HeavyHitterHypothesis":
+        """Run wkl_rude, drawing each step's examples lazily from the source."""
+        return wkl_rude(source, self, rng)
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ def _match_rows(candidates: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def wkl_rude(
     sample_source: Callable[[int], LabeledSample],
-    state: RudeState,
+    learner: RudeWeakLearner,
     rng: np.random.Generator,
 ) -> HeavyHitterHypothesis:
     """Run the heavy-hitter adversary against a sample source.
@@ -216,53 +225,32 @@ def wkl_rude(
     occurrences reaches v_y (no occurrences count as fraction 0). Everything
     outside the surviving set is labeled -1.
     """
-    s1 = sample_source(state.step1_size())
+    s1 = sample_source(learner.step1_size())
     if len(s1) == 0:
         return HeavyHitterHypothesis(np.empty((0, 1)), np.empty(0, dtype=np.int8))
     candidates = np.unique(np.atleast_2d(s1.xs), axis=0)
 
-    s2 = sample_source(state.step2_size())
+    s2 = sample_source(learner.step2_size())
     matches = _match_rows(candidates, s2.xs)
     counts = np.bincount(matches[matches >= 0], minlength=len(candidates))
     p_hat = counts / len(s2)
 
-    v_h = rng.uniform(*state.v_h_range)
+    v_h = rng.uniform(*learner.v_h_range)
     keep = p_hat >= v_h
     survivors = candidates[keep]
     surv_p = p_hat[keep]
-    if len(survivors) > state.survivor_cap:
-        order = np.argsort(-surv_p, kind="stable")[: state.survivor_cap]
+    if len(survivors) > learner.survivor_cap:
+        order = np.argsort(-surv_p, kind="stable")[: learner.survivor_cap]
         order = np.sort(order)
         survivors = survivors[order]
         surv_p = surv_p[order]
 
-    v_y = rng.uniform(*state.v_y_range)
+    v_y = rng.uniform(*learner.v_y_range)
     labels = np.empty(len(survivors), dtype=np.int8)
     for i in range(len(survivors)):
-        s3 = sample_source(state.step3_size())
+        s3 = sample_source(learner.step3_size())
         inst = np.all(np.atleast_2d(s3.xs) == survivors[i][None, :], axis=1)
         n_inst = int(inst.sum())
         p1 = float(np.sum(s3.ys[inst] == 1)) / n_inst if n_inst > 0 else 0.0
         labels[i] = 1 if p1 >= v_y else -1
     return HeavyHitterHypothesis(survivors, labels)
-
-
-@dataclass
-class RudeWeakLearner:
-    """Booster-facing adapter; advertised advantage gamma with alpha = 20*gamma."""
-
-    state: RudeState
-
-    @property
-    def gamma(self) -> float:
-        return self.state.gamma
-
-    @property
-    def alpha(self) -> float:
-        return 20.0 * self.state.gamma
-
-    def train_from_source(
-        self, source: Callable[[int], LabeledSample], rng: np.random.Generator
-    ) -> HeavyHitterHypothesis:
-        """Run wkl_rude, drawing each step's examples lazily from the source."""
-        return wkl_rude(source, self.state, rng)

@@ -41,7 +41,6 @@ __all__ = [
     "DegenerateThreshold",
     "DrawBudgetExceeded",
     "EpsilonTooSmall",
-    "EtaZero",
     "ExactStats",
     "FixedHypothesisWeakLearner",
     "MaxRoundsExceeded",
@@ -70,10 +69,6 @@ class EpsilonTooSmall(ValueError):
 
 class DegenerateThreshold(ValueError):
     """The withholding threshold s = log((1-eta)/(eta+c)) is not positive."""
-
-
-class EtaZero(ValueError):
-    """eta = 0 needs explicit s_max and kappa_min overrides (kappa=eta would never trigger)."""
 
 
 class BoostFailure(RuntimeError):
@@ -132,22 +127,18 @@ def compute_params(
     mode: str = MODE_EXACT,
     *,
     max_rounds: Optional[int] = None,
-    s_max: Optional[float] = None,
-    kappa_min: Optional[float] = None,
 ) -> BoostParams:
     """Derive all boosting constants from the primitive inputs.
 
     c = 4*eta*alpha/(1-2*alpha), s = log((1-eta)/(eta+c)), lambda = gamma/8,
     kappa = eta, delta_err = delta*eta*gamma^2/1536, delta_dens the same with
-    1024. Requires epsilon >= 2c. The realizable case eta = 0 must pass
-    explicit s_max and kappa_min; kappa and the failure budgets then use
-    max(eta, kappa_min) in place of eta.
+    1024. Requires Massart noise, 0 < eta < 1/2, and epsilon >= 2c.
     """
     if mode not in _MODE_ALIASES:
         raise ValueError(f"unknown mode {mode!r}")
     mode = _MODE_ALIASES[mode]
-    if not (0.0 <= eta < 0.5):
-        raise ValueError(f"eta must be in [0, 1/2), got {eta}")
+    if not (0.0 < eta < 0.5):
+        raise ValueError(f"eta must be in (0, 1/2), got {eta}")
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"alpha must be in (0, 1/2), got {alpha}")
     if not (0.0 < gamma < 0.5):
@@ -158,32 +149,21 @@ def compute_params(
         raise ValueError("sample_scale must be positive")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if eta == 0.0 and (s_max is None or kappa_min is None):
-        raise EtaZero("eta = 0 requires explicit s_max and kappa_min overrides")
 
     c = 4.0 * eta * alpha / (1.0 - 2.0 * alpha)
-    if eta + c > 0.0:
-        s = math.log((1.0 - eta) / (eta + c))
-    else:
-        s = math.inf
-    if s_max is not None:
-        s = min(s, float(s_max))
-    # alpha >= 1/2 - eta drives s to or below zero; surface that as the
-    # threshold degenerating rather than a range error
-    if not (s > 0.0) or math.isinf(s):
-        raise DegenerateThreshold(f"threshold s = {s} must be positive and finite")
+    s = math.log((1.0 - eta) / (eta + c))
+    # alpha >= 1/2 - eta drives s to or below zero, and a subnormal eta
+    # overflows it to infinity; surface both as the threshold degenerating
+    # rather than a range error
+    if not (0.0 < s < math.inf):
+        raise DegenerateThreshold(f"threshold s = {s} of eta = {eta}, alpha = {alpha} must be positive and finite")
     # 2c rounds up for some exact boundary inputs (eta 0.2, alpha 0.1 gives
     # 0.20000000000000004), so equality is judged up to float rounding
     if epsilon < 2.0 * c and not math.isclose(epsilon, 2.0 * c, rel_tol=1e-12):
         raise EpsilonTooSmall(f"epsilon {epsilon} < 8*eta*alpha/(1-2*alpha) = {2.0 * c}")
 
-    eta_eff = max(eta, kappa_min if kappa_min is not None else 0.0)
-    lam = gamma / 8.0
-    kappa = eta_eff
-    delta_err = delta * eta_eff * gamma**2 / 1536.0
-    delta_dens = delta * eta_eff * gamma**2 / 1024.0
     if max_rounds is None:
-        max_rounds = math.ceil(10.0 * 128.0 / (eta_eff * gamma**2))
+        max_rounds = math.ceil(10.0 * 128.0 / (eta * gamma**2))
     return BoostParams(
         eta=eta,
         alpha=alpha,
@@ -192,10 +172,10 @@ def compute_params(
         delta=delta,
         c=c,
         s=s,
-        lam=lam,
-        kappa=kappa,
-        delta_err=delta_err,
-        delta_dens=delta_dens,
+        lam=gamma / 8.0,
+        kappa=eta,
+        delta_err=delta * eta * gamma**2 / 1536.0,
+        delta_dens=delta * eta * gamma**2 / 1024.0,
         max_rounds=int(max_rounds),
         sample_scale=float(sample_scale),
         mode=mode,
@@ -211,14 +191,14 @@ class AggregatedHypothesis:
 
     g(xs) replays the trace: per round, a point with |score| < s receives
     lam * h_i(x); otherwise, if the round recalibrated (b_i = 1), the score
-    moves lam toward zero. Ablated aggregates (withholding disabled) add
-    every hypothesis unconditionally.
+    moves lam toward zero. With withhold False (the ablation) every
+    hypothesis is added unconditionally.
     """
 
     lam: float
     s: float
     trace: Tuple[Tuple[Callable, bool], ...]
-    ablated: bool = False
+    withhold: bool = True
 
     def g(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -226,7 +206,7 @@ class AggregatedHypothesis:
         tmp = np.empty_like(sigma)
         for h, b in self.trace:
             hv = np.clip(np.asarray(h(xs), dtype=np.float64), -1.0, 1.0)
-            risky = None if self.ablated else np.abs(sigma) >= self.s
+            risky = np.abs(sigma) >= self.s if self.withhold else None
             sigma = _step_scores(sigma, hv, b, self.lam, risky, np.empty_like(sigma), tmp)
         return sigma
 
@@ -770,7 +750,7 @@ def boost(
     def finish() -> AggregatedHypothesis:
         run.total_draws = oracle.draws
         run.scores = state.sigma.copy()
-        return AggregatedHypothesis(params.lam, params.s, tuple(trace), ablated=not withhold)
+        return AggregatedHypothesis(params.lam, params.s, tuple(trace), withhold)
 
     try:
         while d_hat > params.kappa:

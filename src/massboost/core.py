@@ -306,6 +306,8 @@ def parse_dist(text: str) -> FiniteMassartDist:
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}, expected 'd eta_bound'")
     d = int(header[0])
+    if d < 1:
+        raise ValueError(f"bad header {lines[0]!r}, the dimension d must be >= 1")
     eta_bound = float(header[1])
     f = []
 

@@ -29,16 +29,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .adversary import HardDistSpec, RudeState, RudeWeakLearner, hard_distribution
-from .booster import (
-    AggregatedHypothesis,
-    BoostFailure,
-    BoostParams,
-    FixedHypothesisWeakLearner,
-    RunTrace,
-    boost,
-    compute_params,
-)
+from .adversary import HardDistSpec, RudeWeakLearner, hard_distribution
+from .booster import BoostFailure, BoostParams, FixedHypothesisWeakLearner, RunTrace, boost, compute_params
 from .core import FiniteMassartDist, MassartOracle, ferr_of_labels, lerr_of_labels, load_dist, sign_pm1
 from .rectangles import BoxWeakLearner, Rectangle, RectangleUnion
 
@@ -94,7 +86,9 @@ class RunConfig:
     sample_scale: float = _key("boost", 1.0)
     mode: str = _key("boost", "exact-oracle")
     max_rounds: Optional[int] = _key("boost", None)
-    seeds: Tuple[int, ...] = _key("run", (), (">= 0", lambda v: all(s >= 0 for s in v)))
+    seeds: Tuple[int, ...] = _key(
+        "run", (), ("distinct and >= 0", lambda v: len(set(v)) == len(v) and all(s >= 0 for s in v))
+    )
     out: Optional[str] = _key("run", None)
     ablate_no_withholding: bool = _key("boost", False)
     rect_d: int = _key("rect_grid", rule=_POSITIVE, derive=lambda c: 2 if c.instance is None else c.instance.dim)
@@ -211,16 +205,23 @@ def parse_config(text: str, source: str = "<config>", overrides: Mapping[str, st
             cfg.instance = load_dist(cfg.distribution[5:])
         except (OSError, ValueError) as exc:
             raise ConfigParse(f"{source}: distribution {cfg.distribution!r}: {exc}") from None
+    derived = [key for key, f in _KEYS.items() if key not in given and f.metadata["derive"]]
     for key, f in _KEYS.items():
         rule, derive = f.metadata["rule"], f.metadata["derive"]
-        if key in given and rule and not rule[1](getattr(cfg, key)):
-            raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, got {given[key]!r}")
-        if key not in given and derive:
+        if key in derived:
             setattr(cfg, key, derive(cfg))
+        elif rule and not rule[1](getattr(cfg, key)):
+            raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, got {given.get(key)!r}")
     try:
         _check_rules(cfg)
     except ValueError as exc:
         raise ConfigParse(f"{source}: {exc}") from None
+    # a derived value is checked as a given one, after the rules between
+    # keys, which name the given key a bad derived value comes from
+    for key in derived:
+        rule = _KEYS[key].metadata["rule"]
+        if rule and not rule[1](getattr(cfg, key)):
+            raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, derived {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -285,10 +286,9 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
             d=dist.dim, k=cfg.rect_k, alpha=cfg.alpha, c_const=cfg.box_c, sample_scale=cfg.box_scale
         )
     if cfg.weak_learner == "rude":
-        state = RudeState(
+        return RudeWeakLearner(
             m=cfg.rude_m, T=cfg.rude_t, gamma=cfg.gamma, scale=cfg.rude_scale, survivor_cap=cfg.rude_survivor_cap
         )
-        return RudeWeakLearner(state)
     return FixedHypothesisWeakLearner(concept, alpha=cfg.alpha, gamma=cfg.gamma)
 
 
@@ -297,6 +297,8 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
 
 @dataclass
 class SeedResult:
+    """One seed's outcome; every field but trace is a key of its summary.json record."""
+
     seed: int
     ok: bool
     error: str
@@ -307,46 +309,30 @@ class SeedResult:
     overconfident_rounds: int
     max_noise_rate: Optional[float]
     trace: RunTrace
-    aggregated: AggregatedHypothesis
 
 
 @dataclass
 class RunReport:
+    """A run's outcome; every field but config and results is a key of summary.json."""
+
     config: RunConfig
     results: List[SeedResult]
+    target_lerr: float
     success_fraction: float
     mean_lerr: Optional[float]
     round_percentiles: Dict[str, float]
-    t_bound_simple: float
-    t_bound_log: float
+    round_bound_simple: float
+    round_bound_log: float
     total_draws: int
 
     def to_json_dict(self) -> dict:
-        per_seed = [
-            {
-                "seed": r.seed,
-                "ok": r.ok,
-                "error": r.error,
-                "lerr": r.lerr,
-                "ferr": r.ferr,
-                "rounds": r.rounds,
-                "total_draws": r.total_draws,
-                "overconfident_rounds": r.overconfident_rounds,
-                "max_noise_rate": r.max_noise_rate,
-                "trace_file": f"round_trace_{r.seed}.csv",
-            }
-            for r in self.results
-        ]
-        return {
-            "target_lerr": self.config.eta + self.config.epsilon,
-            "success_fraction": self.success_fraction,
-            "mean_lerr": self.mean_lerr,
-            "round_percentiles": self.round_percentiles,
-            "round_bound_simple": self.t_bound_simple,
-            "round_bound_log": self.t_bound_log,
-            "total_draws": self.total_draws,
-            "seeds": per_seed,
-        }
+        """summary.json: the report's keys, and under seeds each seed's keys and the name of its trace CSV."""
+
+        def keys(obj, skip) -> dict:
+            return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+        seeds = [dict(keys(r, ("trace",)), trace_file=f"round_trace_{r.seed}.csv") for r in self.results]
+        return dict(keys(self, ("config", "results")), seeds=seeds)
 
 
 def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
@@ -357,12 +343,10 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     rng = np.random.default_rng(ss[2])
     error = ""
     try:
-        agg, trace = boost(
-            oracle, wkl, params, rng, ablate_no_withholding=cfg.ablate_no_withholding
-        )
+        _, trace = boost(oracle, wkl, params, rng, ablate_no_withholding=cfg.ablate_no_withholding)
     except BoostFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
-        agg, trace = exc.aggregated, exc.trace
+        trace = exc.trace
 
     labels = sign_pm1(trace.scores)
     rates = [r.max_noise_rate for r in trace.rows if r.max_noise_rate is not None]
@@ -377,7 +361,6 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),
         max_noise_rate=max(rates) if rates else None,
         trace=trace,
-        aggregated=agg,
     )
 
 
@@ -406,18 +389,17 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     if len(rounds):
         for q in (50, 90, 100):
             percentiles[f"p{q}"] = float(np.percentile(rounds, q))
-    eta_eff = max(cfg.eta, 1e-12)
-    report = RunReport(
+    return RunReport(
         config=cfg,
         results=results,
+        target_lerr=target,
         success_fraction=success,
         mean_lerr=mean_lerr,
         round_percentiles=percentiles,
-        t_bound_simple=128.0 / (eta_eff * cfg.gamma**2),
-        t_bound_log=math.log(1.0 / eta_eff) ** 2 / cfg.gamma**2,
+        round_bound_simple=128.0 / (cfg.eta * cfg.gamma**2),
+        round_bound_log=math.log(1.0 / cfg.eta) ** 2 / cfg.gamma**2,
         total_draws=sum(r.total_draws for r in results),
     )
-    return report
 
 
 def emit_metrics(report: RunReport, path) -> List[Path]:

@@ -104,12 +104,6 @@ class Measure:
     def weight(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return _mu_from_scores(self.scores(xs), ys, self.s, self.withhold)
 
-    def weight_both_labels(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights for label +1 and label -1 at each score."""
-        ones = np.ones_like(scores)
-        w_plus = _mu_from_scores(scores, ones, self.s, self.withhold)
-        return w_plus, _mu_from_scores(scores, -ones, self.s, self.withhold)
-
 
 def _mu_from_scores(scores: np.ndarray, ys: np.ndarray, s: float, withhold: bool) -> np.ndarray:
     """Weight mu of labels ys at scores g(x), for threshold s."""
@@ -124,12 +118,18 @@ def sample_weights(scorer: SampleScorer, sample: LabeledSample) -> np.ndarray:
     return _mu_from_scores(scorer.sample_scores(sample), sample.ys, scorer.s, scorer.withhold)
 
 
+def _label_weights(dist: FiniteMassartDist, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """Weights mu of each atom's true label f(x) and of its flipped label -f(x), from one evaluation of g."""
+    scores = measure.scores(dist.xs)
+    return (
+        _mu_from_scores(scores, dist.f, measure.s, measure.withhold),
+        _mu_from_scores(scores, -dist.f, measure.s, measure.withhold),
+    )
+
+
 def exact_density(dist: FiniteMassartDist, measure: Measure) -> float:
     """Exact expectation of the measure under the joint distribution."""
-    scores = measure.scores(dist.xs)
-    w_plus, w_minus = measure.weight_both_labels(scores)
-    w_clean = np.where(dist.f == 1, w_plus, w_minus)
-    w_flip = np.where(dist.f == 1, w_minus, w_plus)
+    w_clean, w_flip = _label_weights(dist, measure)
     return float(np.dot(dist.p, (1.0 - dist.eta) * w_clean + dist.eta * w_flip))
 
 
@@ -148,10 +148,7 @@ def reweighted_noise_rates(dist: FiniteMassartDist, measure: Measure) -> tuple[n
     Returns (rates, included) where included marks atoms with positive total
     label weight; rates are only meaningful where included is True.
     """
-    scores = measure.scores(dist.xs)
-    w_plus, w_minus = measure.weight_both_labels(scores)
-    w_clean = np.where(dist.f == 1, w_plus, w_minus)
-    w_flip = np.where(dist.f == 1, w_minus, w_plus)
+    w_clean, w_flip = _label_weights(dist, measure)
     num = dist.eta * w_flip
     den = num + (1.0 - dist.eta) * w_clean
     included = den > 0.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from massboost import HardDistSpec, RudeState, RudeWeakLearner, hard_distribution
+from massboost import HardDistSpec, RudeWeakLearner, hard_distribution
 from massboost.adversary import RhoOutOfRange, biased_labels, exsim_batch, wkl_rude
 from massboost.core import LabeledSample
 
@@ -157,9 +157,9 @@ def atom_source(masses, plus_probs, seed):
 class TestWklRude:
     def test_heavy_atom_gets_majority_label(self):
         # one atom holds mass 0.5 and votes -1 with probability 0.9
-        state = RudeState(m=4, T=50, gamma=0.2, scale=1.0)
+        learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=1.0)
         source = atom_source([0.5] + [0.5 / 400] * 400, [0.1] + [0.5] * 400, seed=3)
-        h = wkl_rude(source, state, np.random.default_rng(4))
+        h = wkl_rude(source, learner, np.random.default_rng(4))
         assert len(h) >= 1
         match = np.all(h.points == 0.0, axis=1)
         assert match.any()
@@ -167,28 +167,28 @@ class TestWklRude:
 
     def test_light_atoms_yield_empty_set(self):
         # thousands of equally light atoms: nothing certifies as a heavy hitter
-        state = RudeState(m=4, T=50, gamma=0.2, scale=1.0)
+        learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=1.0)
         source = atom_source(np.full(10_000, 1e-4), np.full(10_000, 0.9), seed=5)
-        h = wkl_rude(source, state, np.random.default_rng(6))
+        h = wkl_rude(source, learner, np.random.default_rng(6))
         assert len(h) == 0
         xs = np.arange(10, dtype=np.float64).reshape(-1, 1)
         assert np.all(h(xs) == -1)
 
     def test_reproducibility_fixed_thresholds(self):
         # same rng seed fixes (v_h, v_y); independent samples, same hypothesis
-        state = RudeState(m=4, T=50, gamma=0.2, scale=1.0)
+        learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=1.0)
         agree = 0
         trials = 20
         for trial in range(trials):
             h0 = wkl_rude(
                 atom_source([0.3, 0.2, 0.05] + [0.45 / 300] * 300,
                             [0.9, 0.2, 0.5] + [0.5] * 300, seed=1000 + trial),
-                state, np.random.default_rng(42),
+                learner, np.random.default_rng(42),
             )
             h1 = wkl_rude(
                 atom_source([0.3, 0.2, 0.05] + [0.45 / 300] * 300,
                             [0.9, 0.2, 0.5] + [0.5] * 300, seed=5000 + trial),
-                state, np.random.default_rng(42),
+                learner, np.random.default_rng(42),
             )
             same = len(h0) == len(h1) and np.array_equal(h0.points, h1.points) and np.array_equal(
                 h0.labels, h1.labels
@@ -197,10 +197,9 @@ class TestWklRude:
         assert agree >= int(0.9 * trials)
 
     def test_adapter_consumes_fixed_sample(self):
-        state = RudeState(m=4, T=50, gamma=0.2, scale=0.05)
-        learner = RudeWeakLearner(state)
+        learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=0.05)
         rng = np.random.default_rng(8)
-        n = state.step1_size() + state.step2_size() + state.survivor_cap * state.step3_size()
+        n = learner.step1_size() + learner.step2_size() + learner.survivor_cap * learner.step3_size()
         xs = rng.integers(0, 50, size=n).astype(np.float64).reshape(-1, 1)
         sample = LabeledSample(xs, np.where(rng.random(n) < 0.2, 1, -1).astype(np.int8))
         served = 0
@@ -216,12 +215,12 @@ class TestWklRude:
 
     def test_advantage_on_biased_distribution(self):
         # on a heavily minus-biased source the default -1 answer already wins
-        state = RudeState(m=4, T=50, gamma=0.01, scale=0.5)
+        learner = RudeWeakLearner(m=4, T=50, gamma=0.01, scale=0.5)
         source = atom_source(np.full(2000, 5e-4), np.full(2000, 0.104), seed=11)
-        h = wkl_rude(source, state, np.random.default_rng(12))
+        h = wkl_rude(source, learner, np.random.default_rng(12))
         sample = source(20_000)
         adv = 0.5 * float(np.mean(h(sample.xs) * sample.ys))
-        assert adv >= state.gamma
+        assert adv >= learner.gamma
 
 
 class TestExSimSingle:

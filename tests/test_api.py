@@ -1,48 +1,38 @@
 """The package's export surface: each module's __all__ and the top-level names."""
 
+import ast
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import massboost
 
 MODULES = ("core", "measure", "booster", "rectangles", "adversary", "harness")
+ROOT = Path(__file__).resolve().parent.parent
 
-# what demos/, README, bench/, test_acceptance.py and test_golden.py import
-# from massboost, plus the base classes of the errors a caller catches
-TOP_LEVEL = {
-    "BoostFailure",
-    "BoxWeakLearner",
-    "ConfigParse",
-    "FiniteMassartDist",
-    "FixedHypothesisWeakLearner",
-    "HardDistSpec",
-    "MassartOracle",
-    "MaxRoundsExceeded",
-    "Measure",
-    "RectangleUnion",
-    "RudeState",
-    "RudeWeakLearner",
-    "boost",
-    "compute_params",
-    "emit_metrics",
-    "enumerate_negative_subrectangles",
-    "est_density",
-    "exact_advantage",
-    "exact_density",
-    "exact_ferr",
-    "exact_lerr",
-    "exact_potential",
-    "hard_distribution",
-    "load_config",
-    "m_weight",
-    "make_massart",
-    "phi_point",
-    "reweighted_noise_rates",
-    "run_experiment",
-    "wkl_box",
-}
+
+def imported_from_massboost(source: str) -> set:
+    """The names a source imports with `from massboost import ...`."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "massboost" and node.level == 0
+        for alias in node.names
+    }
+
+
+SOURCES = (
+    [path.read_text() for pattern in ("demos/*.py", "bench/*.py") for path in sorted(ROOT.glob(pattern))]
+    + [(ROOT / "tests" / name).read_text() for name in ("test_acceptance.py", "test_golden.py")]
+    + re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+)
+# what demos/, bench/, README's python blocks, test_acceptance.py and
+# test_golden.py import from massboost, plus the base classes of the errors a
+# caller catches
+TOP_LEVEL = set().union(*map(imported_from_massboost, SOURCES)) | {"BoostFailure", "ConfigParse"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -24,7 +24,6 @@ from massboost.booster import (
     DegenerateThreshold,
     DrawBudgetExceeded,
     EpsilonTooSmall,
-    EtaZero,
     ScoreState,
     density_sample_size,
     over_confident,
@@ -90,16 +89,9 @@ class TestComputeParams:
         with pytest.raises(EpsilonTooSmall):
             compute_params(eta=0.2, alpha=0.1, gamma=0.3, epsilon=0.19, delta=0.1)
 
-    def test_eta_zero_requires_overrides(self):
-        with pytest.raises(EtaZero):
+    def test_eta_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="eta must be in"):
             compute_params(eta=0.0, alpha=0.1, gamma=0.05, epsilon=0.15, delta=0.1)
-        p = compute_params(
-            eta=0.0, alpha=0.1, gamma=0.05, epsilon=0.15, delta=0.1,
-            s_max=3.0, kappa_min=0.05,
-        )
-        assert p.s == 3.0
-        assert p.kappa == 0.05
-        assert p.delta_err > 0
 
     def test_mode_aliases(self):
         assert compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="mc").mode == "monte-carlo"
@@ -337,8 +329,12 @@ class TestBoost:
         agg, trace = boost(MassartOracle(dist, rng_seed=10), wkl, params, np.random.default_rng(11))
         with pytest.raises(MaxRoundsExceeded) as err:
             boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=3), np.random.default_rng(11))
+        with pytest.raises(MaxRoundsExceeded) as ablated:  # 400 rounds of lam take scores past s
+            boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=400), np.random.default_rng(11),
+                  ablate_no_withholding=True)
         boost(MassartOracle(dist, rng_seed=12), wkl, params, np.random.default_rng(13))
-        for run, scores in ((agg, trace.scores), (err.value.aggregated, err.value.trace.scores)):
+        failed = err.value, ablated.value
+        for run, scores in [(agg, trace.scores)] + [(exc.aggregated, exc.trace.scores) for exc in failed]:
             assert scores.base is None  # a copy, not a view of a workspace row
             assert np.array_equal(scores, run.g(dist.xs))
 
@@ -429,17 +425,3 @@ class TestConditionalBudget:
         with pytest.raises(ConditionalDrawBudgetExceeded):
             over_confident(oracle, VanishingRisk(), params)
 
-
-class TestRealizableCase:
-    def test_eta_zero_with_overrides_boosts(self):
-        rng = np.random.default_rng(77)
-        dist, f = rcn_dist(rng, 40, eta=1e-9, eta_bound=1e-9)
-        params = compute_params(
-            0.0, 0.1, 0.1, 0.15, 0.1, mode="exact", sample_scale=0.02,
-            s_max=2.0, kappa_min=0.05,
-        )
-        oracle = MassartOracle(dist, rng_seed=5)
-        wkl = FixedHypothesisWeakLearner(lookup_h(f), gamma=0.1)
-        agg, trace = boost(oracle, wkl, params, np.random.default_rng(6))
-        assert exact_lerr(dist, agg.g) < 0.01
-        assert trace.rows[-1].d_exact <= 0.05

@@ -11,7 +11,7 @@ import pytest
 
 import massboost.booster as booster
 import massboost.harness as harness
-from massboost import ConfigParse, cli, emit_metrics, run_experiment
+from massboost import ConfigParse, FiniteMassartDist, cli, emit_metrics, run_experiment
 from massboost.core import load_dist, save_dist
 from massboost.harness import build_instance, load_config, parse_config
 
@@ -77,13 +77,14 @@ class TestConfigParsing:
         assert parse_config(CONFIG_SMALL + f"ablate_no_withholding = {raw}\n").ablate_no_withholding is value
 
 
-# A value that each config key rejects on top of CONFIG_SMALL; None marks a
-# key that accepts every value (any directory name is a valid out). The type
-# errors come from each key's annotation (TYPE_ERRORS).
+# A value, or a tuple of values, that each config key rejects on top of
+# CONFIG_SMALL; None marks a key that accepts every value (any directory name
+# is a valid out). The type errors come from each key's annotation
+# (TYPE_ERRORS).
 REJECTED = {
     "distribution": "grid",
     "weak_learner": "adaboost",
-    "eta": "0.5",
+    "eta": ("0.5", "0", "1e-320"),  # 1e-320 overflows the threshold s to infinity
     "alpha": "0",
     "gamma": "0.5",
     "epsilon": "0.01",
@@ -91,7 +92,7 @@ REJECTED = {
     "sample_scale": "0",
     "mode": "fast",
     "max_rounds": "0",
-    "seeds": "-3",
+    "seeds": ("-3", "1, 1", "2 2 3"),
     "out": None,
     "ablate_no_withholding": "on",
     "rect_d": "0",
@@ -121,7 +122,8 @@ TYPE_ERRORS = {
 
 def rejection_cases():
     for key in harness._KEYS:
-        bad = [] if REJECTED.get(key) is None else [REJECTED[key]]
+        bad = REJECTED[key] or ()
+        bad = [bad] if isinstance(bad, str) else list(bad)
         for value in bad + TYPE_ERRORS[harness._TYPES[key]]:
             yield pytest.param(key, value, id=f"{key}={value}")
 
@@ -140,6 +142,15 @@ class TestConfigSchema:
         assert cli.main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    def test_derived_value_is_checked_by_its_rule(self, monkeypatch):
+        """rect_d derived from a file: distribution of dimension 0 breaks rect_d's rule."""
+        flat = FiniteMassartDist(np.empty((1, 0)), np.ones(1), np.ones(1), np.zeros(1), 0.1, _validated=True)
+        monkeypatch.setattr(harness, "load_dist", lambda path: flat)
+        text = CONFIG_SMALL.replace("distribution = rect_grid", "distribution = file:flat.txt")
+        text = text.replace("rect_d = 2\n", "").replace("weak_learner = concept", "weak_learner = box")
+        with pytest.raises(ConfigParse, match="rect_d.*> 0"):
+            parse_config(text)
 
     def test_readme_tables_every_key(self):
         readme = (ROOT / "README.md").read_text()
@@ -237,16 +248,28 @@ seeds = 12
 class TestFailedSeeds:
     """A seed whose run stops early keeps and reports the rounds it completed."""
 
-    def check_partial(self, cfg, tmp_path, error):
+    def check_partial(self, cfg, tmp_path, error, monkeypatch):
+        failures = []
+
+        def recording_boost(*args, **kwargs):
+            try:
+                return booster.boost(*args, **kwargs)
+            except booster.BoostFailure as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(harness, "boost", recording_boost)
         rep = run_experiment(cfg)
         emit_metrics(rep, tmp_path)
         (r,) = rep.results
         assert not r.ok and r.error.startswith(error + ":")
-        assert r.rounds > 0 and len(r.aggregated) == r.rounds
+        (failure,) = failures
+        assert r.rounds > 0 and len(failure.aggregated) == r.rounds
         rows = (tmp_path / f"round_trace_{r.seed}.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, r.rounds + 1))
         dist, _, _ = build_instance(cfg, r.seed)
-        assert np.array_equal(r.trace.scores, r.aggregated.g(dist.xs))
+        # the reported scores are those the completed rounds' trace replays to
+        assert np.array_equal(r.trace.scores, failure.aggregated.g(dist.xs))
         summary = json.loads((tmp_path / "summary.json").read_text())["seeds"][0]
         assert summary["rounds"] == r.rounds and summary["lerr"] is not None
 
@@ -255,12 +278,12 @@ class TestFailedSeeds:
         # sizes the rejection-sampling budget for a measure that is no longer there
         monkeypatch.setattr(booster, "est_density", lambda *args: 0.9)
         cfg = parse_config(CONFIG_MC_FRAGILE.replace("sample_scale = 0.0005", "sample_scale = 0.028"))
-        self.check_partial(cfg, tmp_path, "DrawBudgetExceeded")
+        self.check_partial(cfg, tmp_path, "DrawBudgetExceeded", monkeypatch)
 
-    def test_conditional_budget_keeps_completed_rounds(self, tmp_path):
+    def test_conditional_budget_keeps_completed_rounds(self, tmp_path, monkeypatch):
         # fails inside the over-confidence test, after the round's provisional
         # step: the scores must still be those of the completed rounds
-        self.check_partial(parse_config(CONFIG_MC_FRAGILE), tmp_path, "ConditionalDrawBudgetExceeded")
+        self.check_partial(parse_config(CONFIG_MC_FRAGILE), tmp_path, "ConditionalDrawBudgetExceeded", monkeypatch)
 
     def test_other_errors_are_not_seed_failures(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -489,16 +512,28 @@ class TestCli:
         )
         self.assert_config_error(self.run_cli(["run", str(cfg_path)]), "rect_d")
 
-    @pytest.mark.parametrize("content", [None, "2 0.25\n0.5 0.5 1.0 1\n"], ids=["missing", "short-atom-line"])
+    def test_repeated_seed_flag_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        out_dir = tmp_path / "metrics"
+        res = self.run_cli(["run", str(cfg_path), "--seed-range", "2 2 3", "--out", str(out_dir)])
+        self.assert_config_error(res, "seeds")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "2 0.25\n0.5 0.5 1.0 1\n", "0 0.1\n1.0 -1 0.0\n"],
+        ids=["missing", "short-atom-line", "dimension-zero"],
+    )
     def test_bad_distribution_file_is_config_error(self, tmp_path, content):
         dist_path = tmp_path / "dist.txt"
         if content is not None:
             dist_path.write_text(content)
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(
-            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{dist_path}").replace(
-                "weak_learner = concept", "weak_learner = box"
-            )
+        cfg_path.write_text(  # rect_d is left to be derived from the file
+            CONFIG_SMALL.replace("distribution = rect_grid", f"distribution = file:{dist_path}")
+            .replace("weak_learner = concept", "weak_learner = box")
+            .replace("rect_d = 2\n", "")
         )
         res = self.run_cli(["run", str(cfg_path), "--out", str(tmp_path / "out")])
         assert res.returncode == 2

@@ -83,7 +83,7 @@ def test_score_state_equals_trace_replay(data):
     state = ScoreState(dist, lam, s, withhold)
     for t, (h, b) in enumerate(trace, start=1):
         state = state.step(state.values(h), b)
-        agg = AggregatedHypothesis(lam, s, tuple(trace[:t]), ablated=not withhold)
+        agg = AggregatedHypothesis(lam, s, tuple(trace[:t]), withhold=withhold)
         assert np.array_equal(state.sigma, agg.g(dist.xs))
         sample = oracle.sample_batch(data.draw(st.integers(0, 20)))
         assert np.array_equal(state.sample_scores(sample), agg.g(sample.xs))
@@ -104,7 +104,7 @@ def test_exact_stats_match_the_measure(data):
         state = state.step(state.values(h), b)
     st_ = state.stats()
     assert st_.density <= st_.potential
-    agg = AggregatedHypothesis(lam, s, tuple(trace), ablated=not withhold)
+    agg = AggregatedHypothesis(lam, s, tuple(trace), withhold=withhold)
     measure = Measure(agg.g, s, withhold)
     assert math.isclose(st_.density, exact_density(dist, measure), rel_tol=1e-12)
     assert math.isclose(st_.potential, exact_potential(dist, agg.g), rel_tol=1e-12)
