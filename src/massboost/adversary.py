@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, ClassVar, Tuple
 
 import numpy as np
 
@@ -79,8 +79,8 @@ class HardDistSpec:
     seed: int
 
     def __post_init__(self):
-        if not (0.0 <= self.eta < 0.5):
-            raise ValueError(f"eta must be in [0, 1/2), got {self.eta}")
+        if not (0.0 < self.eta < 0.5):
+            raise ValueError(f"eta must be in (0, 1/2), got {self.eta}")
         if not (0.0 < self.alpha < 0.5 - self.eta):
             raise ValueError(f"alpha must be in (0, 1/2 - eta), got {self.alpha}")
         if not (0.0 <= self.rho < self.alpha / 1000.0):
@@ -116,8 +116,7 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
         noisy = rng.choice(negatives, size=k_noisy, replace=False)
         eta[noisy] = spec.eta
     p = np.full(support_size, 1.0 / support_size)
-    eta_bound = spec.eta if spec.eta > 0 else 0.0
-    return FiniteMassartDist(xs, p, f, eta, eta_bound, _validated=True)
+    return FiniteMassartDist(xs, p, f, eta, spec.eta, _validated=True)
 
 
 def exsim_batch(spec: HardDistSpec, rng: np.random.Generator, count: int) -> LabeledSample:
@@ -150,7 +149,7 @@ class RudeWeakLearner:
     T: int
     gamma: float
     scale: float = 1.0
-    survivor_cap: int = 16
+    survivor_cap: ClassVar[int] = 16
 
     @property
     def alpha(self) -> float:

@@ -742,13 +742,13 @@ def boost(
     trace: List[Tuple[Callable, bool]] = []
     run = RunTrace()
     d_hat = 1.0
-    draws_mark = oracle.draws
+    draws_start = draws_mark = oracle.draws
 
     def source(count: int, r: np.random.Generator) -> LabeledSample:  # D_mu of the current state
         return samp(oracle, state, count, r, d_hat=d_hat, delta=params.delta)[0]
 
     def finish() -> AggregatedHypothesis:
-        run.total_draws = oracle.draws
+        run.total_draws = oracle.draws - draws_start
         run.scores = state.sigma.copy()
         return AggregatedHypothesis(params.lam, params.s, tuple(trace), withhold)
 

@@ -7,7 +7,6 @@ Each flag overrides its config key (seeds, out, mode, sample_scale,
 ablate_no_withholding) and is parsed and checked with the config's own
 lines, before any seed runs. Exit code 0 once the batch completes (per-seed
 failures are recorded in the summary), 2 on config errors, 1 on IO errors.
-MB_THREADS caps seed-parallel workers.
 """
 
 from __future__ import annotations

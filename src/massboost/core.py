@@ -116,6 +116,9 @@ class FiniteMassartDist:
     """
 
     def __init__(self, xs, p, f, eta, eta_bound, _validated=False):
+        # labels are checked before the int8 cast, which wraps or overflows other ints
+        if not _validated and not np.all(np.isin(f, (-1, 1))):
+            raise ValueError("true labels must be -1 or +1")
         self.xs = np.ascontiguousarray(np.atleast_2d(np.asarray(xs, dtype=np.float64)))
         self.p = np.asarray(p, dtype=np.float64)
         self.f = np.asarray(f, dtype=np.int8)
@@ -132,10 +135,8 @@ class FiniteMassartDist:
             raise BadProbability("distribution needs at least one atom")
         if not np.all(np.isfinite(self.xs)):
             raise ValueError("atom coordinates must be finite")
-        if self.eta_bound >= 0.5:
-            raise BoundNotBelowHalf(f"eta_bound must be < 1/2, got {self.eta_bound}")
-        if self.eta_bound < 0.0:
-            raise BoundNotBelowHalf("eta_bound must be nonnegative")
+        if not 0.0 <= self.eta_bound < 0.5:  # also rejects nan, against which no eta(x) compares
+            raise BoundNotBelowHalf(f"eta_bound must be in [0, 1/2), got {self.eta_bound}")
         if np.any(self.p < 0) or not np.all(np.isfinite(self.p)):
             raise BadProbability("atom probabilities must be finite and nonnegative")
         total = float(self.p.sum())
@@ -150,8 +151,6 @@ class FiniteMassartDist:
         if np.any(self.eta > self.eta_bound):
             worst = float(self.eta.max())
             raise NoiseExceedsBound(f"eta(x) = {worst} exceeds bound {self.eta_bound}")
-        if not np.all(np.isin(self.f, (-1, 1))):
-            raise ValueError("true labels must be -1 or +1")
         uniq = np.unique(self.xs, axis=0)
         if uniq.shape[0] != n:
             raise DuplicatePoint("atom points must be distinct")

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -98,12 +96,10 @@ class RunConfig:
     hard_n: int = _key("hard", 64, ("in [1, 64]", lambda v: 1 <= v <= 64))
     hard_rho: float = _key("hard", 1e-4, (">= 0", lambda v: v >= 0))
     hard_support: int = _key("hard", 100_000, _POSITIVE)
-    box_c: float = _key("box", 2.0, _POSITIVE)
     box_scale: float = _key("box", rule=_POSITIVE, derive=lambda c: c.sample_scale)
     rude_m: int = _key("rude", 32, _POSITIVE)
     rude_t: int = _key("rude", 2000, _POSITIVE)
     rude_scale: float = _key("rude", 1e-3, _POSITIVE)
-    rude_survivor_cap: int = _key("rude", 16, _POSITIVE)
     instance: Optional[FiniteMassartDist] = field(default=None, compare=False, repr=False)
 
 
@@ -282,13 +278,9 @@ def build_instance(cfg: RunConfig, seed: int):
 
 def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
     if cfg.weak_learner == "box":
-        return BoxWeakLearner(
-            d=dist.dim, k=cfg.rect_k, alpha=cfg.alpha, c_const=cfg.box_c, sample_scale=cfg.box_scale
-        )
+        return BoxWeakLearner(d=dist.dim, k=cfg.rect_k, alpha=cfg.alpha, sample_scale=cfg.box_scale)
     if cfg.weak_learner == "rude":
-        return RudeWeakLearner(
-            m=cfg.rude_m, T=cfg.rude_t, gamma=cfg.gamma, scale=cfg.rude_scale, survivor_cap=cfg.rude_survivor_cap
-        )
+        return RudeWeakLearner(m=cfg.rude_m, T=cfg.rude_t, gamma=cfg.gamma, scale=cfg.rude_scale)
     return FixedHypothesisWeakLearner(concept, alpha=cfg.alpha, gamma=cfg.gamma)
 
 
@@ -365,20 +357,8 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:
-    """Run every configured seed and aggregate; per-seed failures are recorded, not fatal.
-
-    An invalid MB_THREADS raises ConfigParse before any seed runs.
-    """
-    try:
-        workers = max(1, int(os.environ.get("MB_THREADS", "1")))
-    except ValueError:
-        raise ConfigParse(f"MB_THREADS must be an integer, got {os.environ['MB_THREADS']!r}") from None
-    seeds = list(cfg.seeds)
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            results = list(pool.map(lambda s: _run_seed(cfg, s), seeds))
-    else:
-        results = [_run_seed(cfg, s) for s in seeds]
+    """Run every configured seed in turn and aggregate; per-seed failures are recorded, not fatal."""
+    results = [_run_seed(cfg, s) for s in cfg.seeds]
 
     target = cfg.eta + cfg.epsilon
     hits = [r for r in results if r.ok and r.lerr <= target]

@@ -374,24 +374,23 @@ def enumerate_negative_subrectangles(
 class BoxWeakLearner:
     """Booster-facing adapter around wkl_box.
 
-    The advertised advantage is alpha^2 / (C d)^k and the requested sample
-    size is ceil(sample_scale * k (C d)^k / alpha^2); C defaults to 2,
-    matching the (2d)^k combinatorics of the enumeration.
+    The advertised advantage is alpha^2 / (2d)^k and the requested sample
+    size is ceil(sample_scale * k (2d)^k / alpha^2), after the (2d)^k
+    combinatorics of the enumeration.
     """
 
     d: int
     k: int
     alpha: float
-    c_const: float = 2.0
     sample_scale: float = 1.0
 
     @property
     def gamma(self) -> float:
-        return self.alpha**2 / (self.c_const * self.d) ** self.k
+        return self.alpha**2 / (2.0 * self.d) ** self.k
 
     @property
     def sample_size(self) -> int:
-        base = self.k * (self.c_const * self.d) ** self.k / self.alpha**2
+        base = self.k * (2.0 * self.d) ** self.k / self.alpha**2
         return max(1, int(np.ceil(self.sample_scale * base)))
 
     def train(self, sample: LabeledSample, rng: np.random.Generator) -> BoxHypothesis:

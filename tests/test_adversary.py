@@ -83,6 +83,11 @@ class TestHardDistSpec:
         with pytest.raises(RhoOutOfRange):
             spec(rho=-1e-6)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_eta_out_of_range(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            spec(eta=eta, alpha=0.001)
+
 
 class TestHardDistribution:
     def test_rho_zero_noiseless(self):

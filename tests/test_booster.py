@@ -284,10 +284,12 @@ def replay_prefix_scores(agg, xs):
 
 
 class TestBoost:
-    def run_small(self, seed=0, eta=0.1, n=80, gamma=0.05, mode="exact"):
+    def run_small(self, seed=0, eta=0.1, n=80, gamma=0.05, mode="exact", predraw=0):
         rng = np.random.default_rng(seed)
         dist, f = rcn_dist(rng, n, eta=eta)
         oracle = MassartOracle(dist, rng_seed=seed + 1)
+        if predraw:
+            oracle.sample_batch(predraw)
         params = compute_params(eta, 0.1, gamma, 0.15, 0.1, mode=mode, sample_scale=0.02)
         wkl = FixedHypothesisWeakLearner(lookup_h(f), gamma=gamma)
         agg, trace = boost(oracle, wkl, params, np.random.default_rng(seed + 2))
@@ -363,6 +365,10 @@ class TestBoost:
 
     def test_draw_accounting(self):
         _, _, _, trace = self.run_small(seed=25, n=30)
+        assert trace.total_draws == sum(r.raw_draws for r in trace.rows)
+
+    def test_draws_before_boost_are_not_counted(self):
+        _, _, _, trace = self.run_small(seed=25, n=30, predraw=1000)
         assert trace.total_draws == sum(r.raw_draws for r in trace.rows)
 
 

@@ -48,6 +48,16 @@ class TestMakeMassart:
         with pytest.raises(BoundNotBelowHalf):
             make_massart([((0.0,), 1.0, 1, 0.1)], eta_bound=0.5)
 
+    def test_nan_bound_is_rejected(self):
+        """No eta(x) compares above a nan bound, so nan must fail the range check itself."""
+        with pytest.raises(BoundNotBelowHalf):
+            make_massart([((0.0,), 1.0, 1, 0.4)], float("nan"))
+
+    @pytest.mark.parametrize("label", [257, -255, 0])  # an int8 cast wraps 257 and -255 to +1
+    def test_label_outside_pm1_is_rejected(self, label):
+        with pytest.raises(ValueError, match="labels"):
+            make_massart([((0.0,), 1.0, label, 0.0)], eta_bound=0.4)
+
     def test_duplicate_point(self):
         with pytest.raises(DuplicatePoint):
             make_massart([((0.0,), 0.5, 1, 0.0), ((0.0,), 0.5, -1, 0.0)], eta_bound=0.4)
