@@ -4,16 +4,20 @@ Both run the per-round work of boost() in exact-oracle mode on seed 0's
 instance of configs/hard_floor.cfg (100 000 atoms): a hypothesis's values on
 every atom, the advantage, the provisional step, the over-confidence test,
 the recalibrating step when that test fires, and the next state's
-statistics. Two start scores are timed:
+statistics. Three start scores are timed:
 
 - third_risky: uniform in (-1.5 s, 1.5 s), so about a third of the atoms is
   risky and the over-confidence test runs both of its stages. The
   hypothesis is the constant -1 that the heavy-hitter adversary answers off
   its heavy hitters.
-- hard_like: the shape of a hard_floor run, where no atom is risky in all
-  but one state of a seed and the masks stay the same from round to round:
-  the bulk of the atoms at -s/2, one in every 6250 at s/4. The hypothesis
-  alternates between -1 and +1, so no atom ever becomes risky.
+- hard_like: no atom risky and masks that stay the same from round to
+  round, but mixed signs: the bulk of the atoms at -s/2, one in every 6250
+  at s/4. The hypothesis alternates between -1 and +1, so no atom ever
+  becomes risky. The statistics take ScoreState's general path.
+- one_signed: the shape of almost every state of a hard_floor run, where
+  the adversary's -1 off its heavy hitters keeps every score negative and
+  no atom risky: every atom at -s/2, the hypothesis alternating between -1
+  and +1. The statistics take ScoreState's one-signed path.
 
 Each timed call advances its own chain by one round. This directory is
 outside the pytest testpaths, so the test suite does not collect it. Run
@@ -52,7 +56,11 @@ def hard_like(params, n):
     return scores, [constant(-1), constant(1)]
 
 
-STARTS = {"third_risky": third_risky, "hard_like": hard_like}
+def one_signed(params, n):
+    return np.full(n, -0.5 * params.s), [constant(-1), constant(1)]
+
+
+STARTS = {"third_risky": third_risky, "hard_like": hard_like, "one_signed": one_signed}
 
 
 @pytest.fixture(scope="module")

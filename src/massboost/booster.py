@@ -223,12 +223,13 @@ def _step_scores(
     risky is the mask |sigma| >= s, or None when withholding is ablated and
     every atom takes the step. A safe atom gets sigma + lam * hv; a risky one
     keeps sigma, or moves to sigma - lam * sign(sigma) if b. Each value comes
-    from that one IEEE operation, whichever buffers hold it. out must not be
-    sigma; tmp is scratch of sigma's shape.
+    from that one IEEE operation, whichever buffers hold it, so a mask with no
+    risky atom skips the masked pass. out must not be sigma; tmp is scratch of
+    sigma's shape.
     """
     np.multiply(hv, lam, out=tmp)
     np.add(sigma, tmp, out=out)
-    if risky is None:
+    if risky is None or not risky.any():
         return out
     if b:  # a risky sigma is nonzero, so copysign gives lam * sign(sigma) there
         np.subtract(sigma, np.copysign(lam, sigma, out=tmp), out=out, where=risky)
@@ -289,7 +290,13 @@ class ScoreState:
     overwrites, and a state whose mask has the same contents reads the memo,
     whichever state of the run wrote it. With no atom risky, the risky mass
     is the run constant 1 - dot(p, 1) and no weight is zeroed; otherwise the
-    safe row 1 - risky gives the risky mass and zeroes the weights.
+    safe row 1 - risky gives the risky mass and zeroes the weights. With no
+    atom risky and every score negative as well, as in the heavy-hitter
+    adversary's runs, min(sigma, 0) is sigma and max(sigma, 0) is +0.0 on
+    every atom, so M+ = exp(-0.0) = 1: phi(sigma) is 1 - sigma, phi(-sigma)
+    is M-, the density's a+ dot is the run constant dot(a+, 1) and u+ is a+
+    itself. Each value left is the same IEEE operation on the same inputs as
+    on the general path, so both paths give the same bits.
 
     What a method returns from the workspace stays valid only as follows;
     copy what must live longer, as boost() copies the final scores.
@@ -335,7 +342,9 @@ class ScoreState:
         self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
         self._n_noisy_plus = len(noisy_plus)
         self._den_pos = np.empty(len(self._noisy), dtype=bool)
-        self._risky_mass_none = 1.0 - float(np.dot(dist.p, np.ones(n)))
+        ones = np.ones(n)
+        self._risky_mass_none = 1.0 - float(np.dot(dist.p, ones))
+        self._d_plus_one_signed = np.dot(self._a_plus, ones)  # a dot, as the general path takes it, not a sum
         # at G = 0 every weight is exactly 1, so density and potential are the
         # total mass; it is summed, not dotted, and round 1's recorded
         # pre-round values and advantage carry those bits
@@ -387,6 +396,9 @@ class ScoreState:
         if self._stats is not None:
             return self._stats
         sigma, risky = self.sigma, self._risky()
+        sign = np.greater_equal(sigma, 0.0, out=self._sign_now)
+        if not (sign.any() or risky.any()):
+            return self._stats_one_signed(sign)
         # M+ is built in the u_diff row and turned into u_diff in place, which
         # spares the memory traffic of one more row
         lo, m_minus, m_plus, phi = self._t1, self._t2, self._u_diff, self._t4
@@ -418,9 +430,24 @@ class ScoreState:
         d_minus = np.dot(self._a_minus, m_minus)
         u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
         density = float(d_plus + d_minus)
+        return self._finish_stats(density, potential, risky_mass, u_plus, u_minus, sign)
+
+    def _stats_one_signed(self, sign: np.ndarray) -> ExactStats:
+        """stats() of a state with no risky atom and no score >= 0 (see the class docstring)."""
+        sigma, m_minus, phi = self.sigma, self._t2, self._t4
+        np.exp(sigma, out=m_minus)
+        pot_minus = np.dot(self._a_minus, m_minus)  # also the density's a- dot
+        potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
+        u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
+        density = float(self._d_plus_one_signed + pot_minus)
+        return self._finish_stats(density, potential, self._risky_mass_none, self._a_plus, u_minus, sign)
+
+    def _finish_stats(self, density: float, potential: float, risky_mass: float, u_plus: np.ndarray,
+                      u_minus: np.ndarray, sign: np.ndarray) -> ExactStats:
+        """The ExactStats of u+ and u-, with u_diff written into its row; spends the sign mask."""
         max_noise_rate = self._max_noise_rate(u_plus, u_minus)
         np.subtract(u_plus, u_minus, out=self._u_diff)
-        lerr, ferr = self._sign_errors()
+        lerr, ferr = self._sign_errors(sign)
         self._stats = ExactStats(
             density=density,
             potential=potential,
@@ -432,9 +459,9 @@ class ScoreState:
         )
         return self._stats
 
-    def _sign_errors(self) -> Tuple[float, float]:
-        """lerr and ferr of sign(sigma), read off the run's memo unless the mask sigma >= 0 changed."""
-        memo, now = self._sign_memo, np.greater_equal(self.sigma, 0.0, out=self._sign_now)
+    def _sign_errors(self, now: np.ndarray) -> Tuple[float, float]:
+        """lerr and ferr of sign(sigma), read off the run's memo unless the mask now = sigma >= 0 changed."""
+        memo = self._sign_memo
         if memo.errors is None or np.not_equal(now, memo.sign, out=now).any():  # the test spends now
             np.greater_equal(self.sigma, 0.0, out=memo.sign)
             pred_pos = np.greater_equal(self.sigma, 0.0, out=self._t4)
@@ -573,6 +600,8 @@ def over_confident(
     if params.mode == MODE_EXACT:
         dist = oracle.source
         scores, risky = scorer.support_scores(dist)
+        if not risky.any():
+            return False
         p_risky = dist.p[risky]
         pr_risky = float(p_risky.sum())
         if pr_risky <= params.epsilon / 4.0:
@@ -630,15 +659,20 @@ def repeat_weak_learner(
     (ties broken by first index). With a single scheduled candidate the test
     sample is skipped. A low-advantage winner is returned as-is; the loop's
     round cap is the backstop.
+
+    The streams are those of rng.spawn(n_candidates + 1), the last one for
+    the test sample; it is spawned every round, so that every later spawn
+    key is the same, but it becomes a generator only when it is used.
     """
     n_candidates, test_size = repetition_schedule(params.delta_err, params.gamma, params.sample_scale)
-    streams = rng.spawn(n_candidates + 1)
+    seeds = rng.bit_generator.seed_seq.spawn(n_candidates + 1)
+    streams = [np.random.Generator(type(rng.bit_generator)(seed)) for seed in seeds[:-1]]
     candidates = [
-        wkl.train_from_source(lambda c, stream=stream: mu_sample_source(c, stream), stream) for stream in streams[:-1]
+        wkl.train_from_source(lambda c, stream=stream: mu_sample_source(c, stream), stream) for stream in streams
     ]
     if n_candidates == 1:
         return candidates[0]
-    test = mu_sample_source(test_size, streams[-1])
+    test = mu_sample_source(test_size, np.random.Generator(type(rng.bit_generator)(seeds[-1])))
     ys = test.ys.astype(np.float64)
     best_idx = 0
     best_adv = -np.inf

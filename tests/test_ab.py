@@ -1,0 +1,35 @@
+"""The summary of tools/ab.py on fixed numbers."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from ab import quartiles, summarize  # noqa: E402
+
+PARENT = {"norm_cpu_s": [10.0, 11.0, 12.0, 13.0, 14.0], "success_fraction": [1.0] * 5, "score": [1, 2, 3, 4, 5]}
+CHANGE = {"norm_cpu_s": [9.0, 9.5, 12.5, 10.0, 15.0], "success_fraction": [1.0] * 5, "score": [2, 1, 4, 4, 6]}
+PAIRS = [({k: v[i] for k, v in PARENT.items()}, {k: v[i] for k, v in CHANGE.items()}) for i in range(5)]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert quartiles([13.0, 10.0, 12.0, 11.0, 14.0]) == (11.0, 12.0, 13.0)
+    assert quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_of_fixed_pairs():
+    got = summarize(PAIRS, {"norm_cpu_s": "lower", "success_fraction": "higher", "score": "higher"})
+    cpu = got["norm_cpu_s"]
+    assert cpu["parent"] == (11.0, 12.0, 13.0) and cpu["change"] == (9.5, 10.0, 12.5)
+    assert cpu["parent_iqr"] == 2.0
+    assert cpu["median_change"] == pytest.approx(-1 / 6)
+    assert cpu["wins"] == 3 and not cpu["equal"]  # pairs 1, 2 and 4 are lower
+    assert got["success_fraction"]["equal"] and got["success_fraction"]["wins"] == 0
+    assert got["score"]["wins"] == 3  # higher is better: pairs 1, 3 and 5
+
+
+def test_unlisted_metric_is_better_lower():
+    assert summarize(PAIRS, {})["score"]["wins"] == 1  # only pair 2 is lower

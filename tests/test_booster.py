@@ -265,6 +265,33 @@ class TestRepeatWeakLearner:
         repeat_weak_learner(wkl, source, params, np.random.default_rng(0))
         assert oracle.draws == 0  # the fixed learner draws nothing and there is no test sample
 
+    @pytest.mark.parametrize("sample_scale", [0.01, 1.0], ids=["one-candidate", "several"])
+    def test_streams_are_those_of_spawn(self, sample_scale):
+        """Candidates and the test sample draw the streams of rng.spawn(n + 1); rng's next spawn is unchanged."""
+        params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, sample_scale=sample_scale)
+        n, _ = repetition_schedule(params.delta_err, params.gamma, params.sample_scale)
+        oracle = MassartOracle(index_dist(f=[1], eta=[0.0]), rng_seed=1)
+        drawn = []
+
+        class Recorder:
+            alpha = gamma = 0.1
+
+            def train_from_source(self, source, rng):
+                drawn.append(rng.random(4))
+                return const_h(1)
+
+        def source(count, r):
+            drawn.append(r.random(4))
+            return oracle.sample_batch(count)
+
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        repeat_weak_learner(Recorder(), source, params, rng)
+        assert len(drawn) == (n if n == 1 else n + 1)
+        for got, stream in zip(drawn, twin.spawn(n + 1)):
+            assert got.tobytes() == stream.random(4).tobytes()
+        assert rng.spawn(1)[0].random(4).tobytes() == twin.spawn(1)[0].random(4).tobytes()
+        assert rng.random(4).tobytes() == twin.random(4).tobytes()
+
 
 def replay_prefix_scores(agg, xs):
     """Independent replay of the update rule, yielding scores after each round."""

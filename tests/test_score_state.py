@@ -5,7 +5,9 @@ statistics, the score update and the exact over-confidence decision. Here
 every ExactStats field, u_diff, both stepped score vectors and the decision
 must have the same bytes as the reference on random finite distributions,
 starting from adversarial scores: signed zeros, the threshold s and its
-neighbours, tiny and huge magnitudes and multiples of the step size.
+neighbours, tiny and huge magnitudes and multiples of the step size. States
+with every score in (-s, 0), for which stats() skips what the masks make
+constant, are drawn on their own, with steps that leave them and return.
 """
 
 import math
@@ -45,6 +47,17 @@ def assert_stats_equal(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
+def assert_round_matches(state, ref, hv, oracle, params):
+    """Statistics, over-confidence decision, advantage of hv and both steps by hv match the reference."""
+    assert_stats_equal(state.stats(), ref.stats())
+    want = over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
+    assert over_confident(oracle, state, params) == want
+    assert state.advantage(hv) == ref.advantage(hv)
+    # the two steps write one buffer, so each is read before the next
+    for b in (False, True):
+        assert state.step(hv, b).sigma.tobytes() == ref.step(hv, b).sigma.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_score_state_matches_reference(data):
@@ -61,16 +74,57 @@ def test_score_state_matches_reference(data):
     scores = data.draw(adversarial_scores(n, s, lam))
     state, ref = state_at(dist, lam, s, withhold, scores), ref.at(scores)
     for _ in range(data.draw(st.integers(1, 4))):
-        assert_stats_equal(state.stats(), ref.stats())
-        want = over_confident_reference(dist, ref, params.eta, params.epsilon)
-        assert over_confident(oracle, state, params) == want
         hv = data.draw(hypothesis_values(n))
-        assert state.advantage(hv) == ref.advantage(hv)
-        # the two steps write one buffer, so each is read before the next
-        for b in (False, True):
-            assert state.step(hv, b).sigma.tobytes() == ref.step(hv, b).sigma.tobytes()
+        assert_round_matches(state, ref, hv, oracle, params)
         b = data.draw(st.booleans())
         state, ref = state.step(hv, b), ref.step(hv, b)
+
+
+@st.composite
+def one_signed_scores(draw, n: int, s: float, lam: float):
+    """Scores in (-s, 0): no atom is risky and none is >= 0."""
+    largest = -5e-324  # the negative float nearest 0
+    specials = [largest, math.nextafter(-s, 0.0), -s / 2] + [-k * lam for k in range(1, 5) if k * lam < s]
+    element = st.one_of(st.sampled_from(specials), st.floats(-s, largest, exclude_min=True))
+    return np.asarray(draw(st.lists(element, min_size=n, max_size=n)), dtype=np.float64)
+
+
+# (atom, its value, b) with the other values 0: atom 0 starts at -lam/2,
+# crosses 0 and returns; atom 1 starts lam/2 above -s, passes -s and returns
+# (by recalibration when withheld, by its +1 when ablated)
+LEAVE_AND_RETURN = [(0, 1.0, False), (0, -1.0, False), (1, -1.0, False), (1, 1.0, True)]
+
+
+def one_signed(sigma: np.ndarray, s: float) -> bool:
+    return not ((sigma >= 0.0).any() or (np.abs(sigma) >= s).any())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_signed_states_match_reference(data):
+    """States with every score in (-s, 0) match the reference, also on steps that leave them and return."""
+    dist = data.draw(finite_dists().filter(lambda d: d.n_atoms >= 2))
+    n = dist.n_atoms
+    s = data.draw(st.floats(0.1, 3.0))
+    lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)).filter(lambda v: v < s))
+    withhold = data.draw(st.booleans())
+    params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
+    oracle = MassartOracle(dist, rng_seed=0)
+
+    scores = data.draw(one_signed_scores(n, s, lam))
+    assert one_signed(scores, s)
+    state = state_at(dist, lam, s, withhold, scores)
+    ref = ScoreStateReference(dist, lam, s, withhold).at(scores)
+    assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
+
+    scores[:2] = -lam / 2, -s + lam / 2
+    state, ref = state_at(dist, lam, s, withhold, scores), ref.at(scores)
+    for k, (atom, value, b) in enumerate(LEAVE_AND_RETURN):
+        hv = np.zeros(n)
+        hv[atom] = value
+        state, ref = state.step(hv, b), ref.step(hv, b)
+        assert one_signed(ref.sigma, s) == (k % 2 == 1)
+        assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
 
 
 

@@ -1,0 +1,129 @@
+"""Alternating A/B runs of perfbench/run.py: a parent commit against the working tree.
+
+    python3 tools/ab.py --parent REF --workload W --pairs N [--seed S]
+
+Extracts the committed files of REF (`git archive`) into a temporary
+directory, removed at exit; the change side is the working tree this file
+lives in, uncommitted edits included. Each pair runs
+`python3 perfbench/run.py --workload W --seed S` once in each tree, the
+parent first in odd pairs and the change first in even ones, so a drift of
+the machine's speed during the batch falls on both sides alike. It stops
+at the first run that fails or reads `correct: false`.
+
+It prints each pair's end-to-end metrics (parent/change), then, per metric,
+each side's median and quartiles, the change of the median, and the number
+of pairs in which the change is better, using the direction BENCHMARK.json
+declares (lower is better for a metric it does not list). The quartiles
+interpolate linearly between order statistics (statistics.quantiles,
+method "inclusive").
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+Pair = Tuple[Dict[str, float], Dict[str, float]]  # (parent, change) metric values
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """First quartile, median and third quartile; all three equal the value of a single run."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs: List[Pair], better: Dict[str, str]) -> Dict[str, dict]:
+    """Per metric of the first pair: both sides' quartiles, the parent's IQR and the change's wins.
+
+    better maps a metric to "lower" or "higher"; a metric it does not name
+    is better lower. A pair is a win when the change is strictly better.
+    """
+    out = {}
+    for name in pairs[0][0]:
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        p_q, c_q = quartiles(parent), quartiles(change)
+        out[name] = {
+            "parent": p_q,
+            "change": c_q,
+            "parent_iqr": p_q[2] - p_q[0],
+            "median_change": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else None,
+            "wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+            "equal": parent == change,
+        }
+    return out
+
+
+def extract(ref: str, dest: Path) -> None:
+    """The committed files of ref, written under dest."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", ref], stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"could not extract {ref!r}")
+
+
+def run_once(tree: Path, workload: str, seed: int) -> Dict[str, float]:
+    """The end-to-end metrics of one perfbench run in tree; exits on a failed or incorrect run."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+                          cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{tree}: correct: false, {result['failed']} of {result['attempted']} seeds failed")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def directions() -> Dict[str, str]:
+    """Each end-to-end metric's better direction, as BENCHMARK.json declares it."""
+    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    pairs: List[Pair] = []
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        parent_tree = Path(tmp)
+        extract(args.parent, parent_tree)
+        for i in range(args.pairs):
+            parent_first = i % 2 == 0
+            order = [parent_tree, ROOT] if parent_first else [ROOT, parent_tree]
+            runs = {tree: run_once(tree, args.workload, args.seed) for tree in order}
+            pairs.append((runs[parent_tree], runs[ROOT]))
+            cells = " ".join(f"{k}={p:.6g}/{runs[ROOT][k]:.6g}" for k, p in runs[parent_tree].items())
+            print(f"pair {i + 1} ({'parent' if parent_first else 'change'} first): {cells}", flush=True)
+    print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs, parent {args.parent} / change (working tree):")
+    for name, s in summarize(pairs, directions()).items():
+        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+        moved = f"change better in {s['wins']} of {len(pairs)}"
+        if s["median_change"] is not None:
+            moved = f"{s['median_change']:+.1%}, {moved}"
+        if s["equal"]:
+            moved = "equal in every pair"
+        print(f"  {name}: median {pm:.6g} [{p1:.6g}, {p3:.6g}] / {cm:.6g} [{c1:.6g}, {c3:.6g}], "
+              f"parent IQR {s['parent_iqr']:.4g}; {moved}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
