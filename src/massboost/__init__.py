@@ -15,8 +15,8 @@ booster     the boosting loop with rejection sampling, density estimation,
             over-confidence recalibration, and the aggregated hypothesis
 rectangles  weak learner for unions of axis-aligned rectangles and the
             brute-force negative-subrectangle enumerator
-adversary   biased hard distribution, label simulator, and the heavy-hitter
-            adversarial weak learner used as a stress harness
+adversary   biased hard distribution and the heavy-hitter adversarial weak
+            learner used as a stress harness
 harness     config-driven seeded experiment runner with CSV/JSON metrics
 
 The top level re-exports the names the demos and the acceptance gate use;

@@ -36,7 +36,6 @@ __all__ = [
     "RhoOutOfRange",
     "RudeWeakLearner",
     "biased_labels",
-    "exsim_batch",
     "hard_distribution",
     "wkl_rude",
 ]
@@ -117,19 +116,6 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
         eta[noisy] = spec.eta
     p = np.full(support_size, 1.0 / support_size)
     return FiniteMassartDist(xs, p, f, eta, spec.eta, _validated=True)
-
-
-def exsim_batch(spec: HardDistSpec, rng: np.random.Generator, count: int) -> LabeledSample:
-    """Simulated examples: uniform x, label -1 with probability 1 - eta' - rho + rho*eta.
-
-    The label never consults the target function, only its marginal. Draws x
-    from the exactly representable range [0, min(2^n, 2^53)).
-    """
-    high = min(2**spec.n, 2**53)
-    xs = rng.integers(0, high, size=count).astype(np.float64).reshape(-1, 1)
-    p_minus = 1.0 - spec.eta_prime - spec.rho + spec.rho * spec.eta
-    ys = np.where(rng.random(count) < p_minus, -1, 1).astype(np.int8)
-    return LabeledSample(xs, ys)
 
 
 # -- adversarial weak learner ---------------------------------------------------

@@ -288,15 +288,15 @@ class ScoreState:
     them, keyed by the contents of the sign mask they were computed for: the
     memo copies that mask into its own row, never into a row a step
     overwrites, and a state whose mask has the same contents reads the memo,
-    whichever state of the run wrote it. With no atom risky, the risky mass
-    is the run constant 1 - dot(p, 1) and no weight is zeroed; otherwise the
-    safe row 1 - risky gives the risky mass and zeroes the weights. With no
-    atom risky and every score negative as well, as in the heavy-hitter
-    adversary's runs, min(sigma, 0) is sigma and max(sigma, 0) is +0.0 on
-    every atom, so M+ = exp(-0.0) = 1: phi(sigma) is 1 - sigma, phi(-sigma)
-    is M-, the density's a+ dot is the run constant dot(a+, 1) and u+ is a+
-    itself. Each value left is the same IEEE operation on the same inputs as
-    on the general path, so both paths give the same bits.
+    whichever state of the run wrote it. The safe row 1 - risky gives the
+    risky mass and zeroes the weights. With no atom risky and every score
+    negative, as in the heavy-hitter adversary's runs, the safe row is all
+    ones, so the risky mass is the run constant 1 - dot(p, 1) and no weight
+    changes; min(sigma, 0) is sigma and max(sigma, 0) is +0.0 on every atom,
+    so M+ = exp(-0.0) = 1: phi(sigma) is 1 - sigma, phi(-sigma) is M-, the
+    density's a+ dot is the run constant dot(a+, 1) and u+ is a+ itself.
+    Each value left is the same IEEE operation on the same inputs as on the
+    general path, so both paths give the same bits.
 
     What a method returns from the workspace stays valid only as follows;
     copy what must live longer, as boost() copies the final scores.
@@ -355,10 +355,6 @@ class ScoreState:
     def sample_scores(self, sample: LabeledSample) -> np.ndarray:
         return self.sigma[sample.idx]
 
-    def support_scores(self, dist: FiniteMassartDist) -> Tuple[np.ndarray, np.ndarray]:
-        """sigma and its risky mask; dist is this state's own support."""
-        return self.sigma, self._risky()
-
     def values(self, h: Callable) -> np.ndarray:
         """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
         v = h(self.dist.xs)
@@ -412,15 +408,12 @@ class ScoreState:
         np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
         np.subtract(m_plus, lo, out=phi)
         potential = float(np.dot(self._a_plus, phi) + pot_minus)
-        if risky.any():
-            safe = np.subtract(1.0, risky, out=phi)
-            risky_mass = 1.0 - float(np.dot(self.dist.p, safe))
-            # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
-            if self.withhold:
-                np.multiply(m_plus, safe, out=m_plus)
-                np.multiply(m_minus, safe, out=m_minus)
-        else:
-            risky_mass = self._risky_mass_none
+        safe = np.subtract(1.0, risky, out=phi)
+        risky_mass = 1.0 - float(np.dot(self.dist.p, safe))
+        # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
+        if self.withhold:
+            np.multiply(m_plus, safe, out=m_plus)
+            np.multiply(m_minus, safe, out=m_minus)
         # density and potential share the dot structure so the pointwise
         # mu <= phi inequality survives float accumulation; each dot runs
         # next to the product that reads the same two rows, while they are
@@ -594,12 +587,12 @@ def over_confident(
     Stage 1 checks whether the risky mass Pr[|G(x)| >= s] exceeds epsilon/4;
     if not, returns False. Stage 2 compares the misclassification rate of
     sign(G) conditioned on the risky set against eta + 3*epsilon/4. In
-    exact-oracle mode both stages use exact expectations over the support.
+    exact-oracle mode the scorer is the run's ScoreState and both stages
+    use exact expectations over its support.
     """
     s = scorer.s
     if params.mode == MODE_EXACT:
-        dist = oracle.source
-        scores, risky = scorer.support_scores(dist)
+        dist, scores, risky = oracle.source, scorer.sigma, scorer._risky()
         if not risky.any():
             return False
         p_risky = dist.p[risky]

@@ -9,8 +9,8 @@ all, so a config that parses is one that runs. For each seed the runner
 builds a fresh oracle and RNG stream, boosts, evaluates the final hypothesis
 exactly on the finite support, and aggregates success statistics. A seed
 whose run stops early keeps the rounds it completed and is evaluated on
-them. (config, seed) fully determines a run; reruns write byte-identical
-outputs.
+them. (config, seed) fully determines a run; reruns on the same machine,
+numpy build and BLAS thread count write byte-identical outputs.
 
 Outputs: summary.json with aggregate and per-seed fields, and one
 round_trace_<seed>.csv per seed in the booster's trace schema.

@@ -65,17 +65,12 @@ class SampleScorer(Protocol):
 
     A Measure scores a sample through its point function, g(sample.xs); the
     booster's ScoreState reads its per-atom scores at sample.idx.
-    support_scores returns the scores of every atom of a finite support, in
-    atom order, with the mask of the risky set |score| >= s: a Measure
-    evaluates g(dist.xs), a ScoreState returns its sigma and cached mask.
     """
 
     s: float
     withhold: bool
 
     def sample_scores(self, sample: LabeledSample) -> np.ndarray: ...
-
-    def support_scores(self, dist: FiniteMassartDist) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -96,13 +91,6 @@ class Measure:
 
     def sample_scores(self, sample: LabeledSample) -> np.ndarray:
         return self.scores(sample.xs)
-
-    def support_scores(self, dist: FiniteMassartDist) -> tuple[np.ndarray, np.ndarray]:
-        scores = self.scores(dist.xs)
-        return scores, np.abs(scores) >= self.s
-
-    def weight(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _mu_from_scores(self.scores(xs), ys, self.s, self.withhold)
 
 
 def _mu_from_scores(scores: np.ndarray, ys: np.ndarray, s: float, withhold: bool) -> np.ndarray:

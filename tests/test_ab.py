@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from ab import quartiles, summarize  # noqa: E402
+from ab import quartiles, summarize, verdict  # noqa: E402
 
 PARENT = {"norm_cpu_s": [10.0, 11.0, 12.0, 13.0, 14.0], "success_fraction": [1.0] * 5, "score": [1, 2, 3, 4, 5]}
 CHANGE = {"norm_cpu_s": [9.0, 9.5, 12.5, 10.0, 15.0], "success_fraction": [1.0] * 5, "score": [2, 1, 4, 4, 6]}
@@ -33,3 +33,24 @@ def test_summary_of_fixed_pairs():
 
 def test_unlisted_metric_is_better_lower():
     assert summarize(PAIRS, {})["score"]["wins"] == 1  # only pair 2 is lower
+
+
+@pytest.mark.parametrize(
+    "parent,change,better,want",
+    [
+        # median 12 -> 15.5, worse by 29% of 12 against a bound of 25%
+        ([11.5, 12.0, 12.0, 12.0, 12.5], [15.0, 15.5, 15.5, 15.5, 16.0], "lower", "regressed"),
+        # higher is better: 1.0 -> 0.7 is worse by 30%
+        ([1.0] * 5, [0.7] * 5, "higher", "regressed"),
+        # the parent's IQR, 4 of median 12, exceeds the bound's 3, and the runs overlap
+        ([8.0, 10.0, 12.0, 14.0, 16.0], [9.0, 11.0, 12.5, 13.0, 15.0], "lower", "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([8.0, 10.0, 12.0, 14.0, 16.0], [4.0, 5.0, 6.0, 7.0, 7.5], "lower", "within bound"),
+        # worse by 20% of the median, inside the bound, with a narrow parent
+        ([11.9, 12.0, 12.0, 12.0, 12.1], [14.0, 14.4, 14.4, 14.4, 14.5], "lower", "within bound"),
+        ([3.0] * 5, [3.0] * 5, "lower", "within bound"),
+    ],
+    ids=["worse-median", "worse-higher", "wide-parent", "wide-parent-all-beaten", "inside-bound", "equal"],
+)
+def test_verdict_of_fixed_runs(parent, change, better, want):
+    assert verdict(parent, change, better, 0.25) == want

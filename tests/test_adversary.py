@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from massboost import HardDistSpec, RudeWeakLearner, hard_distribution
-from massboost.adversary import RhoOutOfRange, biased_labels, exsim_batch, wkl_rude
+from massboost.adversary import RhoOutOfRange, _match_rows, biased_labels, wkl_rude
 from massboost.core import LabeledSample
-
-# chi-square critical value, df = 19, upper tail 0.001
-CHI2_19_999 = 43.82
-
 
 def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7, n=64):
     return HardDistSpec(n=n, eta=eta, alpha=alpha, rho=rho, seed=seed)
@@ -117,33 +113,6 @@ class TestHardDistribution:
         assert np.array_equal(a.f, b.f) and np.array_equal(a.eta, b.eta)
 
 
-class TestExSim:
-    def test_label_probability_formula(self):
-        s = spec(eta=0.1, alpha=0.2, rho=1e-4)
-        p_minus = 1.0 - s.eta_prime - s.rho + s.rho * s.eta
-        assert math.isclose(p_minus, 0.89591, abs_tol=5e-6)
-        batch = exsim_batch(s, np.random.default_rng(0), 200_000)
-        assert abs(np.mean(batch.ys == -1) - p_minus) < 0.004
-
-    def test_rho_zero_reduces_to_eta_prime(self):
-        s = spec(rho=0.0)
-        batch = exsim_batch(s, np.random.default_rng(1), 100_000)
-        assert abs(np.mean(batch.ys == 1) - s.eta_prime) < 0.004
-
-    def test_marginal_uniform_chi_square(self):
-        s = spec(n=16)
-        batch = exsim_batch(s, np.random.default_rng(2), 100_000)
-        bins = np.floor(batch.xs[:, 0] / 2**16 * 20).astype(int)
-        counts = np.bincount(bins, minlength=20)
-        expected = len(batch) / 20
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        assert chi2 < CHI2_19_999
-        # labels independent of x: conditional label rates agree across halves
-        low = batch.ys[batch.xs[:, 0] < 2**15]
-        high = batch.ys[batch.xs[:, 0] >= 2**15]
-        assert abs(np.mean(low == 1) - np.mean(high == 1)) < 0.01
-
-
 def atom_source(masses, plus_probs, seed):
     """Sample source over indexed atoms with given +1 label probabilities."""
     masses = np.asarray(masses, dtype=np.float64)
@@ -228,11 +197,10 @@ class TestWklRude:
         assert adv >= learner.gamma
 
 
-class TestExSimSingle:
-    def test_single_example_shape(self):
-        s = spec(n=16)
-        rng = np.random.default_rng(0)
-        ex = exsim_batch(s, rng, 1)
-        assert ex.xs.shape == (1, 1) and ex.ys.shape == (1,)
-        assert ex.ys[0] in (-1, 1)
-        assert 0 <= ex.xs[0, 0] < 2**16
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: _match_rows searches a byte order that np.unique(axis=0) does not sort by",
+)
+def test_match_rows_finds_every_candidate_in_itself():
+    candidates = np.unique([[1.0], [2.0], [3.0]], axis=0)
+    assert _match_rows(candidates, candidates).tolist() == [0, 1, 2]

@@ -32,6 +32,7 @@ from massboost.booster import (
     samp,
 )
 from massboost.core import sign_pm1
+from test_properties import state_at
 
 ORIGIN = np.zeros((1, 1))
 
@@ -192,40 +193,33 @@ class TestOverConfident:
         return compute_params(eta, 0.1, 0.05, epsilon, 0.1, mode=mode)
 
     @staticmethod
-    def agg_with_scores(scores, s):
-        # one step of size 2h lands each atom at its target score
-        agg = AggregatedHypothesis(lam=2.0, s=s, trace=((lookup_h(np.asarray(scores) / 2.0), False),))
-        return Measure(agg.g, s)
+    def scored(dist, scores, s):
+        return state_at(dist, 0.1, s, True, scores)
 
     def test_small_risky_mass_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
         oracle = MassartOracle(dist, rng_seed=0)
-        agg = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params()) is False
+        assert over_confident(oracle, self.scored(dist, [1.5, 0.1], s=1.0), self.params()) is False
 
     def test_large_risky_error_returns_true(self):
         # risky mass 0.1 split between a clean and an inverted atom: error 1/2
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
         oracle = MassartOracle(dist, rng_seed=0)
-        agg = self.agg_with_scores([1.5, 1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params()) is True
+        assert over_confident(oracle, self.scored(dist, [1.5, 1.5, 0.1], s=1.0), self.params()) is True
 
     def test_small_risky_error_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.1, 0.9])
         oracle = MassartOracle(dist, rng_seed=0)
-        agg = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle, agg, self.params()) is False
+        assert over_confident(oracle, self.scored(dist, [1.5, 0.1], s=1.0), self.params()) is False
 
     def test_mc_mode_matches_exact_on_clear_cases(self):
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
-        agg = self.agg_with_scores([1.5, 1.5, 0.1], s=1.0)
         mc = self.params(mode="mc")
         oracle = MassartOracle(dist, rng_seed=77)
-        assert over_confident(oracle, agg, mc) is True
+        assert over_confident(oracle, self.scored(dist, [1.5, 1.5, 0.1], s=1.0), mc) is True
         dist2 = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
         oracle2 = MassartOracle(dist2, rng_seed=78)
-        agg2 = self.agg_with_scores([1.5, 0.1], s=1.0)
-        assert over_confident(oracle2, agg2, mc) is False
+        assert over_confident(oracle2, self.scored(dist2, [1.5, 0.1], s=1.0), mc) is False
 
 
 class TestRepeatWeakLearner:

@@ -12,6 +12,8 @@ from massboost import (
     phi_point,
     reweighted_noise_rates,
 )
+from massboost.core import LabeledSample
+from massboost.measure import sample_weights
 
 S_DEFAULT = 1.79
 POINT = np.zeros((1, 1))
@@ -49,24 +51,29 @@ class TestMWeight:
         assert np.allclose(m_weight(v), [1.0, 1.0, math.exp(-0.5)])
 
 
+def weight(measure, xs, ys):
+    """mu(x, y) of each pair, as rejection sampling computes it."""
+    return sample_weights(measure, LabeledSample(xs, np.asarray(ys, dtype=np.int8)))
+
+
 class TestMuWeight:
     def test_positive_margin(self):
         m = Measure(const_g(0.3), s=S_DEFAULT)
-        assert math.isclose(m.weight(POINT, [1])[0], math.exp(-0.3), rel_tol=1e-15)
+        assert math.isclose(weight(m, POINT, [1])[0], math.exp(-0.3), rel_tol=1e-15)
 
     def test_negative_margin_full_weight(self):
         m = Measure(const_g(0.3), s=S_DEFAULT)
-        assert m.weight(POINT, [-1])[0] == 1.0
+        assert weight(m, POINT, [-1])[0] == 1.0
 
     def test_withheld_point_zero_both_labels(self):
         m = Measure(const_g(2.0), s=S_DEFAULT)
-        assert m.weight(POINT, [1])[0] == 0.0
-        assert m.weight(POINT, [-1])[0] == 0.0
+        assert weight(m, POINT, [1])[0] == 0.0
+        assert weight(m, POINT, [-1])[0] == 0.0
 
     def test_ablated_measure_skips_cutoff(self):
         m = Measure(const_g(2.0), s=S_DEFAULT, withhold=False)
-        assert m.weight(POINT, [1])[0] == math.exp(-2.0)
-        assert m.weight(POINT, [-1])[0] == 1.0
+        assert weight(m, POINT, [1])[0] == math.exp(-2.0)
+        assert weight(m, POINT, [-1])[0] == 1.0
 
 
 class TestExactDensity:
@@ -182,7 +189,7 @@ class TestInvariants:
             g = lookup_g(scores)
             m = Measure(g, s=rng.uniform(0.5, 2.5))
             for y in (1, -1):
-                w = m.weight(dist.xs, np.full(dist.n_atoms, y))
+                w = weight(m, dist.xs, np.full(dist.n_atoms, y))
                 phi = phi_point(y * scores)
                 assert np.all(w >= 0.0)
                 assert np.all(w <= phi + 1e-15)
@@ -209,8 +216,8 @@ class TestInvariants:
 
     def test_full_weight_exactly_on_misclassified_safe_points(self):
         m = Measure(const_g(0.4), s=1.0)
-        assert m.weight(POINT, [-1])[0] == 1.0  # sign(g) != y, |g| < s
-        assert m.weight(POINT, [1])[0] < 1.0
+        assert weight(m, POINT, [-1])[0] == 1.0  # sign(g) != y, |g| < s
+        assert weight(m, POINT, [1])[0] < 1.0
 
     def test_weight_monotone_in_margin(self):
         v = np.linspace(-2, 2, 101)

@@ -15,7 +15,8 @@ each side's median and quartiles, the change of the median, and the number
 of pairs in which the change is better, using the direction BENCHMARK.json
 declares (lower is better for a metric it does not list). The quartiles
 interpolate linearly between order statistics (statistics.quantiles,
-method "inclusive").
+method "inclusive"). Last, for each metric BENCHMARK.json bounds, it prints
+the bound and a no-regression verdict (see verdict).
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def summarize(pairs: List[Pair], better: Dict[str, str]) -> Dict[str, dict]:
     return out
 
 
+def verdict(parent: List[float], change: List[float], better: str, bound: float) -> str:
+    """Whether the change regresses one metric, against a bound relative to the parent's median.
+
+    "regressed": the change's median is worse than the parent's by more
+    than bound times the parent's median. "unresolved": the parent's IQR
+    exceeds that much, and not every change run is better than every parent
+    run, so the runs cannot tell. "within bound" otherwise.
+    """
+    sign = -1.0 if better == "higher" else 1.0
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    allowed = bound * abs(pm)
+    if sign * (cm - pm) > allowed:
+        return "regressed"
+    if p3 - p1 > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def extract(ref: str, dest: Path) -> None:
     """The committed files of ref, written under dest."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", ref], stdout=subprocess.PIPE)
@@ -87,9 +106,9 @@ def run_once(tree: Path, workload: str, seed: int) -> Dict[str, float]:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def directions() -> Dict[str, str]:
-    """Each end-to-end metric's better direction, as BENCHMARK.json declares it."""
-    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+def end_to_end() -> Dict[str, dict]:
+    """BENCHMARK.json's entry of each end-to-end metric, with its better direction and bound."""
+    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -113,7 +132,8 @@ def main(argv=None) -> int:
             cells = " ".join(f"{k}={p:.6g}/{runs[ROOT][k]:.6g}" for k, p in runs[parent_tree].items())
             print(f"pair {i + 1} ({'parent' if parent_first else 'change'} first): {cells}", flush=True)
     print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs, parent {args.parent} / change (working tree):")
-    for name, s in summarize(pairs, directions()).items():
+    rules = end_to_end()
+    for name, s in summarize(pairs, {k: m["better"] for k, m in rules.items()}).items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         moved = f"change better in {s['wins']} of {len(pairs)}"
         if s["median_change"] is not None:
@@ -122,6 +142,10 @@ def main(argv=None) -> int:
             moved = "equal in every pair"
         print(f"  {name}: median {pm:.6g} [{p1:.6g}, {p3:.6g}] / {cm:.6g} [{c1:.6g}, {c3:.6g}], "
               f"parent IQR {s['parent_iqr']:.4g}; {moved}")
+    for name, m in rules.items():
+        if name in pairs[0][0]:
+            parent, change = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
+            print(f"  verdict {name} (bound {m['bound']:g}): {verdict(parent, change, m['better'], m['bound'])}")
     return 0
 
 
