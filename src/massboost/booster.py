@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from .core import FiniteMassartDist, LabeledSample, MassartOracle, sign_pm1
+from .core import FiniteMassartDist, LabeledSample, MassartOracle, label_errors, sign_pm1
 from .measure import SampleScorer, sample_weights
 
 __all__ = [
@@ -270,17 +270,21 @@ class ScoreState:
     and _step_scores is elementwise. sample_scores reads sigma at the atom
     index every oracle draw carries, so no draw replays the trace.
 
-    stats() computes a state's exact statistics on first use; each is a dot
-    product of per-atom weights with the joint label masses
-    a+ = P(x, y = +1) and a- = P(x, y = -1).
+    stats() computes a state's exact statistics on first use. Density and
+    potential are dot products of per-atom weights with the joint label
+    masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
+    core.label_errors of sign(sigma), as summary.json's are of the final
+    scores; the risky mass is p[risky].sum(), as over_confident takes it.
 
     The states stepped from one constructed state share its workspace, eight
     per-atom float rows and four per-atom bool rows allocated once, and write
     every per-atom float temporary into them, so a round of boost()
-    allocates no float array of n_atoms elements. The float rows are two
+    allocates no float array of n_atoms elements; only the risky mass and
+    over_confident gather the masses of the risky atoms. The float rows are two
     score rows, the values row, the u_diff row (scratch until stats() writes
     u_diff into it) and four scratch rows; the bool rows are two risky mask
-    rows, a scratch row for the sign mask sigma >= 0 and the memo's row.
+    rows, a scratch row for the sign mask sigma >= 0 (then for the mask of
+    wrong signs) and the memo's row.
 
     Some statistics depend on a mask alone, and from round to round the masks
     rarely change, so stats() skips the work a mask makes constant. lerr and
@@ -288,10 +292,9 @@ class ScoreState:
     them, keyed by the contents of the sign mask they were computed for: the
     memo copies that mask into its own row, never into a row a step
     overwrites, and a state whose mask has the same contents reads the memo,
-    whichever state of the run wrote it. The safe row 1 - risky gives the
-    risky mass and zeroes the weights. With no atom risky and every score
-    negative, as in the heavy-hitter adversary's runs, the safe row is all
-    ones, so the risky mass is the run constant 1 - dot(p, 1) and no weight
+    whichever state of the run wrote it. The safe row 1 - risky zeroes the
+    weights. With no atom risky and every score negative, as in the
+    heavy-hitter adversary's runs, the risky mass is 0.0 and no weight
     changes; min(sigma, 0) is sigma and max(sigma, 0) is +0.0 on every atom,
     so M+ = exp(-0.0) = 1: phi(sigma) is 1 - sigma, phi(-sigma) is M-, the
     density's a+ dot is the run constant dot(a+, 1) and u+ is a+ itself.
@@ -327,13 +330,9 @@ class ScoreState:
         self._buf = 0
         self.sigma = self._score_rows[0]
         self._risky_mask: Optional[np.ndarray] = None
-        f_plus = dist.f == 1
+        self._f_plus = f_plus = dist.f == 1
         self._a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
         self._a_minus = dist.p - self._a_plus
-        self._b_label = self._a_plus - self._a_minus
-        self._p_times_f = dist.p * dist.f
-        self._prob_plus = float(self._a_plus.sum())
-        self._prob_f_plus = float(dist.p[f_plus].sum())
         # an atom without mass on its flipped label has noise rate exactly 0,
         # so rates are computed on the others only: first those with f = +1,
         # then those with f = -1
@@ -342,9 +341,7 @@ class ScoreState:
         self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
         self._n_noisy_plus = len(noisy_plus)
         self._den_pos = np.empty(len(self._noisy), dtype=bool)
-        ones = np.ones(n)
-        self._risky_mass_none = 1.0 - float(np.dot(dist.p, ones))
-        self._d_plus_one_signed = np.dot(self._a_plus, ones)  # a dot, as the general path takes it, not a sum
+        self._d_plus_one_signed = np.dot(self._a_plus, np.ones(n))  # a dot, as the general path takes it, not a sum
         # at G = 0 every weight is exactly 1, so density and potential are the
         # total mass; it is summed, not dotted, and round 1's recorded
         # pre-round values and advantage carry those bits
@@ -408,10 +405,10 @@ class ScoreState:
         np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
         np.subtract(m_plus, lo, out=phi)
         potential = float(np.dot(self._a_plus, phi) + pot_minus)
-        safe = np.subtract(1.0, risky, out=phi)
-        risky_mass = 1.0 - float(np.dot(self.dist.p, safe))
+        risky_mass = float(self.dist.p[risky].sum())
         # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
         if self.withhold:
+            safe = np.subtract(1.0, risky, out=phi)
             np.multiply(m_plus, safe, out=m_plus)
             np.multiply(m_minus, safe, out=m_minus)
         # density and potential share the dot structure so the pointwise
@@ -433,7 +430,7 @@ class ScoreState:
         potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
         u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
         density = float(self._d_plus_one_signed + pot_minus)
-        return self._finish_stats(density, potential, self._risky_mass_none, self._a_plus, u_minus, sign)
+        return self._finish_stats(density, potential, 0.0, self._a_plus, u_minus, sign)
 
     def _finish_stats(self, density: float, potential: float, risky_mass: float, u_plus: np.ndarray,
                       u_minus: np.ndarray, sign: np.ndarray) -> ExactStats:
@@ -457,11 +454,8 @@ class ScoreState:
         memo = self._sign_memo
         if memo.errors is None or np.not_equal(now, memo.sign, out=now).any():  # the test spends now
             np.greater_equal(self.sigma, 0.0, out=memo.sign)
-            pred_pos = np.greater_equal(self.sigma, 0.0, out=self._t4)
-            memo.errors = (
-                self._prob_plus - float(np.dot(self._b_label, pred_pos)),
-                self._prob_f_plus - float(np.dot(self._p_times_f, pred_pos)),
-            )
+            wrong = np.not_equal(memo.sign, self._f_plus, out=now)  # sign(sigma) != f
+            memo.errors = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
         return memo.errors
 
     def _max_noise_rate(self, u_plus: np.ndarray, u_minus: np.ndarray) -> float:
@@ -470,10 +464,11 @@ class ScoreState:
         if k == 0:
             return 0.0
         num, den = self._t3[:k], self._t4[:k]
-        np.take(u_plus, self._noisy, out=den)
-        np.take(u_minus, self._noisy, out=num)  # the flipped label of f = +1 is -1
+        # mode="clip" moves no in-range index, and unlike "raise" it buffers no copy of out
+        np.take(u_plus, self._noisy, out=den, mode="clip")
+        np.take(u_minus, self._noisy, out=num, mode="clip")  # the flipped label of f = +1 is -1
         np.add(den, num, out=den)
-        np.take(u_plus, self._noisy[kp:], out=num[kp:])  # and that of f = -1 is +1
+        np.take(u_plus, self._noisy[kp:], out=num[kp:], mode="clip")  # and that of f = -1 is +1
         np.divide(num, den, out=num, where=np.greater(den, 0.0, out=self._den_pos))
         return float(num.max())
 
@@ -599,9 +594,8 @@ def over_confident(
         pr_risky = float(p_risky.sum())
         if pr_risky <= params.epsilon / 4.0:
             return False
-        eta = dist.eta[risky]
-        perr = np.where(sign_pm1(scores[risky]) == dist.f[risky], eta, 1.0 - eta)
-        cond_err = float(np.dot(p_risky, perr)) / pr_risky
+        wrong = sign_pm1(scores[risky]) != dist.f[risky]
+        cond_err = label_errors(p_risky, dist.eta[risky], wrong)[0] / pr_risky
         return cond_err >= params.eta + 3.0 * params.epsilon / 4.0
 
     n1 = int(math.ceil(params.sample_scale * 32.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))

@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
     "exact_advantage",
     "exact_ferr",
     "exact_lerr",
-    "ferr_of_labels",
-    "lerr_of_labels",
+    "label_errors",
     "dump_dist",
     "load_dist",
     "make_massart",
@@ -188,32 +187,35 @@ def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
 # -- exact metrics ------------------------------------------------------------
 
 
+def label_errors(p: np.ndarray, eta: np.ndarray, wrong: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """lerr and ferr of a labeling that disagrees with f on the atoms of the bool mask wrong.
+
+    On atoms of masses p and flip probabilities eta, lerr is the sum of
+    p * (1 - eta if wrong else eta) and ferr that of p * wrong. out is a
+    scratch float row of wrong's length; None allocates one.
+    """
+    row = np.empty(len(p)) if out is None else out
+    np.copyto(row, wrong)
+    ferr = float(np.dot(p, row))
+    np.copyto(row, eta)
+    np.subtract(1.0, eta, out=row, where=wrong)
+    return float(np.dot(p, row)), ferr
+
+
 def exact_lerr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact misclassification probability of a hypothesis under the joint distribution."""
-    return lerr_of_labels(dist, predict_labels(hypothesis, dist.xs))
+    return label_errors(dist.p, dist.eta, predict_labels(hypothesis, dist.xs) != dist.f)[0]
 
 
 def exact_ferr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact disagreement probability with the true labeling under the marginal."""
-    return ferr_of_labels(dist, predict_labels(hypothesis, dist.xs))
-
-
-def lerr_of_labels(dist: FiniteMassartDist, labels: np.ndarray) -> float:
-    """exact_lerr of a classifier given by its {-1,+1} label on each atom."""
-    wrong_clean = (labels != dist.f).astype(np.float64)
-    return float(np.dot(dist.p, wrong_clean * (1.0 - dist.eta) + (1.0 - wrong_clean) * dist.eta))
-
-
-def ferr_of_labels(dist: FiniteMassartDist, labels: np.ndarray) -> float:
-    """exact_ferr of a classifier given by its {-1,+1} label on each atom."""
-    return float(np.dot(dist.p, (labels != dist.f).astype(np.float64)))
+    return label_errors(dist.p, dist.eta, predict_labels(hypothesis, dist.xs) != dist.f)[1]
 
 
 def exact_advantage(dist: FiniteMassartDist, hypothesis) -> float:
-    """Exact correlation advantage (1/2) E[h(x) y], equal to 1/2 - exact_lerr."""
-    hv = predict_labels(hypothesis, dist.xs).astype(np.float64)
-    ey = dist.f * (1.0 - 2.0 * dist.eta)  # E[y | x]
-    return 0.5 * float(np.dot(dist.p, hv * ey))
+    """Exact correlation advantage (1/2) E[sign h(x) y], which is 1/2 - exact_lerr."""
+    return 0.5 - exact_lerr(dist, hypothesis)
 
 
 # -- oracles ------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .adversary import HardDistSpec, RudeWeakLearner, hard_distribution
 from .booster import BoostFailure, BoostParams, FixedHypothesisWeakLearner, RunTrace, boost, compute_params
-from .core import FiniteMassartDist, MassartOracle, ferr_of_labels, lerr_of_labels, load_dist, sign_pm1
+from .core import FiniteMassartDist, MassartOracle, label_errors, load_dist, sign_pm1
 from .rectangles import BoxWeakLearner, Rectangle, RectangleUnion
 
 __all__ = [
@@ -340,14 +340,14 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         error = f"{type(exc).__name__}: {exc}"
         trace = exc.trace
 
-    labels = sign_pm1(trace.scores)
+    lerr, ferr = label_errors(dist.p, dist.eta, sign_pm1(trace.scores) != dist.f)
     rates = [r.max_noise_rate for r in trace.rows if r.max_noise_rate is not None]
     return SeedResult(
         seed=seed,
         ok=not error,
         error=error,
-        lerr=lerr_of_labels(dist, labels),
-        ferr=ferr_of_labels(dist, labels),
+        lerr=lerr,
+        ferr=ferr,
         rounds=trace.rounds,
         total_draws=oracle.draws,
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),

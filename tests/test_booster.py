@@ -394,10 +394,13 @@ class TestBoost:
 
 
 def test_exact_round_allocates_no_per_atom_array():
-    """A steady-state exact round keeps its per-atom temporaries in the state's workspace.
+    """Exact rounds keep their per-atom temporaries in the state's workspace.
 
-    The constant hypothesis's own output is one row of n floats; the bound
-    allows two, where the allocating round peaked at about 13.
+    The hypotheses return rows built beforehand, so nothing but the round's
+    own code could allocate a float array of n elements; the allocating
+    round peaked at about 13 of them. The first two measured rounds change
+    the sign mask, so lerr and ferr are computed anew (on the general path,
+    then on the one-signed one); the third keeps it and reads the memo.
     """
     n = 100_000
     f = np.where(np.arange(n) % 3 == 0, 1, -1)
@@ -405,11 +408,11 @@ def test_exact_round_allocates_no_per_atom_array():
                              np.full(n, 0.1), 0.1)
     params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
     oracle = MassartOracle(dist, rng_seed=0)
-    minus_one = const_h(-1.0)
+    minus, plus = np.full(n, -1.0), np.full(n, 1.0)
 
-    def one_round(state):
+    def one_round(state, values):
         state.stats()
-        hv = state.values(minus_one)
+        hv = state.values(lambda xs: values)
         state.advantage(hv)
         nxt = state.step(hv, False)
         over_confident(oracle, nxt, params)
@@ -417,16 +420,21 @@ def test_exact_round_allocates_no_per_atom_array():
         return nxt
 
     state = ScoreState(dist, params.lam, params.s, True)
-    for _ in range(3):
-        state = one_round(state)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        one_round(state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2 * 8 * n
+    for values in (minus, minus, plus):  # every score ends at -lam; each step is exact
+        state = one_round(state, values)
+    peaks, scores = [], []
+    for values in (plus, minus, minus):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            state = one_round(state, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - base)
+        scores.append(float(state.sigma[0]))
+    assert scores == [0.0, -params.lam, -2.0 * params.lam]  # sign masks all True, all False, all False
+    assert max(peaks) < 8 * n
 
 
 class TestConditionalBudget:

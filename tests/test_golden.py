@@ -7,14 +7,16 @@ writes (summary.json and each round_trace_<seed>.csv) against the digests
 below. A further digest, 'records', covers every RoundRecord field of every
 seed, including those no output file carries (d_exact_pre, phi_pre,
 adv_exact, max_noise_rate, risky_mass). A change that moves any per-round
-float, draw count or summary field fails here. Re-record only when outputs
-change on purpose, and say so in CHANGES.md:
+float, draw count or summary field fails here. In each exact slice, every
+seed's last trace row must also carry the lerr and ferr of its summary.json.
+Re-record only when outputs change on purpose, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import dataclasses
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -35,9 +37,9 @@ SLICES = {
 GOLDEN = {
     ('rect', 'exact-oracle'): {
         'summary.json': '0795fea1bd9d9a15b6b67a397a3706eb649b1a24b9c9e128c2b7ac3072a5abca',
-        'round_trace_0.csv': '5b9e2736c6d04274650be152a1714e61a80317407042beedc2905d378cfbc404',
-        'round_trace_1.csv': 'ca22d308f65f1a5327bb2eb5d033a1e7a7fabdd1f660177d2a9146d19b0a2e3e',
-        'records': '66f14e852870656886297d759969253c7e8f666e188eb2e1026e3debb8228890',
+        'round_trace_0.csv': '4138831d6f91ec4b2935f6377b39ccc33ad87959af8728cc7471e008f6dc4308',
+        'round_trace_1.csv': '5736bf45dd5b80e3367d1cde06c1c523a8133ad2c545cf806cff0ddebd5b326f',
+        'records': '320b89b22588099353c15bded30a6e471605c6a9d67f7ef19af0fa6bffc0924e',
     },
     ('rect', 'monte-carlo'): {
         'summary.json': '5bd8912405e85ddd9a40425c10796164f69d276d1a3653f48d8f48f6c911364f',
@@ -47,9 +49,9 @@ GOLDEN = {
     },
     ('hard', 'exact-oracle'): {
         'summary.json': '0bbe8e3b09286203d692bd76c30874ea1d3b19148dfdda3c1bc8b7ba94badc82',
-        'round_trace_0.csv': '345b8597ef033676a382a869a3037e2c84e22da8a6af01be8fea07825e080328',
-        'round_trace_1.csv': 'b9c6225a915e9b001257158e23b5efac0c0dc69ceaa748fabe98b11bf2144c04',
-        'records': '3def4ee8ecaedba74f34a32039f8a2227f41cec20930f128521943db3d3d1872',
+        'round_trace_0.csv': 'a968f0e635cb17f73e6865992ba039d163eb20d939144d175b1e5652da166cc2',
+        'round_trace_1.csv': '36c7c9b1520f25e80bd536d6710f43537a3de4dc6013ea6349c52dd24ee23086',
+        'records': 'e0d8ee351cfd489c1cb77da35f5fa89bbdfde3971cec71479a52ca9ab183ec61',
     },
     ('hard', 'monte-carlo'): {
         'summary.json': 'f4cb7763ff50001f34788385b0aa519f23aa71327cc8b2d280110edbc789f114',
@@ -80,9 +82,36 @@ def run_slice(name: str, mode: str, out_dir: Path) -> dict:
     return digests
 
 
+@pytest.fixture(scope="module")
+def slice_outputs(tmp_path_factory):
+    """run_slice's digests and output directory of a (name, mode), each slice run once."""
+    done = {}
+
+    def get(name: str, mode: str):
+        if (name, mode) not in done:
+            out = tmp_path_factory.mktemp(f"{name}-{mode}")
+            done[(name, mode)] = run_slice(name, mode, out), out
+        return done[(name, mode)]
+
+    return get
+
+
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN))
-def test_golden_fingerprints(name, mode, tmp_path):
-    assert run_slice(name, mode, tmp_path) == GOLDEN[(name, mode)]
+def test_golden_fingerprints(name, mode, slice_outputs):
+    assert slice_outputs(name, mode)[0] == GOLDEN[(name, mode)]
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_last_trace_row_matches_summary(name, slice_outputs):
+    """The exact errors of a seed's last round are those summary.json reports for its final scores."""
+    out = slice_outputs(name, "exact-oracle")[1]
+    seeds = json.loads((out / "summary.json").read_text())["seeds"]
+    assert [seed["seed"] for seed in seeds] == [0, 1]
+    for seed in seeds:
+        lines = (out / seed["trace_file"]).read_text().splitlines()
+        last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        want = (format(seed["lerr"], ".17g"), format(seed["ferr"], ".17g"))
+        assert (last["lerr_exact"], last["ferr_exact"]) == want, seed["seed"]
 
 
 if __name__ == "__main__":

@@ -5,25 +5,32 @@ statistics, the score update and the exact over-confidence decision. Here
 every ExactStats field, u_diff, both stepped score vectors and the decision
 must have the same bytes as the reference on random finite distributions,
 starting from adversarial scores: signed zeros, the threshold s and its
-neighbours, tiny and huge magnitudes and multiples of the step size. States
-with every score in (-s, 0), for which stats() skips what the masks make
-constant, are drawn on their own, with steps that leave them and return.
+neighbours, tiny and huge magnitudes and multiples of the step size. lerr,
+ferr and the risky mass are the exceptions: each must have the bytes of its
+one formula, core.label_errors of sign(sigma) and p[|sigma| >= s].sum(),
+which summary.json and over_confident use too. States with every score in
+(-s, 0), for which stats() skips what the masks make constant, are drawn on
+their own, with steps that leave them and return.
 """
 
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massboost import FiniteMassartDist, MassartOracle, compute_params
+from massboost import FiniteMassartDist, MassartOracle, compute_params, load_config
 from massboost.booster import ScoreState, over_confident
+from massboost.core import label_errors, sign_pm1
+from massboost.harness import build_instance
 from score_state_reference import ScoreStateReference, over_confident_reference
 from test_properties import finite_dists, state_at
 
 EXACT = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @st.composite
@@ -41,7 +48,11 @@ def hypothesis_values(n: int):
     return st.lists(element, min_size=n, max_size=n).map(lambda v: np.asarray(v, dtype=np.float64))
 
 
-def assert_stats_equal(got, want):
+def assert_stats_equal(got, ref):
+    """got has the bytes of ref's stats, with lerr, ferr and the risky mass of their one formula each."""
+    dist, sigma = ref.dist, ref.sigma
+    lerr, ferr = label_errors(dist.p, dist.eta, sign_pm1(sigma) != dist.f)
+    want = replace(ref.stats(), lerr=lerr, ferr=ferr, risky_mass=float(dist.p[np.abs(sigma) >= ref.s].sum()))
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
@@ -49,7 +60,7 @@ def assert_stats_equal(got, want):
 
 def assert_round_matches(state, ref, hv, oracle, params):
     """Statistics, over-confidence decision, advantage of hv and both steps by hv match the reference."""
-    assert_stats_equal(state.stats(), ref.stats())
+    assert_stats_equal(state.stats(), ref)
     want = over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
     assert over_confident(oracle, state, params) == want
     assert state.advantage(hv) == ref.advantage(hv)
@@ -70,7 +81,7 @@ def test_score_state_matches_reference(data):
     oracle = MassartOracle(dist, rng_seed=0)
 
     ref = ScoreStateReference(dist, lam, s, withhold)
-    assert_stats_equal(ScoreState(dist, lam, s, withhold).stats(), ref.stats())
+    assert_stats_equal(ScoreState(dist, lam, s, withhold).stats(), ref)
     scores = data.draw(adversarial_scores(n, s, lam))
     state, ref = state_at(dist, lam, s, withhold, scores), ref.at(scores)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -154,7 +165,7 @@ def test_memo_follows_mask_changes(withhold):
         hv[list(plus)], hv[list(minus)] = 1.0, -1.0
         state, ref = state.step(hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
-        assert_stats_equal(state.stats(), ref.stats())
+        assert_stats_equal(state.stats(), ref)
         assert over_confident(oracle, state, params) == over_confident_reference(dist, ref, params.eta, 0.01)
         signs.add((ref.sigma >= 0).tobytes())
         risky.add((np.abs(ref.sigma) >= 1.0).tobytes())
@@ -170,3 +181,14 @@ def test_values_of_integer_hypotheses(dtype):
     got = ScoreState(dist, 0.5, 1.0, True).values(lambda xs: values)
     want = ScoreStateReference(dist, 0.5, 1.0, True).values(lambda xs: values)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg_file", ["rect_benchmark.cfg", "hard_floor.cfg"])
+def test_empty_risky_set_has_mass_zero(cfg_file):
+    """On seed 0's instance, at G = 0 (the general path) and at G = -lam (the one-signed path), no
+    atom is risky and the risky mass is exactly 0.0, not the rounding left by 1 - dot(p, 1)."""
+    dist = build_instance(load_config(CONFIGS / cfg_file), 0)[0]
+    state = ScoreState(dist, EXACT.lam, EXACT.s, True)
+    below = state.step(np.full(dist.n_atoms, -1.0), False)
+    assert [state.stats().risky_mass, below.stats().risky_mass] == [0.0, 0.0]
+    assert (state.sigma >= 0.0).all() and (below.sigma == -EXACT.lam).all()
