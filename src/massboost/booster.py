@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -279,12 +279,12 @@ class ScoreState:
     The states stepped from one constructed state share its workspace, eight
     per-atom float rows and four per-atom bool rows allocated once, and write
     every per-atom float temporary into them, so a round of boost()
-    allocates no float array of n_atoms elements; only the risky mass and
-    over_confident gather the masses of the risky atoms. The float rows are two
-    score rows, the values row, the u_diff row (scratch until stats() writes
-    u_diff into it) and four scratch rows; the bool rows are two risky mask
-    rows, a scratch row for the sign mask sigma >= 0 (then for the mask of
-    wrong signs) and the memo's row.
+    allocates no float array of n_atoms elements; only the risky mass gathers
+    the masses of the risky atoms, and over_confident their indices. The
+    float rows are two score rows, the values row, the u_diff row (scratch
+    until stats() writes u_diff into it) and four scratch rows; the bool rows
+    are two risky mask rows, a scratch row for the sign mask sigma >= 0 (then
+    for the mask of wrong signs) and the memo's row.
 
     Some statistics depend on a mask alone, and from round to round the masks
     rarely change, so stats() skips the work a mask makes constant. lerr and
@@ -354,11 +354,7 @@ class ScoreState:
 
     def values(self, h: Callable) -> np.ndarray:
         """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
-        v = h(self.dist.xs)
-        if isinstance(v, np.ndarray) and v.dtype.kind == "i":  # one pass: clipped in v's dtype, then converted
-            return np.clip(v, -1, 1, out=self._hv)
-        np.copyto(self._hv, v)
-        return np.clip(self._hv, -1.0, 1.0, out=self._hv)
+        return np.clip(h(self.dist.xs), -1.0, 1.0, out=self._hv)
 
     def step(self, hv: np.ndarray, b: bool) -> "ScoreState":
         """The state after one round adding values hv, recalibrating the risky set if b."""
@@ -376,6 +372,25 @@ class ScoreState:
         if st.density > 0.0:
             return 0.5 * float(np.dot(st.u_diff, hv)) / st.density
         return None
+
+    def over_confident(self, epsilon: float, eta: float) -> bool:
+        """over_confident's exact test; the risky atoms are gathered into rows free until the next stats()."""
+        risky = self._risky()
+        if not risky.any():
+            return False
+        idx = np.flatnonzero(risky)
+        k = len(idx)
+        p = np.take(self.dist.p, idx, out=self._t2[:k], mode="clip")
+        pr_risky = float(p.sum())
+        if pr_risky <= epsilon / 4.0:
+            return False
+        eta_k = np.take(self.dist.eta, idx, out=self._t3[:k], mode="clip")
+        wrong = np.greater_equal(self.sigma, 0.0, out=self._sign_now)
+        np.copyto(self._t1, np.not_equal(wrong, self._f_plus, out=wrong))  # sign(sigma) != f, as 0.0 or 1.0
+        row = np.take(self._t1, idx, out=self._t4[:k], mode="clip")
+        wrong = np.greater(row, 0.0, out=self._sign_now[:k])  # the same mask, at the risky atoms
+        cond_err = label_errors(p, eta_k, wrong, out=row)[0] / pr_risky
+        return cond_err >= eta + 3.0 * epsilon / 4.0
 
     def _risky(self) -> np.ndarray:
         """The mask |sigma| >= s, computed on first use; clobbers the scratch row t1."""
@@ -583,20 +598,11 @@ def over_confident(
     if not, returns False. Stage 2 compares the misclassification rate of
     sign(G) conditioned on the risky set against eta + 3*epsilon/4. In
     exact-oracle mode the scorer is the run's ScoreState and both stages
-    use exact expectations over its support.
+    use exact expectations over its support (ScoreState.over_confident).
     """
     s = scorer.s
     if params.mode == MODE_EXACT:
-        dist, scores, risky = oracle.source, scorer.sigma, scorer._risky()
-        if not risky.any():
-            return False
-        p_risky = dist.p[risky]
-        pr_risky = float(p_risky.sum())
-        if pr_risky <= params.epsilon / 4.0:
-            return False
-        wrong = sign_pm1(scores[risky]) != dist.f[risky]
-        cond_err = label_errors(p_risky, dist.eta[risky], wrong)[0] / pr_risky
-        return cond_err >= params.eta + 3.0 * params.epsilon / 4.0
+        return scorer.over_confident(params.epsilon, params.eta)
 
     n1 = int(math.ceil(params.sample_scale * 32.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
     first = oracle.sample_batch(n1)
@@ -675,16 +681,16 @@ def repeat_weak_learner(
 # -- run trace ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundRecord:
-    """Per-round diagnostics; exact fields are None in Monte Carlo mode."""
+    """Per-round diagnostics and the trace CSV's columns, in order; exact fields are None in Monte Carlo mode."""
 
     round: int
     d_hat: float
-    overconfident: bool
-    raw_draws: int
     d_exact: Optional[float] = None
     phi: Optional[float] = None
+    overconfident: bool
+    raw_draws: int
     lerr_exact: Optional[float] = None
     ferr_exact: Optional[float] = None
     d_exact_pre: Optional[float] = None
@@ -702,16 +708,11 @@ class RunTrace:
     total_draws: int = 0
     scores: Optional[np.ndarray] = None  # final G on each atom; not part of the CSV
 
-    # the RoundRecord fields the CSV carries, in column order
-    CSV_FIELDS = ("round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact")
-
     def to_csv(self) -> str:
-        def cell(v) -> str:  # .17g prints an int or a bool as an integer
-            return "" if v is None else format(v, ".17g")
-
-        lines = [",".join(self.CSV_FIELDS)]
-        lines += [",".join(cell(getattr(r, name)) for name in self.CSV_FIELDS) for r in self.rows]
-        return "\n".join(lines) + "\n"
+        """A header of RoundRecord's field names, then a line a round: .17g cells, empty for None."""
+        names = [f.name for f in fields(RoundRecord)]
+        lines = [",".join("" if (v := getattr(r, n)) is None else format(v, ".17g") for n in names) for r in self.rows]
+        return "\n".join([",".join(names)] + lines) + "\n"  # .17g prints an int or a bool as an integer
 
     @property
     def rounds(self) -> int:
@@ -786,13 +787,10 @@ def boost(
             pre, state = state, (state.step(hv, True) if b_t else added)
             trace.append((h_t, b_t))
             # measure the density and record the round
-            if exact:
-                fields = _exact_fields(pre, hv, state)
-                d_hat = fields["d_exact"]
-            else:
-                fields = {}
-                d_hat = est_density(oracle, state, params)
-            run.rows.append(RoundRecord(len(trace), d_hat, b_t, oracle.draws - draws_mark, **fields))
+            exact_fields = _exact_fields(pre, hv, state) if exact else {}
+            d_hat = exact_fields["d_exact"] if exact else est_density(oracle, state, params)
+            run.rows.append(RoundRecord(round=len(trace), d_hat=d_hat, overconfident=b_t,
+                                        raw_draws=oracle.draws - draws_mark, **exact_fields))
             draws_mark = oracle.draws
     except BoostFailure as exc:
         exc.aggregated = finish()

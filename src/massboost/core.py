@@ -66,7 +66,7 @@ class BoundNotBelowHalf(ValueError):
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
     """Sign with the convention sign(0) = +1, returned as int8 labels."""
-    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
+    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
 
 
 def predict_labels(hypothesis: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
@@ -275,7 +275,7 @@ class MassartOracle:
         idx = self._atoms(self.rng.random(count))
         truth = self.source.f[idx]
         flips = self.rng.random(count) < self.source.eta[idx]
-        ys = np.where(flips, -truth, truth).astype(np.int8)
+        ys = np.where(flips, -truth, truth)  # int8, as f is
         self.draws += count
         return LabeledSample(self.source.xs[idx], ys, idx)
 

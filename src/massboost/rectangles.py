@@ -88,7 +88,7 @@ class RectangleUnion:
         inside = np.zeros(xs.shape[0], dtype=bool)
         for rect in self.rects:
             inside |= rect.contains(xs)
-        return np.where(inside, 1, -1).astype(np.int8)
+        return np.where(inside, np.int8(1), np.int8(-1))
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class BoxHypothesis:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         if self.constant_flag or self.b_best is None:
             return np.full(xs.shape[0], self.z, dtype=np.int8)
-        return np.where(self.b_best.contains(xs), -1, self.z).astype(np.int8)
+        return np.where(self.b_best.contains(xs), np.int8(-1), np.int8(self.z))
 
 
 def _majority(ys: np.ndarray) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from ab import quartiles, summarize, verdict  # noqa: E402
+from ab import quartiles, summarize, verdict, workloads  # noqa: E402
 
 PARENT = {"norm_cpu_s": [10.0, 11.0, 12.0, 13.0, 14.0], "success_fraction": [1.0] * 5, "score": [1, 2, 3, 4, 5]}
 CHANGE = {"norm_cpu_s": [9.0, 9.5, 12.5, 10.0, 15.0], "success_fraction": [1.0] * 5, "score": [2, 1, 4, 4, 6]}
@@ -54,3 +54,14 @@ def test_unlisted_metric_is_better_lower():
 )
 def test_verdict_of_fixed_runs(parent, change, better, want):
     assert verdict(parent, change, better, 0.25) == want
+
+
+def test_workload_list():
+    assert workloads("rect-exact") == ["rect-exact"]
+    assert workloads("rect-exact,hard-exact, rect-mc") == ["rect-exact", "hard-exact", "rect-mc"]
+
+
+@pytest.mark.parametrize("arg", ["", "rect-exact,", ",rect-mc", "rect-exact,,rect-mc", "rect-mc,rect-mc"])
+def test_workload_list_rejects_empty_or_repeated_names(arg):
+    with pytest.raises(ValueError):
+        workloads(arg)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from massboost.booster import (
     DegenerateThreshold,
     DrawBudgetExceeded,
     EpsilonTooSmall,
+    RoundRecord,
     ScoreState,
     density_sample_size,
     over_confident,
@@ -31,10 +32,14 @@ from massboost.booster import (
     repetition_schedule,
     samp,
 )
-from massboost.core import sign_pm1
+from massboost.core import label_errors, sign_pm1
 from test_properties import state_at
 
 ORIGIN = np.zeros((1, 1))
+# the columns of the trace CSV before it carried every RoundRecord field, and the fields Monte Carlo mode leaves None
+FIRST_COLUMNS = ["round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact"]
+EXACT_FIELDS = {"d_exact", "phi", "lerr_exact", "ferr_exact", "d_exact_pre", "phi_pre", "adv_exact", "max_noise_rate",
+                "risky_mass"}
 
 
 def const_h(v):
@@ -365,11 +370,27 @@ class TestBoost:
         _, _, _, trace = self.run_small(seed=12, n=30)
         csv = trace.to_csv()
         lines = csv.strip().split("\n")
-        assert lines[0] == "round,d_hat,d_exact,phi,overconfident,raw_draws,lerr_exact,ferr_exact"
+        header = lines[0].split(",")
+        assert header == [f.name for f in fields(RoundRecord)]
+        assert header[:8] == FIRST_COLUMNS
         assert len(lines) == trace.rounds + 1
         first = lines[1].split(",")
         assert first[0] == "1"
         assert first[2] != ""  # exact column populated in exact mode
+
+    @pytest.mark.parametrize("mode,seed", [("exact", 12), ("mc", 20)])
+    def test_trace_csv_cells_are_the_record_fields(self, mode, seed):
+        _, _, _, trace = self.run_small(seed=seed, n=30, mode=mode)
+        lines = trace.to_csv().splitlines()
+        names = lines[0].split(",")
+        assert EXACT_FIELDS <= set(names) and len(lines) == trace.rounds + 1
+        for rec, line in zip(trace.rows, lines[1:]):
+            cells = dict(zip(names, line.split(",")))
+            for name in names:
+                v = getattr(rec, name)
+                assert cells[name] == ("" if v is None else format(v, ".17g")), (rec.round, name)
+                if name in EXACT_FIELDS:
+                    assert (cells[name] == "") == (mode == "mc"), (rec.round, name)
 
     def test_density_decreases_to_kappa(self):
         _, params, _, trace = self.run_small(seed=14)
@@ -393,6 +414,14 @@ class TestBoost:
         assert trace.total_draws == sum(r.raw_draws for r in trace.rows)
 
 
+def striped_instance(n: int):
+    """n equal atoms on a line, f = +1 on every third, eta 0.1; exact-mode parameters and an oracle."""
+    f = np.where(np.arange(n) % 3 == 0, 1, -1)
+    dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n), f,
+                             np.full(n, 0.1), 0.1)
+    return dist, compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact"), MassartOracle(dist, rng_seed=0)
+
+
 def test_exact_round_allocates_no_per_atom_array():
     """Exact rounds keep their per-atom temporaries in the state's workspace.
 
@@ -403,11 +432,7 @@ def test_exact_round_allocates_no_per_atom_array():
     then on the one-signed one); the third keeps it and reads the memo.
     """
     n = 100_000
-    f = np.where(np.arange(n) % 3 == 0, 1, -1)
-    dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n), f,
-                             np.full(n, 0.1), 0.1)
-    params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
-    oracle = MassartOracle(dist, rng_seed=0)
+    dist, params, oracle = striped_instance(n)
     minus, plus = np.full(n, -1.0), np.full(n, 1.0)
 
     def one_round(state, values):
@@ -435,6 +460,41 @@ def test_exact_round_allocates_no_per_atom_array():
         scores.append(float(state.sigma[0]))
     assert scores == [0.0, -params.lam, -2.0 * params.lam]  # sign masks all True, all False, all False
     assert max(peaks) < 8 * n
+
+
+def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
+    """A round whose over-confidence test reaches its second stage allocates less than half a float row.
+
+    About a third of the scores are risky, with random signs, so the risky
+    mass is far above epsilon/4 and the conditional error near 1/2. The test
+    gathers the risky atoms into the workspace; what is left are the index
+    array of the risky atoms and stats()'s gathered risky masses, 8n/3 bytes
+    each and never alive together. The decision is that of the same formula
+    on fancy-indexed copies of the risky atoms.
+    """
+    n = 100_000
+    dist, params, oracle = striped_instance(n)
+    scores = np.random.default_rng(0).uniform(-1.5 * params.s, 1.5 * params.s, n)
+    zeros = np.zeros(n)
+    risky = np.abs(scores) >= params.s
+    p_risky = dist.p[risky]
+    cond_err = label_errors(p_risky, dist.eta[risky], sign_pm1(scores[risky]) != dist.f[risky])[0] / p_risky.sum()
+    assert 0.3 < risky.mean() < 0.4 and cond_err >= params.eta + 3.0 * params.epsilon / 4.0
+    state = state_at(dist, params.lam, params.s, True, scores)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        state.stats()
+        hv = state.values(lambda xs: zeros)
+        state.advantage(hv)
+        nxt = state.step(hv, False)
+        decision = over_confident(oracle, nxt, params)
+        nxt.stats()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decision is True
+    assert peak - base < 4 * n
 
 
 class TestConditionalBudget:

@@ -202,8 +202,10 @@ class TestEmitMetrics:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         per_seed = [s["lerr"] for s in summary["seeds"]]
         assert abs(summary["mean_lerr"] - np.mean(per_seed)) < 1e-12
-        header = (tmp_path / "out" / "round_trace_0.csv").read_text().splitlines()[0]
-        assert header == "round,d_hat,d_exact,phi,overconfident,raw_draws,lerr_exact,ferr_exact"
+        header = (tmp_path / "out" / "round_trace_0.csv").read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in dataclasses.fields(booster.RoundRecord)]
+        assert header[:8] == ["round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact",
+                              "ferr_exact"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(CONFIG_SMALL)

@@ -1,22 +1,24 @@
 """Alternating A/B runs of perfbench/run.py: a parent commit against the working tree.
 
-    python3 tools/ab.py --parent REF --workload W --pairs N [--seed S]
+    python3 tools/ab.py --parent REF --workload W[,W...] --pairs N [--seed S]
 
 Extracts the committed files of REF (`git archive`) into a temporary
-directory, removed at exit; the change side is the working tree this file
-lives in, uncommitted edits included. Each pair runs
-`python3 perfbench/run.py --workload W --seed S` once in each tree, the
-parent first in odd pairs and the change first in even ones, so a drift of
-the machine's speed during the batch falls on both sides alike. It stops
-at the first run that fails or reads `correct: false`.
+directory once, removed at exit; the change side is the working tree this
+file lives in, uncommitted edits included. Each pair runs
+`python3 perfbench/run.py --workload W --seed S` once in each tree for
+every listed workload W in turn, the parent first in odd pairs and the
+change first in even ones, so a drift of the machine's speed during the
+batch falls on both sides alike. It stops at the first run that fails or
+reads `correct: false`.
 
-It prints each pair's end-to-end metrics (parent/change), then, per metric,
-each side's median and quartiles, the change of the median, and the number
-of pairs in which the change is better, using the direction BENCHMARK.json
-declares (lower is better for a metric it does not list). The quartiles
-interpolate linearly between order statistics (statistics.quantiles,
-method "inclusive"). Last, for each metric BENCHMARK.json bounds, it prints
-the bound and a no-regression verdict (see verdict).
+It prints each pair's end-to-end metrics (parent/change), then, per
+workload and metric, each side's median and quartiles, the change of the
+median, and the number of pairs in which the change is better, using the
+direction BENCHMARK.json declares (lower is better for a metric it does not
+list). The quartiles interpolate linearly between order statistics
+(statistics.quantiles, method "inclusive"). Last, for each metric
+BENCHMARK.json bounds, it prints the bound and a no-regression verdict (see
+verdict).
 """
 
 from __future__ import annotations
@@ -84,6 +86,14 @@ def verdict(parent: List[float], change: List[float], better: str, bound: float)
     return "within bound"
 
 
+def workloads(arg: str) -> List[str]:
+    """The workload names of a comma-separated --workload value, in order; empty or repeated names are errors."""
+    names = [name.strip() for name in arg.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise ValueError(f"--workload {arg!r} must list distinct, non-empty names")
+    return names
+
+
 def extract(ref: str, dest: Path) -> None:
     """The committed files of ref, written under dest."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", ref], stdout=subprocess.PIPE)
@@ -111,28 +121,9 @@ def end_to_end() -> Dict[str, dict]:
     return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    pairs: List[Pair] = []
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_tree = Path(tmp)
-        extract(args.parent, parent_tree)
-        for i in range(args.pairs):
-            parent_first = i % 2 == 0
-            order = [parent_tree, ROOT] if parent_first else [ROOT, parent_tree]
-            runs = {tree: run_once(tree, args.workload, args.seed) for tree in order}
-            pairs.append((runs[parent_tree], runs[ROOT]))
-            cells = " ".join(f"{k}={p:.6g}/{runs[ROOT][k]:.6g}" for k, p in runs[parent_tree].items())
-            print(f"pair {i + 1} ({'parent' if parent_first else 'change'} first): {cells}", flush=True)
-    print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs, parent {args.parent} / change (working tree):")
-    rules = end_to_end()
+def report(workload: str, seed: int, parent_ref: str, pairs: List[Pair], rules: Dict[str, dict]) -> None:
+    """Print one workload's per-metric summary and its verdicts."""
+    print(f"{workload}, seed {seed}, {len(pairs)} pairs, parent {parent_ref} / change (working tree):")
     for name, s in summarize(pairs, {k: m["better"] for k, m in rules.items()}).items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         moved = f"change better in {s['wins']} of {len(pairs)}"
@@ -146,6 +137,36 @@ def main(argv=None) -> int:
         if name in pairs[0][0]:
             parent, change = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
             print(f"  verdict {name} (bound {m['bound']:g}): {verdict(parent, change, m['better'], m['bound'])}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent side")
+    parser.add_argument("--workload", required=True, help="a workload, or several separated by commas")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        names = workloads(args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    pairs: Dict[str, List[Pair]] = {name: [] for name in names}
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        parent_tree = Path(tmp)
+        extract(args.parent, parent_tree)
+        for i in range(args.pairs):
+            parent_first = i % 2 == 0
+            order = [parent_tree, ROOT] if parent_first else [ROOT, parent_tree]
+            for name in names:
+                runs = {tree: run_once(tree, name, args.seed) for tree in order}
+                pairs[name].append((runs[parent_tree], runs[ROOT]))
+                cells = " ".join(f"{k}={p:.6g}/{runs[ROOT][k]:.6g}" for k, p in runs[parent_tree].items())
+                print(f"pair {i + 1} {name} ({'parent' if parent_first else 'change'} first): {cells}", flush=True)
+    rules = end_to_end()
+    for name in names:
+        report(name, args.seed, args.parent, pairs[name], rules)
     return 0
 
 
