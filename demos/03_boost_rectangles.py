@@ -42,7 +42,7 @@ elapsed = time.time() - t0
 print(f"\nboosting finished in {trace.rounds} rounds ({elapsed:.1f}s, {trace.total_draws} oracle draws)")
 print("round   density   potential   lerr    risky mass")
 for row in trace.rows[:: max(1, trace.rounds // 8)] + [trace.rows[-1]]:
-    print(f"{row.round:5d}   {row.d_exact:.4f}    {row.phi:.4f}     {row.lerr_exact:.4f}  {row.risky_mass:.3f}")
+    print(f"{row.round:5d}   {row.d_hat:.4f}    {row.phi:.4f}     {row.lerr_exact:.4f}  {row.risky_mass:.3f}")
 
 print(f"\nfinal exact lerr = {exact_lerr(dist, agg.g):.4f}  (target eta + eps = 0.25)")
 print(f"final exact ferr = {exact_ferr(dist, agg.g):.4f}  (target (eta+eps)/(1-eta) = {0.25/0.9:.4f})")

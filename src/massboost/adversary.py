@@ -64,7 +64,7 @@ def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
         return h.digest()
 
     digests = np.fromiter(map(digest, range(0, len(buf), 8)), dtype="S8", count=len(buf) // 8).view(">u8")
-    return np.where(digests < math.ceil(eta_prime * 2.0**64), 1, -1).astype(np.int8)
+    return np.where(digests < math.ceil(eta_prime * 2.0**64), np.int8(1), np.int8(-1))
 
 
 @dataclass(frozen=True)

@@ -343,8 +343,8 @@ class ScoreState:
         self._den_pos = np.empty(len(self._noisy), dtype=bool)
         self._d_plus_one_signed = np.dot(self._a_plus, np.ones(n))  # a dot, as the general path takes it, not a sum
         # at G = 0 every weight is exactly 1, so density and potential are the
-        # total mass; it is summed, not dotted, and round 1's recorded
-        # pre-round values and advantage carry those bits
+        # total mass; it is summed, not dotted, and round 1's advantage
+        # divides by those bits
         total = float(self._a_plus.sum() + self._a_minus.sum())
         self._stats: Optional[ExactStats] = None
         self._stats = replace(self.stats(), density=total, potential=total)
@@ -686,15 +686,12 @@ class RoundRecord:
     """Per-round diagnostics and the trace CSV's columns, in order; exact fields are None in Monte Carlo mode."""
 
     round: int
-    d_hat: float
-    d_exact: Optional[float] = None
+    d_hat: float  # the exact density in exact mode
     phi: Optional[float] = None
     overconfident: bool
     raw_draws: int
     lerr_exact: Optional[float] = None
     ferr_exact: Optional[float] = None
-    d_exact_pre: Optional[float] = None
-    phi_pre: Optional[float] = None
     adv_exact: Optional[float] = None
     max_noise_rate: Optional[float] = None
     risky_mass: Optional[float] = None
@@ -729,10 +726,10 @@ def _exact_fields(pre: ScoreState, hv: np.ndarray, post: ScoreState) -> dict:
     writes ExactStats.u_diff into the same workspace row, so post's stats
     would overwrite the row pre's advantage reads.
     """
-    adv = pre.advantage(hv)
-    a, b = pre.stats(), post.stats()
-    return dict(d_exact=b.density, phi=b.potential, lerr_exact=b.lerr, ferr_exact=b.ferr, d_exact_pre=a.density,
-                phi_pre=a.potential, adv_exact=adv, max_noise_rate=a.max_noise_rate, risky_mass=b.risky_mass)
+    adv, max_noise_rate = pre.advantage(hv), pre.stats().max_noise_rate
+    st = post.stats()
+    return dict(phi=st.potential, lerr_exact=st.lerr, ferr_exact=st.ferr, adv_exact=adv, max_noise_rate=max_noise_rate,
+                risky_mass=st.risky_mass)
 
 
 def boost(
@@ -788,7 +785,7 @@ def boost(
             trace.append((h_t, b_t))
             # measure the density and record the round
             exact_fields = _exact_fields(pre, hv, state) if exact else {}
-            d_hat = exact_fields["d_exact"] if exact else est_density(oracle, state, params)
+            d_hat = state.stats().density if exact else est_density(oracle, state, params)
             run.rows.append(RoundRecord(round=len(trace), d_hat=d_hat, overconfident=b_t,
                                         raw_draws=oracle.draws - draws_mark, **exact_fields))
             draws_mark = oracle.draws

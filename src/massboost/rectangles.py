@@ -393,11 +393,8 @@ class BoxWeakLearner:
         base = self.k * (2.0 * self.d) ** self.k / self.alpha**2
         return max(1, int(np.ceil(self.sample_scale * base)))
 
-    def train(self, sample: LabeledSample, rng: np.random.Generator) -> BoxHypothesis:
-        return wkl_box(sample, self.d, self.k, self.alpha)
-
     def train_from_source(
         self, source: Callable[[int], LabeledSample], rng: np.random.Generator
     ) -> BoxHypothesis:
         """Train on one reweighted sample of sample_size examples."""
-        return self.train(source(self.sample_size), rng)
+        return wkl_box(source(self.sample_size), self.d, self.k, self.alpha)

@@ -1,5 +1,6 @@
-"""The summary of tools/ab.py on fixed numbers."""
+"""The summary of tools/ab.py on fixed numbers, and its snapshot of a working tree."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from ab import quartiles, summarize, verdict, workloads  # noqa: E402
+from ab import quartiles, snapshot, summarize, verdict, workloads  # noqa: E402
 
 PARENT = {"norm_cpu_s": [10.0, 11.0, 12.0, 13.0, 14.0], "success_fraction": [1.0] * 5, "score": [1, 2, 3, 4, 5]}
 CHANGE = {"norm_cpu_s": [9.0, 9.5, 12.5, 10.0, 15.0], "success_fraction": [1.0] * 5, "score": [2, 1, 4, 4, 6]}
@@ -65,3 +66,21 @@ def test_workload_list():
 def test_workload_list_rejects_empty_or_repeated_names(arg):
     with pytest.raises(ValueError):
         workloads(arg)
+
+
+def test_snapshot_copies_the_working_tree_git_would_commit(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "pkg" / "kept.py").write_text("old\n")
+    (repo / "gone.py").write_text("x\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    (repo / "pkg" / "kept.py").write_text("edited\n")  # tracked, edited after git add
+    (repo / "gone.py").unlink()  # tracked, deleted on disk
+    (repo / "pkg" / "new.py").write_text("new\n")  # untracked
+    (repo / "ignored.txt").write_text("ignored\n")
+    snapshot(repo, dest)
+    got = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert got == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited\n"

@@ -35,6 +35,7 @@ from massboost import (
     reweighted_noise_rates,
     wkl_box,
 )
+from massboost.booster import ScoreState
 from massboost.harness import _grid_points, _random_union, parse_config, run_experiment
 
 RNG_TAG = 0xACCE
@@ -205,9 +206,9 @@ def test_criterion_3_density_potential_sandwich(bucket):
         slack = 2.0 * (run.params.eta + run.params.epsilon)
         for row in run.trace.rows:
             rows += 1
-            if row.d_exact > row.phi:
+            if row.d_hat > row.phi:
                 upper_violations += 1
-            if row.phi / denom - slack > row.d_exact:
+            if row.phi / denom - slack > row.d_hat:
                 lower_violations += 1
     ok = upper_violations == 0 and lower_violations == 0
     record_criterion(
@@ -248,12 +249,15 @@ def test_criterion_11_potential_drop_statistic(bucket):
     margins = []
     for run in bucket["honest"]:
         gamma, eta = run.params.gamma, run.params.eta
+        # the state before round 1, whose density and potential are the total mass
+        pre = ScoreState(run.dist, run.params.lam, run.params.s, True).stats()
+        d_pre, phi_pre = pre.density, pre.potential
         for row in run.trace.rows:
-            if row.adv_exact is None or row.adv_exact < gamma / 2.0:
-                continue
-            drop = row.phi_pre - row.phi
-            bound = (gamma**2 / 32.0) * (row.d_exact_pre - eta / 2.0)
-            margins.append(drop - bound)
+            if row.adv_exact is not None and row.adv_exact >= gamma / 2.0:
+                drop = phi_pre - row.phi
+                bound = (gamma**2 / 32.0) * (d_pre - eta / 2.0)
+                margins.append(drop - bound)
+            d_pre, phi_pre = row.d_hat, row.phi
     margins = np.asarray(margins)
     se = float(margins.std(ddof=1) / math.sqrt(len(margins)))
     ok = len(margins) >= 200 and float(margins.mean()) >= -2.0 * se
@@ -401,7 +405,7 @@ def test_criterion_8_weak_learner_contract():
         learner = BoxWeakLearner(d=d, k=k, alpha=alpha, sample_scale=0.4)
         oracle = MassartOracle(dist, rng_seed=20_000 + trial)
         sample = oracle.sample_batch(learner.sample_size)
-        h = learner.train(sample, rng)
+        h = wkl_box(sample, learner.d, learner.k, learner.alpha)
         if exact_advantage(dist, h) >= learner.gamma:
             wins += 1
     ok = wins >= (2 * trials) // 3

@@ -36,10 +36,10 @@ from massboost.core import label_errors, sign_pm1
 from test_properties import state_at
 
 ORIGIN = np.zeros((1, 1))
-# the columns of the trace CSV before it carried every RoundRecord field, and the fields Monte Carlo mode leaves None
-FIRST_COLUMNS = ["round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact"]
-EXACT_FIELDS = {"d_exact", "phi", "lerr_exact", "ferr_exact", "d_exact_pre", "phi_pre", "adv_exact", "max_noise_rate",
-                "risky_mass"}
+# the columns of the trace CSV, and the fields Monte Carlo mode leaves None
+COLUMNS = ["round", "d_hat", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact", "adv_exact",
+           "max_noise_rate", "risky_mass"]
+EXACT_FIELDS = {"phi", "lerr_exact", "ferr_exact", "adv_exact", "max_noise_rate", "risky_mass"}
 
 
 def const_h(v):
@@ -325,7 +325,7 @@ class TestBoost:
         dist, params, agg, trace = self.run_small()
         assert exact_lerr(dist, agg.g) <= 0.25
         assert trace.rounds <= 128 / (0.1 * 0.05**2)
-        assert trace.rows[-1].d_exact <= params.kappa
+        assert trace.rows[-1].d_hat <= params.kappa
 
     def test_at_least_one_round_always_runs(self):
         _, _, _, trace = self.run_small(seed=3)
@@ -371,12 +371,11 @@ class TestBoost:
         csv = trace.to_csv()
         lines = csv.strip().split("\n")
         header = lines[0].split(",")
-        assert header == [f.name for f in fields(RoundRecord)]
-        assert header[:8] == FIRST_COLUMNS
+        assert header == [f.name for f in fields(RoundRecord)] == COLUMNS
         assert len(lines) == trace.rounds + 1
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert first[2] != ""  # exact column populated in exact mode
+        first = dict(zip(header, lines[1].split(",")))
+        assert first["round"] == "1"
+        assert first["phi"] != ""  # exact column populated in exact mode
 
     @pytest.mark.parametrize("mode,seed", [("exact", 12), ("mc", 20)])
     def test_trace_csv_cells_are_the_record_fields(self, mode, seed):
@@ -394,16 +393,16 @@ class TestBoost:
 
     def test_density_decreases_to_kappa(self):
         _, params, _, trace = self.run_small(seed=14)
-        d_values = [r.d_exact for r in trace.rows]
+        d_values = [r.d_hat for r in trace.rows]
         assert d_values[-1] <= params.kappa
         assert max(d_values) <= 1.0 + 1e-12
 
     def test_mc_mode_finite_support(self):
         dist, params, agg, trace = self.run_small(seed=20, n=30, mode="mc")
         assert exact_lerr(dist, agg.g) <= 0.3
-        assert trace.rows[0].d_exact is None  # exact columns empty in MC mode
-        csv_line = trace.to_csv().strip().split("\n")[1].split(",")
-        assert csv_line[2] == ""
+        assert trace.rows[0].phi is None  # exact columns empty in MC mode
+        header, line = trace.to_csv().splitlines()[:2]
+        assert dict(zip(header.split(","), line.split(",")))["phi"] == ""
 
     def test_draw_accounting(self):
         _, _, _, trace = self.run_small(seed=25, n=30)

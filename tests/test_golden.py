@@ -35,23 +35,23 @@ SLICES = {
 GOLDEN = {
     ('rect', 'exact-oracle'): {
         'summary.json': '0795fea1bd9d9a15b6b67a397a3706eb649b1a24b9c9e128c2b7ac3072a5abca',
-        'round_trace_0.csv': 'f4e67ade962f6d456058580c197b7bde212f58217d7e4a655e3775174b06d082',
-        'round_trace_1.csv': '5a014b308e52a5e1ee545a9eded7d59ee928330295739e1d867ded56d7aebbb4',
+        'round_trace_0.csv': 'b4fd24eca99e1883dcc10e5894f4aeb35c343644ae21dce5f7243f0ff036bf05',
+        'round_trace_1.csv': '3ab68c1ca0e1326e52e0e87d491567a49b3f0536b40b8e284c85df949d5c49a9',
     },
     ('rect', 'monte-carlo'): {
         'summary.json': '5bd8912405e85ddd9a40425c10796164f69d276d1a3653f48d8f48f6c911364f',
-        'round_trace_0.csv': '8e5c9b6991c19a1cf013ddfcef0b93c8d536216fe1d05fc842dfa11bc34d12cc',
-        'round_trace_1.csv': 'ccc9a82a14996373bef0d6dfd9a970d648c816edd19b44515cd40f62abf759f2',
+        'round_trace_0.csv': '92d10f39b8d3050e821f06169cfefd61ab034fc646eed5edfd127c1f32e991ac',
+        'round_trace_1.csv': '6637ca6609dcca2c560efa759122689924028918d86ea81975cf2618da3dbd1c',
     },
     ('hard', 'exact-oracle'): {
         'summary.json': '0bbe8e3b09286203d692bd76c30874ea1d3b19148dfdda3c1bc8b7ba94badc82',
-        'round_trace_0.csv': 'd9e94883c094019878b152013b6983c614adfa2dc8a688ddc61ddc0ede87ee9c',
-        'round_trace_1.csv': '8fdd76fddf0b036b947ef6de0b4678965e434e4caecdc805518a5aec6c158195',
+        'round_trace_0.csv': 'd62bcc1df84e9ebfd2f14c30891d30f5d0e8385bfb4363e0d8affdbf4cc9c99c',
+        'round_trace_1.csv': 'dfbd68ae8d2541aedf48de58101af342a4d08f3db929bab160bdcbc1e363e7b1',
     },
     ('hard', 'monte-carlo'): {
         'summary.json': 'f4cb7763ff50001f34788385b0aa519f23aa71327cc8b2d280110edbc789f114',
-        'round_trace_0.csv': 'dfab73cc5cb715645f9871e2c48f9543786bfd6b25452b62f3ae8ec2992b287b',
-        'round_trace_1.csv': '16dcafce6f7c85f664f2c6c0f33c0ee5cfab13f53031d655c31dc81114e3783b',
+        'round_trace_0.csv': 'a7c1478c9ba63c03c5f210807115d1a9bdaff8dce2ff38900e6d29c2e63f0841',
+        'round_trace_1.csv': '528986f439e5de6498b048c59b076f3edb75858fa02c848e35fd6a8b6a22a690',
     },
 }
 

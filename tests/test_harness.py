@@ -158,6 +158,12 @@ class TestConfigSchema:
         assert len(read_by) == len(rows)
         assert read_by == {key: f.metadata["reader"] for key, f in harness._KEYS.items()}
 
+    def test_readme_trace_columns(self):
+        """The column line in README's outputs section is RoundRecord's field names."""
+        readme = (ROOT / "README.md").read_text()
+        lines = [line for line in readme.splitlines() if line.startswith("round,")]
+        assert lines == [",".join(f.name for f in dataclasses.fields(booster.RoundRecord))]
+
 
 class TestRunExperiment:
     def test_report_fields_and_determinism(self):
@@ -204,8 +210,8 @@ class TestEmitMetrics:
         assert abs(summary["mean_lerr"] - np.mean(per_seed)) < 1e-12
         header = (tmp_path / "out" / "round_trace_0.csv").read_text().splitlines()[0].split(",")
         assert header == [f.name for f in dataclasses.fields(booster.RoundRecord)]
-        assert header[:8] == ["round", "d_hat", "d_exact", "phi", "overconfident", "raw_draws", "lerr_exact",
-                              "ferr_exact"]
+        assert header == ["round", "d_hat", "phi", "overconfident", "raw_draws", "lerr_exact", "ferr_exact",
+                          "adv_exact", "max_noise_rate", "risky_mass"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(CONFIG_SMALL)
@@ -561,8 +567,9 @@ class TestCliFlags:
         out_dir = tmp_path / "out"
         res = self.run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--mode", flag, "--out", str(out_dir)])
         assert res.returncode == 0, res.stderr
-        d_exact = (out_dir / "round_trace_0.csv").read_text().splitlines()[1].split(",")[2]
-        assert (d_exact != "") == (flag == "exact")  # exact columns are empty in Monte Carlo mode
+        header, first = (out_dir / "round_trace_0.csv").read_text().splitlines()[:2]
+        phi = dict(zip(header.split(","), first.split(",")))["phi"]
+        assert (phi != "") == (flag == "exact")  # exact columns are empty in Monte Carlo mode
 
     def test_ablation_flag_records_failures_but_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

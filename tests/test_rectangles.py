@@ -182,7 +182,7 @@ class TestWeakLearnerContract:
             learner = BoxWeakLearner(d=d, k=k, alpha=alpha, sample_scale=0.5)
             oracle = MassartOracle(dist, rng_seed=100 + trial)
             sample = oracle.sample_batch(learner.sample_size)
-            h = learner.train(sample, rng)
+            h = wkl_box(sample, learner.d, learner.k, learner.alpha)
             if exact_advantage(dist, h) >= learner.gamma:
                 wins += 1
         assert wins >= (2 * trials) // 3
@@ -204,4 +204,5 @@ class TestWeakLearnerContract:
 
         h = learner.train_from_source(source, np.random.default_rng(0))
         assert requests == [learner.sample_size]
-        assert h == learner.train(MassartOracle(dist, rng_seed=9).sample_batch(learner.sample_size), None)
+        sample = MassartOracle(dist, rng_seed=9).sample_batch(learner.sample_size)
+        assert h == wkl_box(sample, learner.d, learner.k, learner.alpha)

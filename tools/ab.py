@@ -2,9 +2,11 @@
 
     python3 tools/ab.py --parent REF --workload W[,W...] --pairs N [--seed S]
 
-Extracts the committed files of REF (`git archive`) into a temporary
-directory once, removed at exit; the change side is the working tree this
-file lives in, uncommitted edits included. Each pair runs
+Writes two sibling snapshots into one temporary directory, removed at
+exit: the committed files of REF (`git archive`), and the working tree this
+file lives in, uncommitted edits and new files that git does not ignore
+included (see snapshot). Both sides run from a snapshot, so neither runs
+from the checkout itself. Each pair runs
 `python3 perfbench/run.py --workload W --seed S` once in each tree for
 every listed workload W in turn, the parent first in odd pairs and the
 change first in even ones, so a drift of the machine's speed during the
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -103,6 +107,19 @@ def extract(ref: str, dest: Path) -> None:
         raise SystemExit(f"could not extract {ref!r}")
 
 
+def snapshot(root: Path, dest: Path) -> None:
+    """The working tree's files under root that git tracks or would track, as on disk, copied under dest.
+
+    A tracked file deleted on disk is left out, and so is a file that git ignores.
+    """
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            capture_output=True, check=True).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> Dict[str, float]:
     """The end-to-end metrics of one perfbench run in tree; exits on a failed or incorrect run."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
@@ -153,16 +170,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     pairs: Dict[str, List[Pair]] = {name: [] for name in names}
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        parent_tree, change_tree = Path(tmp, "parent"), Path(tmp, "change")
+        parent_tree.mkdir()
         extract(args.parent, parent_tree)
+        snapshot(ROOT, change_tree)
         for i in range(args.pairs):
             parent_first = i % 2 == 0
-            order = [parent_tree, ROOT] if parent_first else [ROOT, parent_tree]
+            order = [parent_tree, change_tree] if parent_first else [change_tree, parent_tree]
             for name in names:
                 runs = {tree: run_once(tree, name, args.seed) for tree in order}
-                pairs[name].append((runs[parent_tree], runs[ROOT]))
-                cells = " ".join(f"{k}={p:.6g}/{runs[ROOT][k]:.6g}" for k, p in runs[parent_tree].items())
+                pairs[name].append((runs[parent_tree], runs[change_tree]))
+                cells = " ".join(f"{k}={p:.6g}/{runs[change_tree][k]:.6g}" for k, p in runs[parent_tree].items())
                 print(f"pair {i + 1} {name} ({'parent' if parent_first else 'change'} first): {cells}", flush=True)
     rules = end_to_end()
     for name in names:
