@@ -76,7 +76,7 @@ def start(cls, dist, params, scores):
     if cls is ScoreStateReference:
         state = cls(dist, params.lam, params.s, True).at(scores)
     else:  # a freshly stepped state has cached nothing, so its scores are set in place
-        state = cls(dist, params.lam, params.s, True).step(np.zeros(dist.n_atoms), False)
+        state = cls(dist, params.lam, params.s).step(np.zeros(dist.n_atoms), False)
         state.sigma[:] = scores
     state.stats()
     return state

@@ -68,7 +68,7 @@ class EpsilonTooSmall(ValueError):
 
 
 class DegenerateThreshold(ValueError):
-    """The withholding threshold s = log((1-eta)/(eta+c)) is not positive."""
+    """The threshold s = log((1-eta)/(eta+c)) of the risky set is not positive."""
 
 
 class BoostFailure(RuntimeError):
@@ -191,14 +191,13 @@ class AggregatedHypothesis:
 
     g(xs) replays the trace: per round, a point with |score| < s receives
     lam * h_i(x); otherwise, if the round recalibrated (b_i = 1), the score
-    moves lam toward zero. With withhold False (the ablation) every
-    hypothesis is added unconditionally.
+    moves lam toward zero. With s = inf (the ablation) no point is risky and
+    every hypothesis is added everywhere.
     """
 
     lam: float
     s: float
     trace: Tuple[Tuple[Callable, bool], ...]
-    withhold: bool = True
 
     def g(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -206,7 +205,7 @@ class AggregatedHypothesis:
         tmp = np.empty_like(sigma)
         for h, b in self.trace:
             hv = np.clip(np.asarray(h(xs), dtype=np.float64), -1.0, 1.0)
-            risky = np.abs(sigma) >= self.s if self.withhold else None
+            risky = np.abs(sigma) >= self.s
             sigma = _step_scores(sigma, hv, b, self.lam, risky, np.empty_like(sigma), tmp)
         return sigma
 
@@ -215,12 +214,12 @@ class AggregatedHypothesis:
 
 
 def _step_scores(
-    sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, risky: Optional[np.ndarray],
+    sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, risky: np.ndarray,
     out: np.ndarray, tmp: np.ndarray,
 ) -> np.ndarray:
     """One round of the score update into out, shared by the loop and trace replay.
 
-    risky is the mask |sigma| >= s, or None when withholding is ablated and
+    risky is the mask |sigma| >= s, all False at the ablation's s = inf, where
     every atom takes the step. A safe atom gets sigma + lam * hv; a risky one
     keeps sigma, or moves to sigma - lam * sign(sigma) if b. Each value comes
     from that one IEEE operation, whichever buffers hold it, so a mask with no
@@ -229,7 +228,7 @@ def _step_scores(
     """
     np.multiply(hv, lam, out=tmp)
     np.add(sigma, tmp, out=out)
-    if risky is None or not risky.any():
+    if not risky.any():
         return out
     if b:  # a risky sigma is nonzero, so copysign gives lam * sign(sigma) there
         np.subtract(sigma, np.copysign(lam, sigma, out=tmp), out=out, where=risky)
@@ -314,11 +313,10 @@ class ScoreState:
       run computes its stats.
     """
 
-    def __init__(self, dist: FiniteMassartDist, lam: float, s: float, withhold: bool):
+    def __init__(self, dist: FiniteMassartDist, lam: float, s: float):
         self.dist = dist
         self.lam = lam
         self.s = s
-        self.withhold = withhold
         n = dist.n_atoms
         rows = np.zeros((8, n))
         self._score_rows = rows[:2]
@@ -360,8 +358,7 @@ class ScoreState:
         """The state after one round adding values hv, recalibrating the risky set if b."""
         nxt = copy.copy(self)
         nxt._buf = 1 - self._buf
-        risky = self._risky() if self.withhold else None
-        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, risky, self._score_rows[nxt._buf], self._t1)
+        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, self._risky(), self._score_rows[nxt._buf], self._t1)
         nxt._risky_mask = None
         nxt._stats = None
         return nxt
@@ -422,10 +419,9 @@ class ScoreState:
         potential = float(np.dot(self._a_plus, phi) + pot_minus)
         risky_mass = float(self.dist.p[risky].sum())
         # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
-        if self.withhold:
-            safe = np.subtract(1.0, risky, out=phi)
-            np.multiply(m_plus, safe, out=m_plus)
-            np.multiply(m_minus, safe, out=m_minus)
+        safe = np.subtract(1.0, risky, out=phi)
+        np.multiply(m_plus, safe, out=m_plus)
+        np.multiply(m_minus, safe, out=m_minus)
         # density and potential share the dot structure so the pointwise
         # mu <= phi inequality survives float accumulation; each dot runs
         # next to the product that reads the same two rows, while they are
@@ -750,14 +746,14 @@ def boost(
     round cap or a draw budget) leaves with the trace and aggregate of the
     rounds completed.
 
-    The ablation flag disables the risky-set machinery entirely: weights are
-    M(yG) with no cutoff, hypotheses apply everywhere, and no recalibration
-    runs. It exists to demonstrate how unbounded reweighting destroys the
-    bounded-noise property.
+    The ablation flag sets s = inf: weights are M(yG) with no cutoff,
+    hypotheses apply everywhere, and the over-confidence test, which could
+    only answer False, is skipped. It exists to demonstrate how unbounded
+    reweighting destroys the bounded-noise property.
     """
     exact = params.mode == MODE_EXACT
-    withhold = not ablate_no_withholding
-    state = ScoreState(oracle.source, params.lam, params.s, withhold)
+    s = math.inf if ablate_no_withholding else params.s
+    state = ScoreState(oracle.source, params.lam, s)
     trace: List[Tuple[Callable, bool]] = []
     run = RunTrace()
     d_hat = 1.0
@@ -769,7 +765,7 @@ def boost(
     def finish() -> AggregatedHypothesis:
         run.total_draws = oracle.draws - draws_start
         run.scores = state.sigma.copy()
-        return AggregatedHypothesis(params.lam, params.s, tuple(trace), withhold)
+        return AggregatedHypothesis(params.lam, s, tuple(trace))
 
     try:
         while d_hat > params.kappa:
@@ -780,7 +776,7 @@ def boost(
             hv = state.values(h_t)
             # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
             added = state.step(hv, False)
-            b_t = withhold and over_confident(oracle, added, params)
+            b_t = not ablate_no_withholding and over_confident(oracle, added, params)
             pre, state = state, (state.step(hv, True) if b_t else added)
             trace.append((h_t, b_t))
             # measure the density and record the round

@@ -8,8 +8,9 @@ with threshold s > 0 is
 
 Points with |g(x)| >= s form the withheld (risky) set; both labels get weight
 zero there, which is what preserves the bounded-noise property of the
-rejection-sampled distribution. The potential of a score assigns each example
-the full tail integral of M from y g(x), with closed forms
+rejection-sampled distribution. The ablation is s = inf, where no point is
+withheld. The potential of a score assigns each example the full tail
+integral of M from y g(x), with closed forms
 
     phi(v) = exp(-v) for v >= 0,   phi(v) = 1 - v for v < 0,
 
@@ -68,23 +69,21 @@ class SampleScorer(Protocol):
     """
 
     s: float
-    withhold: bool
 
     def sample_scores(self, sample: LabeledSample) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class Measure:
-    """Measure mu_{g,s} induced by a score function and a withholding threshold.
+    """Measure mu_{g,s} induced by a score function and a threshold.
 
     `g` maps an (n, d) array of points to an (n,) array of scores. With
-    `withhold` disabled (the ablation used to demonstrate noise blow-up) the
-    |g| >= s cutoff is skipped and weights are M(y g(x)) everywhere.
+    s = inf (the ablation used to demonstrate noise blow-up) no point is
+    withheld and weights are M(y g(x)) everywhere.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     s: float
-    withhold: bool = True
 
     def scores(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self.g(xs), dtype=np.float64)
@@ -93,25 +92,23 @@ class Measure:
         return self.scores(sample.xs)
 
 
-def _mu_from_scores(scores: np.ndarray, ys: np.ndarray, s: float, withhold: bool) -> np.ndarray:
+def _mu_from_scores(scores: np.ndarray, ys: np.ndarray, s: float) -> np.ndarray:
     """Weight mu of labels ys at scores g(x), for threshold s."""
     w = m_weight(np.asarray(ys, dtype=np.float64) * scores)
-    if withhold:
-        w = np.where(np.abs(scores) >= s, 0.0, w)
-    return w
+    return np.where(np.abs(scores) >= s, 0.0, w)
 
 
 def sample_weights(scorer: SampleScorer, sample: LabeledSample) -> np.ndarray:
     """Weight mu(x, y) of each example of a drawn sample."""
-    return _mu_from_scores(scorer.sample_scores(sample), sample.ys, scorer.s, scorer.withhold)
+    return _mu_from_scores(scorer.sample_scores(sample), sample.ys, scorer.s)
 
 
 def _label_weights(dist: FiniteMassartDist, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
     """Weights mu of each atom's true label f(x) and of its flipped label -f(x), from one evaluation of g."""
     scores = measure.scores(dist.xs)
     return (
-        _mu_from_scores(scores, dist.f, measure.s, measure.withhold),
-        _mu_from_scores(scores, -dist.f, measure.s, measure.withhold),
+        _mu_from_scores(scores, dist.f, measure.s),
+        _mu_from_scores(scores, -dist.f, measure.s),
     )
 
 

@@ -250,7 +250,7 @@ def test_criterion_11_potential_drop_statistic(bucket):
     for run in bucket["honest"]:
         gamma, eta = run.params.gamma, run.params.eta
         # the state before round 1, whose density and potential are the total mass
-        pre = ScoreState(run.dist, run.params.lam, run.params.s, True).stats()
+        pre = ScoreState(run.dist, run.params.lam, run.params.s).stats()
         d_pre, phi_pre = pre.density, pre.potential
         for row in run.trace.rows:
             if row.adv_exact is not None and row.adv_exact >= gamma / 2.0:

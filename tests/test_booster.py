@@ -18,6 +18,7 @@ from massboost import (
     exact_lerr,
     make_massart,
 )
+from massboost import booster
 from massboost.booster import (
     AggregatedHypothesis,
     ConditionalDrawBudgetExceeded,
@@ -199,7 +200,7 @@ class TestOverConfident:
 
     @staticmethod
     def scored(dist, scores, s):
-        return state_at(dist, 0.1, s, True, scores)
+        return state_at(dist, 0.1, s, scores)
 
     def test_small_risky_mass_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
@@ -366,6 +367,25 @@ class TestBoost:
             assert scores.base is None  # a copy, not a view of a workspace row
             assert np.array_equal(scores, run.g(dist.xs))
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_ablation_never_takes_the_over_confidence_test(self, mode, monkeypatch):
+        """At s = inf the test could only answer False, so an ablated run skips it and, in Monte Carlo
+        mode, draws no stage-1 sample for it."""
+
+        def called(*args):
+            raise AssertionError("over_confident called in an ablated run")
+
+        monkeypatch.setattr(booster, "over_confident", called)
+        rng = np.random.default_rng(9)
+        dist, f = rcn_dist(rng, 20, eta=0.1)
+        params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, max_rounds=3, sample_scale=0.02, mode=mode)
+        wkl = FixedHypothesisWeakLearner(lookup_h(f), gamma=0.05)
+        with pytest.raises(MaxRoundsExceeded) as err:
+            boost(MassartOracle(dist, rng_seed=10), wkl, params, np.random.default_rng(11),
+                  ablate_no_withholding=True)
+        assert err.value.trace.rounds == 3
+        assert err.value.aggregated.s == math.inf
+
     def test_trace_csv_schema(self):
         _, _, _, trace = self.run_small(seed=12, n=30)
         csv = trace.to_csv()
@@ -443,7 +463,7 @@ def test_exact_round_allocates_no_per_atom_array():
         nxt.stats()
         return nxt
 
-    state = ScoreState(dist, params.lam, params.s, True)
+    state = ScoreState(dist, params.lam, params.s)
     for values in (minus, minus, plus):  # every score ends at -lam; each step is exact
         state = one_round(state, values)
     peaks, scores = [], []
@@ -479,7 +499,7 @@ def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
     p_risky = dist.p[risky]
     cond_err = label_errors(p_risky, dist.eta[risky], sign_pm1(scores[risky]) != dist.f[risky])[0] / p_risky.sum()
     assert 0.3 < risky.mean() < 0.4 and cond_err >= params.eta + 3.0 * params.epsilon / 4.0
-    state = state_at(dist, params.lam, params.s, True, scores)
+    state = state_at(dist, params.lam, params.s, scores)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

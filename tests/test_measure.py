@@ -71,7 +71,7 @@ class TestMuWeight:
         assert weight(m, POINT, [-1])[0] == 0.0
 
     def test_ablated_measure_skips_cutoff(self):
-        m = Measure(const_g(2.0), s=S_DEFAULT, withhold=False)
+        m = Measure(const_g(2.0), s=math.inf)
         assert weight(m, POINT, [1])[0] == math.exp(-2.0)
         assert weight(m, POINT, [-1])[0] == 1.0
 

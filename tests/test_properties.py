@@ -51,9 +51,9 @@ def finite_dists(draw):
     return FiniteMassartDist(np.asarray(points), mass / mass.sum(), f, eta, eta_bound)
 
 
-def state_at(dist, lam, s, withhold, scores) -> ScoreState:
+def state_at(dist, lam, s, scores) -> ScoreState:
     """A state whose sigma is scores; a freshly stepped state has cached nothing, so it is set in place."""
-    state = ScoreState(dist, lam, s, withhold).step(np.zeros(dist.n_atoms), False)
+    state = ScoreState(dist, lam, s).step(np.zeros(dist.n_atoms), False)
     state.sigma[:] = scores
     return state
 
@@ -69,6 +69,11 @@ def traces(draw, d: int):
     return trace
 
 
+def thresholds():
+    """A finite s, or the ablation's s = inf."""
+    return st.one_of(st.floats(0.1, 3.0), st.just(math.inf))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_score_state_equals_trace_replay(data):
@@ -76,14 +81,13 @@ def test_score_state_equals_trace_replay(data):
     dist = data.draw(finite_dists())
     trace = data.draw(traces(dist.dim))
     lam = data.draw(st.floats(0.01, 1.0))
-    s = data.draw(st.floats(0.1, 3.0))
-    withhold = data.draw(st.booleans())
+    s = data.draw(thresholds())
     oracle = MassartOracle(dist, rng_seed=data.draw(st.integers(0, 2**32 - 1)))
 
-    state = ScoreState(dist, lam, s, withhold)
+    state = ScoreState(dist, lam, s)
     for t, (h, b) in enumerate(trace, start=1):
         state = state.step(state.values(h), b)
-        agg = AggregatedHypothesis(lam, s, tuple(trace[:t]), withhold=withhold)
+        agg = AggregatedHypothesis(lam, s, tuple(trace[:t]))
         assert np.array_equal(state.sigma, agg.g(dist.xs))
         sample = oracle.sample_batch(data.draw(st.integers(0, 20)))
         assert np.array_equal(state.sample_scores(sample), agg.g(sample.xs))
@@ -96,16 +100,15 @@ def test_exact_stats_match_the_measure(data):
     dist = data.draw(finite_dists())
     trace = data.draw(traces(dist.dim))
     lam = data.draw(st.floats(0.01, 1.0))
-    s = data.draw(st.floats(0.1, 3.0))
-    withhold = data.draw(st.booleans())
+    s = data.draw(thresholds())
 
-    state = ScoreState(dist, lam, s, withhold)
+    state = ScoreState(dist, lam, s)
     for h, b in trace:
         state = state.step(state.values(h), b)
     st_ = state.stats()
     assert st_.density <= st_.potential
-    agg = AggregatedHypothesis(lam, s, tuple(trace), withhold=withhold)
-    measure = Measure(agg.g, s, withhold)
+    agg = AggregatedHypothesis(lam, s, tuple(trace))
+    measure = Measure(agg.g, s)
     assert math.isclose(st_.density, exact_density(dist, measure), rel_tol=1e-12)
     assert math.isclose(st_.potential, exact_potential(dist, agg.g), rel_tol=1e-12)
     rates, included = reweighted_noise_rates(dist, measure)
@@ -137,7 +140,7 @@ def test_safe_set_noise_rate_at_most_half_minus_alpha(data):
     rates, _ = reweighted_noise_rates(dist, measure)
     safe = np.abs(scores) < s
     assert np.all(rates[safe] <= bound)
-    assert state_at(dist, params.lam, s, True, scores).stats().max_noise_rate <= bound
+    assert state_at(dist, params.lam, s, scores).stats().max_noise_rate <= bound
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,9 @@ ferr and the risky mass are the exceptions: each must have the bytes of its
 one formula, core.label_errors of sign(sigma) and p[|sigma| >= s].sum(),
 which summary.json and over_confident use too. States with every score in
 (-s, 0), for which stats() skips what the masks make constant, are drawn on
-their own, with steps that leave them and return.
+their own, with steps that leave them and return. The ablation is the
+threshold s = inf: its states must have the bytes of the reference's
+withhold=False path at a finite s, with a risky mass of 0.0.
 """
 
 import math
@@ -48,20 +50,27 @@ def hypothesis_values(n: int):
     return st.lists(element, min_size=n, max_size=n).map(lambda v: np.asarray(v, dtype=np.float64))
 
 
-def assert_stats_equal(got, ref):
-    """got has the bytes of ref's stats, with lerr, ferr and the risky mass of their one formula each."""
+def assert_stats_equal(got, ref, s=None):
+    """got has the bytes of ref's stats, with lerr, ferr and the risky mass of their one formula each.
+
+    The risky mass is taken at the threshold s of got's state, ref.s unless given.
+    """
     dist, sigma = ref.dist, ref.sigma
+    s = ref.s if s is None else s
     lerr, ferr = label_errors(dist.p, dist.eta, sign_pm1(sigma) != dist.f)
-    want = replace(ref.stats(), lerr=lerr, ferr=ferr, risky_mass=float(dist.p[np.abs(sigma) >= ref.s].sum()))
+    want = replace(ref.stats(), lerr=lerr, ferr=ferr, risky_mass=float(dist.p[np.abs(sigma) >= s].sum()))
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
 def assert_round_matches(state, ref, hv, oracle, params):
-    """Statistics, over-confidence decision, advantage of hv and both steps by hv match the reference."""
-    assert_stats_equal(state.stats(), ref)
-    want = over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
+    """Statistics, over-confidence decision, advantage of hv and both steps by hv match the reference.
+
+    At the state's threshold s = inf nothing is risky, so its decision is False whatever the reference's.
+    """
+    assert_stats_equal(state.stats(), ref, state.s)
+    want = state.s < math.inf and over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
     assert over_confident(oracle, state, params) == want
     assert state.advantage(hv) == ref.advantage(hv)
     # the two steps write one buffer, so each is read before the next
@@ -76,14 +85,13 @@ def test_score_state_matches_reference(data):
     n = dist.n_atoms
     lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)))
     s = data.draw(st.floats(0.1, 3.0))
-    withhold = data.draw(st.booleans())
     params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
     oracle = MassartOracle(dist, rng_seed=0)
 
-    ref = ScoreStateReference(dist, lam, s, withhold)
-    assert_stats_equal(ScoreState(dist, lam, s, withhold).stats(), ref)
+    ref = ScoreStateReference(dist, lam, s, True)
+    assert_stats_equal(ScoreState(dist, lam, s).stats(), ref)
     scores = data.draw(adversarial_scores(n, s, lam))
-    state, ref = state_at(dist, lam, s, withhold, scores), ref.at(scores)
+    state, ref = state_at(dist, lam, s, scores), ref.at(scores)
     for _ in range(data.draw(st.integers(1, 4))):
         hv = data.draw(hypothesis_values(n))
         assert_round_matches(state, ref, hv, oracle, params)
@@ -102,7 +110,7 @@ def one_signed_scores(draw, n: int, s: float, lam: float):
 
 # (atom, its value, b) with the other values 0: atom 0 starts at -lam/2,
 # crosses 0 and returns; atom 1 starts lam/2 above -s, passes -s and returns
-# (by recalibration when withheld, by its +1 when ablated)
+# by recalibration
 LEAVE_AND_RETURN = [(0, 1.0, False), (0, -1.0, False), (1, -1.0, False), (1, 1.0, True)]
 
 
@@ -118,18 +126,17 @@ def test_one_signed_states_match_reference(data):
     n = dist.n_atoms
     s = data.draw(st.floats(0.1, 3.0))
     lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)).filter(lambda v: v < s))
-    withhold = data.draw(st.booleans())
     params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
     oracle = MassartOracle(dist, rng_seed=0)
 
     scores = data.draw(one_signed_scores(n, s, lam))
     assert one_signed(scores, s)
-    state = state_at(dist, lam, s, withhold, scores)
-    ref = ScoreStateReference(dist, lam, s, withhold).at(scores)
+    state = state_at(dist, lam, s, scores)
+    ref = ScoreStateReference(dist, lam, s, True).at(scores)
     assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
 
     scores[:2] = -lam / 2, -s + lam / 2
-    state, ref = state_at(dist, lam, s, withhold, scores), ref.at(scores)
+    state, ref = state_at(dist, lam, s, scores), ref.at(scores)
     for k, (atom, value, b) in enumerate(LEAVE_AND_RETURN):
         hv = np.zeros(n)
         hv[atom] = value
@@ -137,6 +144,32 @@ def test_one_signed_states_match_reference(data):
         assert one_signed(ref.sigma, s) == (k % 2 == 1)
         assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
 
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_infinite_threshold_is_the_ablation(data):
+    """ScoreState at s = inf has the bytes of the reference's ablation at a finite s, and a risky mass of 0.0.
+
+    Scores drawn in (-2s, 0) are one-signed at s = inf but some are risky at s, so stats() takes its
+    one-signed path where the reference takes the general one.
+    """
+    dist = data.draw(finite_dists())
+    n = dist.n_atoms
+    lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)))
+    s = data.draw(st.floats(0.1, 3.0))
+    params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
+    oracle = MassartOracle(dist, rng_seed=0)
+
+    ref = ScoreStateReference(dist, lam, s, False)
+    assert_stats_equal(ScoreState(dist, lam, math.inf).stats(), ref, math.inf)
+    scores = data.draw(st.one_of(adversarial_scores(n, s, lam), one_signed_scores(n, 2.0 * s, lam)))
+    state, ref = state_at(dist, lam, math.inf, scores), ref.at(scores)
+    for _ in range(data.draw(st.integers(1, 4))):
+        hv = data.draw(hypothesis_values(n))
+        assert state.stats().risky_mass == 0.0
+        assert_round_matches(state, ref, hv, oracle, params)
+        b = data.draw(st.booleans())
+        state, ref = state.step(hv, b), ref.step(hv, b)
 
 
 # scores on a 1/4 grid with lam = 0.5 and s = 1, so every step below is exact
@@ -149,24 +182,28 @@ MEMO_SCHEDULE = [((), (), False), ((), (), False), ((0,), (), False), ((), (), F
                  ((), (), False), ((), (0, 2), True), ((), (), False), ((), (), False)]
 
 
-@pytest.mark.parametrize("withhold", [True, False], ids=["withheld", "ablated"])
-def test_memo_follows_mask_changes(withhold):
-    """Masks that hold, change and return: every stats field still matches the reference, step by step."""
+@pytest.mark.parametrize("s", [1.0, math.inf], ids=["withheld", "ablated"])
+def test_memo_follows_mask_changes(s):
+    """Masks that hold, change and return: every stats field still matches the reference, step by step.
+
+    The reference's threshold is 1; at the state's s = inf it takes its withhold=False path.
+    """
     n = len(MEMO_SCORES)
     dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n),
                              [1, -1, 1, 1, -1, 1, -1, 1], [0.1, 0.0, 0.2, 0.3, 0.1, 0.0, 0.4, 0.2], 0.45)
     params = replace(EXACT, epsilon=0.01)
     oracle = MassartOracle(dist, rng_seed=0)
-    state = state_at(dist, 0.5, 1.0, withhold, MEMO_SCORES)
-    ref = ScoreStateReference(dist, 0.5, 1.0, withhold).at(MEMO_SCORES)
+    state = state_at(dist, 0.5, s, MEMO_SCORES)
+    ref = ScoreStateReference(dist, 0.5, 1.0, s < math.inf).at(MEMO_SCORES)
     signs, risky = set(), set()
     for plus, minus, b in MEMO_SCHEDULE:
         hv = np.zeros(n)
         hv[list(plus)], hv[list(minus)] = 1.0, -1.0
         state, ref = state.step(hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
-        assert_stats_equal(state.stats(), ref)
-        assert over_confident(oracle, state, params) == over_confident_reference(dist, ref, params.eta, 0.01)
+        assert_stats_equal(state.stats(), ref, s)
+        want = s < math.inf and over_confident_reference(dist, ref, params.eta, 0.01)
+        assert over_confident(oracle, state, params) == want
         signs.add((ref.sigma >= 0).tobytes())
         risky.add((np.abs(ref.sigma) >= 1.0).tobytes())
     assert len(signs) == len(risky) == 2
@@ -178,7 +215,7 @@ def test_values_of_integer_hypotheses(dtype):
     """Integer values are clipped before they become floats; the clipped floats are the same."""
     dist = FiniteMassartDist(np.arange(6, dtype=np.float64).reshape(-1, 1), np.full(6, 1 / 6), [1] * 6, [0.0] * 6, 0.0)
     values = np.array([-3, 0, 3, -1, 1, -128 if dtype == np.int8 else -(2**40)], dtype=dtype)
-    got = ScoreState(dist, 0.5, 1.0, True).values(lambda xs: values)
+    got = ScoreState(dist, 0.5, 1.0).values(lambda xs: values)
     want = ScoreStateReference(dist, 0.5, 1.0, True).values(lambda xs: values)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -188,7 +225,7 @@ def test_empty_risky_set_has_mass_zero(cfg_file):
     """On seed 0's instance, at G = 0 (the general path) and at G = -lam (the one-signed path), no
     atom is risky and the risky mass is exactly 0.0, not the rounding left by 1 - dot(p, 1)."""
     dist = build_instance(load_config(CONFIGS / cfg_file), 0)[0]
-    state = ScoreState(dist, EXACT.lam, EXACT.s, True)
+    state = ScoreState(dist, EXACT.lam, EXACT.s)
     below = state.step(np.full(dist.n_atoms, -1.0), False)
     assert [state.stats().risky_mass, below.stats().risky_mass] == [0.0, 0.0]
     assert (state.sigma >= 0.0).all() and (below.sigma == -EXACT.lam).all()
