@@ -663,15 +663,8 @@ def repeat_weak_learner(
         return candidates[0]
     test = mu_sample_source(test_size, np.random.Generator(type(rng.bit_generator)(seeds[-1])))
     ys = test.ys.astype(np.float64)
-    best_idx = 0
-    best_adv = -np.inf
-    for i, h in enumerate(candidates):
-        hv = np.clip(np.asarray(h(test.xs), dtype=np.float64), -1.0, 1.0)
-        adv = 0.5 * float(np.mean(hv * ys))
-        if adv > best_adv:
-            best_adv = adv
-            best_idx = i
-    return candidates[best_idx]
+    advantages = [0.5 * np.mean(np.clip(np.asarray(h(test.xs), dtype=np.float64), -1.0, 1.0) * ys) for h in candidates]
+    return candidates[int(np.argmax(advantages))]
 
 
 # -- run trace ----------------------------------------------------------------
@@ -713,19 +706,6 @@ class RunTrace:
 
 
 # -- the boosting loop --------------------------------------------------------
-
-
-def _exact_fields(pre: ScoreState, hv: np.ndarray, post: ScoreState) -> dict:
-    """The exact RoundRecord fields of a round that stepped pre to post adding values hv.
-
-    pre.advantage(hv) is read before post.stats(): every state of a run
-    writes ExactStats.u_diff into the same workspace row, so post's stats
-    would overwrite the row pre's advantage reads.
-    """
-    adv, max_noise_rate = pre.advantage(hv), pre.stats().max_noise_rate
-    st = post.stats()
-    return dict(phi=st.potential, lerr_exact=st.lerr, ferr_exact=st.ferr, adv_exact=adv, max_noise_rate=max_noise_rate,
-                risky_mass=st.risky_mass)
 
 
 def boost(
@@ -774,14 +754,21 @@ def boost(
             # sample from D_mu and train
             h_t = repeat_weak_learner(wkl, source, params, rng)
             hv = state.values(h_t)
+            exact_fields = {}
+            if exact:  # h_t's advantage on D_mu, and D_mu's largest noise rate
+                exact_fields = dict(adv_exact=state.advantage(hv), max_noise_rate=state.stats().max_noise_rate)
             # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
             added = state.step(hv, False)
             b_t = not ablate_no_withholding and over_confident(oracle, added, params)
-            pre, state = state, (state.step(hv, True) if b_t else added)
+            state = state.step(hv, True) if b_t else added
             trace.append((h_t, b_t))
             # measure the density and record the round
-            exact_fields = _exact_fields(pre, hv, state) if exact else {}
-            d_hat = state.stats().density if exact else est_density(oracle, state, params)
+            if exact:
+                st = state.stats()
+                d_hat = st.density
+                exact_fields.update(phi=st.potential, lerr_exact=st.lerr, ferr_exact=st.ferr, risky_mass=st.risky_mass)
+            else:
+                d_hat = est_density(oracle, state, params)
             run.rows.append(RoundRecord(round=len(trace), d_hat=d_hat, overconfident=b_t,
                                         raw_draws=oracle.draws - draws_mark, **exact_fields))
             draws_mark = oracle.draws

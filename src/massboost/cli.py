@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigParse, IoFailure, emit_metrics, load_config, run_experiment
+from .harness import ConfigParse, emit_metrics, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         return 2
     path = args.pop("config")
     try:
-        cfg = load_config(path, {key: value for key, value in args.items() if value})
+        cfg = load_config(path, {key: value for key, value in args.items() if value is not None})
         report = run_experiment(cfg)
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     if cfg.out:
         try:
             written = emit_metrics(report, cfg.out)
-        except IoFailure as exc:
+        except OSError as exc:
             print(f"io error: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {len(written)} files under {cfg.out}")

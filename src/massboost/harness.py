@@ -34,7 +34,6 @@ from .rectangles import BoxWeakLearner, Rectangle, RectangleUnion
 
 __all__ = [
     "ConfigParse",
-    "IoFailure",
     "RunConfig",
     "RunReport",
     "SeedResult",
@@ -47,10 +46,6 @@ __all__ = [
 
 class ConfigParse(ValueError):
     """A config file line or field could not be parsed, or breaks a rule."""
-
-
-class IoFailure(OSError):
-    """Writing metrics failed."""
 
 
 _BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -349,7 +344,7 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         lerr=lerr,
         ferr=ferr,
         rounds=trace.rounds,
-        total_draws=oracle.draws,
+        total_draws=trace.total_draws,
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),
         max_noise_rate=max(rates) if rates else None,
         trace=trace,
@@ -383,21 +378,18 @@ def run_experiment(cfg: RunConfig) -> RunReport:
 
 
 def emit_metrics(report: RunReport, path) -> List[Path]:
-    """Write summary.json plus one trace CSV per seed; returns written paths."""
+    """Write summary.json plus one trace CSV per seed; returns written paths. A failed write raises OSError."""
     out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        summary_path = out_dir / "summary.json"
-        with open(summary_path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(summary_path)
-        for r in report.results:
-            trace_path = out_dir / f"round_trace_{r.seed}.csv"
-            with open(trace_path, "w") as fh:
-                fh.write(r.trace.to_csv())
-            written.append(trace_path)
-        return written
-    except OSError as exc:
-        raise IoFailure(f"failed writing metrics under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    summary_path = out_dir / "summary.json"
+    with open(summary_path, "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(summary_path)
+    for r in report.results:
+        trace_path = out_dir / f"round_trace_{r.seed}.csv"
+        with open(trace_path, "w") as fh:
+            fh.write(r.trace.to_csv())
+        written.append(trace_path)
+    return written

@@ -95,7 +95,7 @@ class RectangleUnion:
 class BoxHypothesis:
     """Weak hypothesis: -1 on b_best, the fallback label z outside.
 
-    With constant_flag set there is no rectangle and the hypothesis is the
+    With b_best None there is no rectangle and the hypothesis is the
     constant z everywhere (z = +1 for the small-negative-fraction branch,
     the sample majority when no candidate met the mass floor, which only
     happens with k = 0).
@@ -103,11 +103,10 @@ class BoxHypothesis:
 
     b_best: Optional[NegRectangle]
     z: int
-    constant_flag: bool = False
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        if self.constant_flag or self.b_best is None:
+        if self.b_best is None:
             return np.full(xs.shape[0], self.z, dtype=np.int8)
         return np.where(self.b_best.contains(xs), np.int8(-1), np.int8(self.z))
 
@@ -324,7 +323,7 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
         raise ValueError(f"alpha must be >= 0, got {alpha}")
 
     if np.count_nonzero(ys == -1) / n < alpha / 2.0:
-        return BoxHypothesis(None, 1, constant_flag=True)
+        return BoxHypothesis(None, 1)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
     positive = ys == 1
@@ -334,11 +333,11 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     if found is None:
         z = _majority(ys)
         logger.info("wkl_box: no candidate rectangle met the mass floor (only k = 0 admits none); constant %+d", z)
-        return BoxHypothesis(None, z, constant_flag=True)
+        return BoxHypothesis(None, z)
 
     combo, thresholds, cell = found
     best_rect = NegRectangle(tuple((a, s, float(t[i])) for (a, s), t, i in zip(combo, thresholds, cell)))
-    return BoxHypothesis(best_rect, _majority(ys[~best_rect.contains(xs)]), constant_flag=False)
+    return BoxHypothesis(best_rect, _majority(ys[~best_rect.contains(xs)]))
 
 
 def enumerate_negative_subrectangles(

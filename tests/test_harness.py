@@ -349,6 +349,27 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not out_dir.exists()
 
+    def test_empty_flag_value_overrides_its_key(self, tmp_path):
+        """An explicitly empty flag value reads as a blank config line, not as an absent flag."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        self.assert_config_error(self.run_cli(["run", str(cfg_path), "--sample-scale", ""]), "sample_scale")
+        out_dir = tmp_path / "metrics"
+        res = self.run_cli(["run", str(cfg_path), "--seed-range", "", "--out", str(out_dir)])
+        assert res.returncode == 0, res.stderr
+        assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
+        assert json.loads((out_dir / "summary.json").read_text())["seeds"] == []
+
+    def test_out_naming_a_file_is_io_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        out = tmp_path / "taken"
+        out.write_text("")
+        res = self.run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--out", str(out)])
+        assert res.returncode == 1
+        assert "io error" in res.stderr and str(out) in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_single_seed_flag_runs_that_seed(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)

@@ -1,6 +1,7 @@
-"""Property tests over random finite distributions and random boosting traces."""
+"""Property tests over random finite distributions, random boosting traces and whole boosting runs."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import assume, given, reject, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from massboost import (
     FiniteMassartDist,
     MassartOracle,
+    MaxRoundsExceeded,
     Measure,
+    boost,
     compute_params,
     exact_density,
     exact_potential,
@@ -141,6 +144,68 @@ def test_safe_set_noise_rate_at_most_half_minus_alpha(data):
     safe = np.abs(scores) < s
     assert np.all(rates[safe] <= bound)
     assert state_at(dist, params.lam, s, scores).stats().max_noise_rate <= bound
+
+
+@dataclass
+class SawtoothLearner:
+    """A weak learner that draws m examples from D_mu and a sawtooth hypothesis from its stream.
+
+    It returns the sawtooth or its negation, whichever agrees with the
+    sample's labels more, or less if it is adversarial.
+    """
+
+    dim: int
+    m: int
+    adversarial: bool
+    alpha: float = 0.25
+    gamma: float = 0.25
+
+    def train_from_source(self, source, rng):
+        sample = source(self.m)
+        w, c, amp = rng.uniform(-3.0, 3.0, self.dim), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
+        agrees = np.dot(sawtooth(w, c, amp)(sample.xs), sample.ys) >= 0.0
+        return sawtooth(w, c, amp if agrees != self.adversarial else -amp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_whole_exact_runs_keep_the_round_invariants(data):
+    """Every round of a random exact run keeps |G| < s + lambda and d_hat <= phi, and has one trace row.
+
+    The rows' draws sum to the run's total whether the run completes or
+    stops at the round cap, and the final scores equal the aggregate's
+    replay in both cases.
+    """
+    dist = data.draw(finite_dists())
+    eta = data.draw(st.floats(max(dist.eta_bound, 0.05), 0.45))
+    # alpha is drawn through the threshold s it gives, small enough for short runs to reach the risky set
+    s = data.draw(st.floats(0.02, min(0.5, math.log((1.0 - eta) / eta)), exclude_max=True))
+    c = (1.0 - eta) * math.exp(-s) - eta
+    alpha = c / (4.0 * eta + 2.0 * c)
+    epsilon = 2.0 * c + data.draw(st.floats(0.0, 0.5))
+    try:
+        params = compute_params(eta, alpha, data.draw(st.floats(0.25, 0.49)), epsilon, 0.1,
+                                sample_scale=data.draw(st.sampled_from([0.01, 0.05])),
+                                max_rounds=data.draw(st.integers(1, 40)))
+    except ValueError:  # alpha or s rounded to 0
+        reject()
+    oracle = MassartOracle(dist, rng_seed=data.draw(st.integers(0, 2**32 - 1)))
+    oracle.sample_batch(data.draw(st.integers(0, 20)))  # draws before the run are not the run's
+    learner = SawtoothLearner(dist.dim, data.draw(st.integers(1, 10)), data.draw(st.booleans()))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    try:
+        agg, trace = boost(oracle, learner, params, rng)
+    except MaxRoundsExceeded as exc:
+        agg, trace = exc.aggregated, exc.trace
+        assert len(agg) == params.max_rounds
+    for t in range(1, len(agg) + 1):
+        replay = AggregatedHypothesis(params.lam, params.s, agg.trace[:t]).g(dist.xs)
+        assert np.abs(replay).max() < params.s + params.lam
+    assert all(r.d_hat <= r.phi for r in trace.rows)
+    assert [r.round for r in trace.rows] == list(range(1, len(agg) + 1))
+    assert sum(r.raw_draws for r in trace.rows) == trace.total_draws
+    assert np.array_equal(trace.scores, agg.g(dist.xs))
 
 
 @settings(max_examples=100, deadline=None)

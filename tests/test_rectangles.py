@@ -69,7 +69,7 @@ class TestWklBox:
         xs = np.random.default_rng(0).random((100, 2))
         sample = LabeledSample(xs, np.ones(100, dtype=np.int8))
         h = wkl_box(sample, 2, 1, alpha=0.1)
-        assert h.constant_flag and h.z == 1
+        assert h.b_best is None and h.z == 1
         assert np.all(h(xs) == 1)
 
     def test_one_dim_half_interval(self):
@@ -80,7 +80,7 @@ class TestWklBox:
         oracle = MassartOracle(dist, rng_seed=1)
         sample = oracle.sample_batch(2000)
         h = wkl_box(sample, 1, 1, alpha=0.1)
-        assert not h.constant_flag
+        assert h.b_best is not None
         inside = h.b_best.contains(dist.xs)
         assert np.all(dist.xs[inside, 0] >= 0.5)
         assert np.all(dist.f[inside] == -1)
@@ -90,7 +90,7 @@ class TestWklBox:
         xs = np.random.default_rng(1).random((200, 1))
         sample = LabeledSample(xs, -np.ones(200, dtype=np.int8))
         h = wkl_box(sample, 1, 1, alpha=0.1)
-        assert not h.constant_flag
+        assert h.b_best is not None
         assert np.all(h(xs) == -1)
         # on a noiseless all-negative distribution the advantage is 1/2
         n = 50

@@ -203,9 +203,9 @@ def test_reaches_brute_force_optimum(learner, case):
     xs, ys = sample.xs, sample.ys
     h = learner(sample, d, k, alpha)
     if np.mean(ys == -1) < alpha / 2.0:
-        assert h.constant_flag and h.z == 1
+        assert h.b_best is None and h.z == 1
         return
-    assert not h.constant_flag
+    assert h.b_best is not None
     assert h.b_best.contains(xs).sum() / len(ys) > alpha / (8.0 * (2.0 * d) ** k)
     assert objective(h.b_best, xs, ys) == brute_force_best(xs, ys, d, k, alpha)
     outside = ys[~h.b_best.contains(xs)]

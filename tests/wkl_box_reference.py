@@ -34,7 +34,7 @@ def wkl_box_reference(sample: LabeledSample, d: int, k: int, alpha: float) -> Bo
         raise ValueError(f"sample dimension {xs.shape[1]} != d = {d}")
 
     if np.mean(ys == -1) < alpha / 2.0:
-        return BoxHypothesis(None, 1, constant_flag=True)
+        return BoxHypothesis(None, 1)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
     pos = (ys == 1).astype(np.float64)
@@ -81,8 +81,8 @@ def wkl_box_reference(sample: LabeledSample, d: int, k: int, alpha: float) -> Bo
 
     if best_rect is None:
         z = _majority(ys)
-        return BoxHypothesis(None, z, constant_flag=True)
+        return BoxHypothesis(None, z)
 
     outside = ~best_rect.contains(xs)
     z = _majority(ys[outside])
-    return BoxHypothesis(best_rect, z, constant_flag=False)
+    return BoxHypothesis(best_rect, z)
