@@ -688,7 +688,12 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    """Ordered round records, draw total and final per-atom scores of one boosting run."""
+    """Ordered round records, draw total and final per-atom scores of one boosting run.
+
+    total_draws meters every oracle draw of the run. When a draw budget
+    stops it, that includes the draws of the failed round, which has no
+    row, so the rows' raw_draws then sum to less.
+    """
 
     rows: List[RoundRecord] = field(default_factory=list)
     total_draws: int = 0

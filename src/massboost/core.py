@@ -119,9 +119,10 @@ class FiniteMassartDist:
         if not _validated and not np.all(np.isin(f, (-1, 1))):
             raise ValueError("true labels must be -1 or +1")
         self.xs = np.ascontiguousarray(np.atleast_2d(np.asarray(xs, dtype=np.float64)))
-        self.p = np.asarray(p, dtype=np.float64)
-        self.f = np.asarray(f, dtype=np.int8)
-        self.eta = np.asarray(eta, dtype=np.float64)
+        # contiguous, as strided p or eta would change the summation order of their dots
+        self.p = np.ascontiguousarray(p, dtype=np.float64)
+        self.f = np.ascontiguousarray(f, dtype=np.int8)
+        self.eta = np.ascontiguousarray(eta, dtype=np.float64)
         self.eta_bound = float(eta_bound)
         if not _validated:
             self._validate()
@@ -150,8 +151,9 @@ class FiniteMassartDist:
         if np.any(self.eta > self.eta_bound):
             worst = float(self.eta.max())
             raise NoiseExceedsBound(f"eta(x) = {worst} exceeds bound {self.eta_bound}")
-        uniq = np.unique(self.xs, axis=0)
-        if uniq.shape[0] != n:
+        # sorted, equal rows (-0.0 == 0.0) are adjacent; points of no coordinates are all equal
+        rows = self.xs[np.lexsort(self.xs.T)] if self.dim else self.xs
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise DuplicatePoint("atom points must be distinct")
 
     @property
@@ -310,19 +312,16 @@ def parse_dist(text: str) -> FiniteMassartDist:
     if d < 1:
         raise ValueError(f"bad header {lines[0]!r}, the dimension d must be >= 1")
     eta_bound = float(header[1])
-    f = []
-
-    def tokens():  # line by line, so that no token outlives its line
+    fields = [("x", np.float64, (d,)), ("p", np.float64), ("f", np.int64), ("eta", np.float64)]
+    # labels parse as integers, which refuses 1.0 and 1.5; with no atom line loadtxt would warn
+    try:
+        table = np.loadtxt(lines[1:], dtype=fields, comments=None, ndmin=1) if lines[1:] else np.empty(0, fields)
+    except ValueError:
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != d + 3:
-                raise ValueError(f"bad atom line {ln!r}, expected {d + 3} fields")
-            f.append(int(parts[d + 1]))  # float() alone would accept a label such as 1.5
-            yield from parts
-
-    table = np.fromiter(map(float, tokens()), np.float64, (len(lines) - 1) * (d + 3))
-    table = table.reshape(-1, d + 3).T.copy()  # one contiguous row per field
-    return FiniteMassartDist(table[:d].T, table[d], f, table[d + 2], eta_bound)
+            if len(ln.split()) != d + 3:
+                raise ValueError(f"bad atom line {ln!r}, expected {d + 3} fields") from None
+        raise
+    return FiniteMassartDist(table["x"], table["p"], table["f"], table["eta"], eta_bound)
 
 
 def save_dist(dist: FiniteMassartDist, path) -> None:

@@ -284,7 +284,11 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
 
 @dataclass
 class SeedResult:
-    """One seed's outcome; every field but trace is a key of its summary.json record."""
+    """One seed's outcome; every field but trace is a key of its summary.json record.
+
+    total_draws is the trace's: every oracle draw, including those of a
+    round that failed, so it can exceed the sum of the trace's raw_draws.
+    """
 
     seed: int
     ok: bool

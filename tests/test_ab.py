@@ -32,6 +32,36 @@ def test_summary_of_fixed_pairs():
     assert got["score"]["wins"] == 3  # higher is better: pairs 1, 3 and 5
 
 
+GAIN_PARENT = [12.0, 12.1, 12.2, 12.3, 12.4, 12.5, 12.6, 12.7, 12.8, 12.9]  # median 12.45, IQR 0.45
+
+
+@pytest.mark.parametrize(
+    "change,want",
+    [
+        # lower in 9 of 10 pairs, and the median 11.0 is lower by 1.45
+        ([11.0] * 9 + [13.0], True),
+        # the same median, but lower in only 8 of 10
+        ([11.0] * 8 + [13.0, 13.0], False),
+        # a tie counts for neither side: 8 wins and a tie
+        ([11.0] * 8 + [12.8, 13.0], False),
+        # lower in 10 of 10, but the median is lower by 0.3, inside the IQR
+        ([p - 0.3 for p in GAIN_PARENT], False),
+    ],
+    ids=["nine-of-ten-beyond-iqr", "eight-of-ten", "tie", "inside-iqr"],
+)
+def test_gain_rule_of_fixed_pairs(change, want):
+    pairs = [({"setup_s": p}, {"setup_s": c}) for p, c in zip(GAIN_PARENT, change)]
+    got = summarize(pairs, {"setup_s": "lower"})["setup_s"]
+    assert got["parent_iqr"] == pytest.approx(0.45) and got["gain"] is want
+
+
+def test_gain_rule_reads_the_better_direction():
+    # higher is better: the same numbers, mirrored, show the same gain
+    pairs = [({"score": -p}, {"score": -c}) for p, c in zip(GAIN_PARENT, [11.0] * 9 + [13.0])]
+    assert summarize(pairs, {"score": "higher"})["score"]["gain"] is True
+    assert summarize(pairs, {"score": "lower"})["score"]["gain"] is False
+
+
 def test_unlisted_metric_is_better_lower():
     assert summarize(PAIRS, {})["score"]["wins"] == 1  # only pair 2 is lower
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from massboost.core import (
     DuplicatePoint,
     NoiseExceedsBound,
     dump_dist,
+    label_errors,
     load_dist,
     parse_dist,
     save_dist,
@@ -61,6 +63,26 @@ class TestMakeMassart:
     def test_duplicate_point(self):
         with pytest.raises(DuplicatePoint):
             make_massart([((0.0,), 0.5, 1, 0.0), ((0.0,), 0.5, -1, 0.0)], eta_bound=0.4)
+        # points of no coordinates are all equal, so only one may be an atom
+        assert make_massart([((), 1.0, 1, 0.0)], eta_bound=0.4).dim == 0
+        with pytest.raises(DuplicatePoint):
+            make_massart([((), 0.5, 1, 0.0), ((), 0.5, -1, 0.0)], eta_bound=0.4)
+
+    def test_array_layout_does_not_move_bytes(self):
+        """Columns of a table and contiguous copies of them give the same opt() and label_errors bytes.
+
+        A strided p or eta would be summed in another order by the dot products.
+        """
+        rng = np.random.default_rng(5)
+        xs, p, eta = rng.random((1000, 2)), rng.random(1000), rng.random(1000) * 0.4
+        p /= p.sum()
+        f = np.where(rng.random(1000) < 0.5, 1, -1)
+        table = np.column_stack([xs, p, f, eta])
+        strided = FiniteMassartDist(table[:, :2], table[:, 2], table[:, 3], table[:, 4], 0.4)
+        packed = FiniteMassartDist(xs, p, f, eta, 0.4)
+        wrong = rng.random(1000) < 0.3
+        assert strided.opt().hex() == packed.opt().hex()
+        assert label_errors(strided.p, strided.eta, wrong) == label_errors(packed.p, packed.eta, wrong)
 
     def test_bad_probability_sum(self):
         with pytest.raises(BadProbability):
@@ -287,10 +309,20 @@ class TestSerialization:
         dist = parse_dist(text)
         assert dist.xs.tolist() == [[0.5, -1.0], [1.0, 2.0]] and dist.f.tolist() == [1, -1]
         assert dist.p.tolist() == [0.5, 0.5] and dist.eta.tolist() == [0.25, 0.0]
+        for good, xs, f in [("2 0.25\n0.5\t-1 0.5\t+1\t0.25\n1\t2 0.5 -1 0\n", [[0.5, -1.0], [1.0, 2.0]], [1, -1]),
+                            ("3 0.25\n1 2 3 1 +1 0.125\n", [[1.0, 2.0, 3.0]], [1])]:
+            dist = parse_dist(good)
+            assert dist.xs.tolist() == xs and dist.f.tolist() == f
         for bad, match in [("2 0.25 1\n", "header"), ("2 0.25\n0.5 1 0.5 1\n", "5 fields"),
-                           ("2 0.25\n0.5 1 1.0 1.0 0\n", "int"), ("2 0.25\n0.5 x 1.0 1 0\n", "float")]:
+                           ("2 0.25\n0.5 1 1.0 1.0 0\n", "int"), ("2 0.25\n0.5 x 1.0 1 0\n", "float"),
+                           ("2 0.25\n0.5 1 1.0 1 0 # c\n", "5 fields"),
+                           ("2 0.25\n1 0 0.25 1 0\n0 5 0.5 1 0\n1 -0 0.25 -1 0\n", "distinct")]:  # -0.0 == 0.0
             with pytest.raises(ValueError, match=match):
                 parse_dist(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadProbability, match="at least one atom"):
+                parse_dist("2 0.25\n# no atoms\n")
 
     def test_file_round_trip(self, tmp_path):
         dist = two_atoms(f=(1, -1), eta=(0.125, 1.0 / 3.0), eta_bound=0.4)

@@ -274,6 +274,8 @@ class TestFailedSeeds:
         assert np.array_equal(r.trace.scores, failure.aggregated.g(dist.xs))
         summary = json.loads((tmp_path / "summary.json").read_text())["seeds"][0]
         assert summary["rounds"] == r.rounds and summary["lerr"] is not None
+        # total_draws also meters the draws of the round that failed, which no row records
+        assert summary["total_draws"] > sum(int(row.split(",")[4]) for row in rows)
 
     def test_draw_budget_keeps_completed_rounds(self, tmp_path, monkeypatch):
         # a density estimate stuck at 0.9 while the true density collapses

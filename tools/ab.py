@@ -17,10 +17,10 @@ It prints each pair's end-to-end metrics (parent/change), then, per
 workload and metric, each side's median and quartiles, the change of the
 median, and the number of pairs in which the change is better, using the
 direction BENCHMARK.json declares (lower is better for a metric it does not
-list). The quartiles interpolate linearly between order statistics
-(statistics.quantiles, method "inclusive"). Last, for each metric
-BENCHMARK.json bounds, it prints the bound and a no-regression verdict (see
-verdict).
+list), and whether the pairs show a gain (see summarize). The quartiles
+interpolate linearly between order statistics (statistics.quantiles,
+method "inclusive"). Last, for each metric BENCHMARK.json bounds, it
+prints the bound and a no-regression verdict (see verdict).
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
 
 
 def summarize(pairs: List[Pair], better: Dict[str, str]) -> Dict[str, dict]:
-    """Per metric of the first pair: both sides' quartiles, the parent's IQR and the change's wins.
+    """Per metric of the first pair: both sides' quartiles, the parent's IQR, the change's wins and the gain rule.
 
     better maps a metric to "lower" or "higher"; a metric it does not name
-    is better lower. A pair is a win when the change is strictly better.
+    is better lower. A pair is a win when the change is strictly better, so
+    a tie counts for neither side. The pairs show a gain when the change
+    wins at least 9 in 10 of them and its median is better than the
+    parent's by more than the parent's IQR.
     """
     out = {}
     for name in pairs[0][0]:
@@ -61,13 +64,15 @@ def summarize(pairs: List[Pair], better: Dict[str, str]) -> Dict[str, dict]:
         change = [c[name] for _, c in pairs]
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         p_q, c_q = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
         out[name] = {
             "parent": p_q,
             "change": c_q,
             "parent_iqr": p_q[2] - p_q[0],
             "median_change": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else None,
-            "wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
+            "wins": wins,
             "equal": parent == change,
+            "gain": 10 * wins >= 9 * len(pairs) and sign * (p_q[1] - c_q[1]) > p_q[2] - p_q[0],
         }
     return out
 
@@ -149,7 +154,7 @@ def report(workload: str, seed: int, parent_ref: str, pairs: List[Pair], rules: 
         if s["equal"]:
             moved = "equal in every pair"
         print(f"  {name}: median {pm:.6g} [{p1:.6g}, {p3:.6g}] / {cm:.6g} [{c1:.6g}, {c3:.6g}], "
-              f"parent IQR {s['parent_iqr']:.4g}; {moved}")
+              f"parent IQR {s['parent_iqr']:.4g}; {moved}; gain {'shown' if s['gain'] else 'not shown'}")
     for name, m in rules.items():
         if name in pairs[0][0]:
             parent, change = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
