@@ -2,9 +2,11 @@
 
 Both run the per-round work of boost() in exact-oracle mode on seed 0's
 instance of configs/hard_floor.cfg (100 000 atoms): a hypothesis's values on
-every atom, the advantage, the provisional step, the over-confidence test,
-the recalibrating step when that test fires, and the next state's
-statistics. Three start scores are timed:
+every atom, the advantage, the step, the over-confidence test, the
+recalibration when that test fires, and the statistics after the round.
+ScoreState steps its one state in place and recalibrates it; the reference
+allocates a stepped state, and a second one from the old state when the
+test fires. Three start scores are timed:
 
 - third_risky: uniform in (-1.5 s, 1.5 s), so about a third of the atoms is
   risky and the over-confidence test runs both of its stages. The
@@ -39,6 +41,7 @@ from massboost import MassartOracle, compute_params, load_config  # noqa: E402
 from massboost.booster import ScoreState, over_confident  # noqa: E402
 from massboost.harness import build_instance  # noqa: E402
 from score_state_reference import ScoreStateReference, over_confident_reference  # noqa: E402
+from test_properties import state_at  # noqa: E402
 from test_score_state import assert_stats_equal  # noqa: E402
 
 
@@ -75,29 +78,36 @@ def start(cls, dist, params, scores):
     """A state of class cls at the given scores, with its statistics computed."""
     if cls is ScoreStateReference:
         state = cls(dist, params.lam, params.s, True).at(scores)
-    else:  # a freshly stepped state has cached nothing, so its scores are set in place
-        state = cls(dist, params.lam, params.s).step(np.zeros(dist.n_atoms), False)
-        state.sigma[:] = scores
+    else:
+        state = state_at(dist, params.lam, params.s, scores)
     state.stats()
     return state
 
 
-def exact_round(state, oracle, params, decide, h):
+def score_state_round(state, oracle, params, h):
+    """The state after one round, taken in place."""
+    hv = state.values(h)
+    state.advantage(hv)
+    state.step(hv)
+    if over_confident(oracle, state, params):
+        state.recalibrate()
+    state.stats()
+    return state
+
+
+def reference_round(state, oracle, params, h):
+    """A new state after one round."""
     hv = state.values(h)
     state.advantage(hv)
     added = state.step(hv, False)
-    nxt = state.step(hv, True) if decide(oracle, added, params) else added
+    nxt = state.step(hv, True) if over_confident_reference(oracle.source, added, params.eta, params.epsilon) else added
     nxt.stats()
     return nxt
 
 
-def reference_decide(oracle, state, params):
-    return over_confident_reference(oracle.source, state, params.eta, params.epsilon)
-
-
 IMPLEMENTATIONS = {
-    "score_state": (ScoreState, over_confident),
-    "reference": (ScoreStateReference, reference_decide),
+    "score_state": (ScoreState, score_state_round),
+    "reference": (ScoreStateReference, reference_round),
 }
 
 
@@ -106,13 +116,13 @@ IMPLEMENTATIONS = {
 def test_exact_round(benchmark, instance, name, start_name):
     dist, params = instance
     scores, hyps = STARTS[start_name](params, dist.n_atoms)
-    cls, decide = IMPLEMENTATIONS[name]
+    cls, take_round = IMPLEMENTATIONS[name]
     oracle = MassartOracle(dist, rng_seed=0)
     chain = [start(cls, dist, params, scores), 0]
 
     def one_round():
         state, k = chain
-        chain[:] = exact_round(state, oracle, params, decide, hyps[k % len(hyps)]), k + 1
+        chain[:] = take_round(state, oracle, params, hyps[k % len(hyps)]), k + 1
 
     benchmark(one_round)
 
@@ -121,6 +131,6 @@ def test_exact_round(benchmark, instance, name, start_name):
     new, ref = start(ScoreState, dist, params, scores), start(ScoreStateReference, dist, params, scores)
     for k in range(5):
         h = hyps[k % len(hyps)]
-        new = exact_round(new, oracle, params, over_confident, h)
-        ref = exact_round(ref, oracle, params, reference_decide, h)
+        new = score_state_round(new, oracle, params, h)
+        ref = reference_round(ref, oracle, params, h)
         assert_stats_equal(new.stats(), ref)

@@ -23,7 +23,6 @@ and delta_err, optionally shrunk by sample_scale for desk-scale experiments.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Protocol, Tuple
@@ -192,7 +191,9 @@ class AggregatedHypothesis:
     g(xs) replays the trace: per round, a point with |score| < s receives
     lam * h_i(x); otherwise, if the round recalibrated (b_i = 1), the score
     moves lam toward zero. With s = inf (the ablation) no point is risky and
-    every hypothesis is added everywhere.
+    every hypothesis is added everywhere. The replay updates one score row in
+    place through the same two helpers as ScoreState, so each round
+    allocates only the hypothesis's values.
     """
 
     lam: float
@@ -202,39 +203,36 @@ class AggregatedHypothesis:
     def g(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         sigma = np.zeros(xs.shape[0])
-        tmp = np.empty_like(sigma)
+        tmp, risky = np.empty_like(sigma), np.empty(sigma.shape, dtype=bool)
         for h, b in self.trace:
             hv = np.clip(np.asarray(h(xs), dtype=np.float64), -1.0, 1.0)
-            risky = np.abs(sigma) >= self.s
-            sigma = _step_scores(sigma, hv, b, self.lam, risky, np.empty_like(sigma), tmp)
+            np.greater_equal(np.abs(sigma, out=tmp), self.s, out=risky)
+            _add_safe(sigma, hv, self.lam, risky, tmp)
+            if b:
+                _pull_risky(sigma, self.lam, risky, tmp)
         return sigma
 
     def __len__(self) -> int:
         return len(self.trace)
 
 
-def _step_scores(
-    sigma: np.ndarray, hv: np.ndarray, b: bool, lam: float, risky: np.ndarray,
-    out: np.ndarray, tmp: np.ndarray,
-) -> np.ndarray:
-    """One round of the score update into out, shared by the loop and trace replay.
+# The two halves of a round's score update, in place, shared by ScoreState
+# and the trace replay. risky is the mask |sigma| >= s taken before the
+# round, all False at the ablation's s = inf; tmp is scratch of sigma's shape.
+# A risky score is nonzero (s > 0), so adding the +0.0 written over its step
+# keeps its bits, and copysign gives lam * sign(sigma) there.
 
-    risky is the mask |sigma| >= s, all False at the ablation's s = inf, where
-    every atom takes the step. A safe atom gets sigma + lam * hv; a risky one
-    keeps sigma, or moves to sigma - lam * sign(sigma) if b. Each value comes
-    from that one IEEE operation, whichever buffers hold it, so a mask with no
-    risky atom skips the masked pass. out must not be sigma; tmp is scratch of
-    sigma's shape.
-    """
+
+def _add_safe(sigma: np.ndarray, hv: np.ndarray, lam: float, risky: np.ndarray, tmp: np.ndarray) -> None:
+    """sigma + lam * hv on the safe atoms; the risky ones keep sigma."""
     np.multiply(hv, lam, out=tmp)
-    np.add(sigma, tmp, out=out)
-    if not risky.any():
-        return out
-    if b:  # a risky sigma is nonzero, so copysign gives lam * sign(sigma) there
-        np.subtract(sigma, np.copysign(lam, sigma, out=tmp), out=out, where=risky)
-    else:
-        np.copyto(out, sigma, where=risky)
-    return out
+    np.copyto(tmp, 0.0, where=risky)
+    np.add(sigma, tmp, out=sigma)
+
+
+def _pull_risky(sigma: np.ndarray, lam: float, risky: np.ndarray, tmp: np.ndarray) -> None:
+    """sigma - lam * sign(sigma) on the risky atoms; the safe ones keep sigma."""
+    np.subtract(sigma, np.copysign(lam, sigma, out=tmp), out=sigma, where=risky)
 
 
 @dataclass(frozen=True)
@@ -252,65 +250,49 @@ class ExactStats:
     u_diff: np.ndarray
 
 
-@dataclass
-class _SignMemo:
-    """lerr and ferr of the sign mask sigma >= 0 they were last computed for, kept in a row of its own."""
-
-    sign: np.ndarray
-    errors: Optional[Tuple[float, float]] = None
-
-
 class ScoreState:
-    """The aggregate's score G on every atom of a finite support.
+    """The aggregate's score G on every atom of a finite support, one per run.
 
-    sigma[i] = G(dist.xs[i]). step() applies one round of the update rule to
-    all atoms and returns the next state, so sigma equals
-    AggregatedHypothesis.g(dist.xs) bit for bit: hypotheses are pointwise
-    and _step_scores is elementwise. sample_scores reads sigma at the atom
-    index every oracle draw carries, so no draw replays the trace.
+    sigma[i] = G(dist.xs[i]). A round is step(hv), which adds lam * hv to the
+    safe atoms |sigma| < s in place, then recalibrate() if the round
+    recalibrates, which moves the atoms that were risky before that step one
+    lam toward zero. Both run the helpers of AggregatedHypothesis.g, so sigma
+    equals g(dist.xs) bit for bit: hypotheses are pointwise and the helpers
+    elementwise. sample_scores reads sigma at the atom index every oracle
+    draw carries, so no draw replays the trace.
 
-    stats() computes a state's exact statistics on first use. Density and
-    potential are dot products of per-atom weights with the joint label
-    masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
+    stats() computes the current scores' exact statistics on first use.
+    Density and potential are dot products of per-atom weights with the joint
+    label masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
     core.label_errors of sign(sigma), as summary.json's are of the final
     scores; the risky mass is p[risky].sum(), as over_confident takes it.
 
-    The states stepped from one constructed state share its workspace, eight
-    per-atom float rows and four per-atom bool rows allocated once, and write
-    every per-atom float temporary into them, so a round of boost()
-    allocates no float array of n_atoms elements; only the risky mass gathers
-    the masses of the risky atoms, and over_confident their indices. The
-    float rows are two score rows, the values row, the u_diff row (scratch
-    until stats() writes u_diff into it) and four scratch rows; the bool rows
-    are two risky mask rows, a scratch row for the sign mask sigma >= 0 (then
-    for the mask of wrong signs) and the memo's row.
+    The state allocates its workspace once, seven per-atom float rows and
+    four per-atom bool rows, and writes every per-atom float temporary into
+    them, so a round of boost() allocates no float array of n_atoms elements;
+    only the risky mass gathers the masses of the risky atoms, and
+    over_confident their indices. The float rows are sigma, the values row,
+    the u_diff row (scratch until stats() writes u_diff into it) and four
+    scratch rows; the bool rows are the risky mask |sigma| >= s, the mask
+    from before the last step, a scratch row for the sign mask sigma >= 0
+    (then for the mask of wrong signs) and the memo's row.
 
     Some statistics depend on a mask alone, and from round to round the masks
     rarely change, so stats() skips the work a mask makes constant. lerr and
-    ferr depend only on the sign mask. The run's states share one memo of
-    them, keyed by the contents of the sign mask they were computed for: the
-    memo copies that mask into its own row, never into a row a step
-    overwrites, and a state whose mask has the same contents reads the memo,
-    whichever state of the run wrote it. The safe row 1 - risky zeroes the
-    weights. With no atom risky and every score negative, as in the
-    heavy-hitter adversary's runs, the risky mass is 0.0 and no weight
-    changes; min(sigma, 0) is sigma and max(sigma, 0) is +0.0 on every atom,
-    so M+ = exp(-0.0) = 1: phi(sigma) is 1 - sigma, phi(-sigma) is M-, the
-    density's a+ dot is the run constant dot(a+, 1) and u+ is a+ itself.
-    Each value left is the same IEEE operation on the same inputs as on the
-    general path, so both paths give the same bits.
+    ferr depend only on the sign mask: they are kept with a copy of the mask
+    they were computed for, and read again while the mask has the same
+    contents. The safe row 1 - risky zeroes the weights. With no atom risky
+    and every score negative, as in the heavy-hitter adversary's runs, the
+    risky mass is 0.0 and no weight changes; min(sigma, 0) is sigma and
+    max(sigma, 0) is +0.0 on every atom, so M+ = exp(-0.0) = 1: phi(sigma) is
+    1 - sigma, phi(-sigma) is M-, the density's a+ dot is the run constant
+    dot(a+, 1) and u+ is a+ itself. Each value left is the same IEEE
+    operation on the same inputs as on the general path, so both paths give
+    the same bits.
 
-    What a method returns from the workspace stays valid only as follows;
-    copy what must live longer, as boost() copies the final scores.
-
-    - sigma and the risky mask |sigma| >= s alternate between two buffers:
-      step() writes into the one that does not hold this state's sigma. A
-      state stays valid until the step after next, that is, until a state
-      stepped from it is stepped in turn. Two states stepped from the same
-      state share a buffer, and only the later one is valid.
-    - values() returns the same row on every call.
-    - ExactStats.u_diff is one row, overwritten when another state of the
-      run computes its stats.
+    sigma, values() and ExactStats.u_diff are workspace rows: each stays
+    valid until the next step(), values() or recalibrate(). Copy what must
+    live longer, as boost() copies the final scores.
     """
 
     def __init__(self, dist: FiniteMassartDist, lam: float, s: float):
@@ -318,16 +300,10 @@ class ScoreState:
         self.lam = lam
         self.s = s
         n = dist.n_atoms
-        rows = np.zeros((8, n))
-        self._score_rows = rows[:2]
-        self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = rows[2:]
-        masks = np.zeros((4, n), dtype=bool)
-        self._risky_rows = masks[:2]
-        self._sign_now = masks[2]
-        self._sign_memo = _SignMemo(masks[3])
-        self._buf = 0
-        self.sigma = self._score_rows[0]
-        self._risky_mask: Optional[np.ndarray] = None
+        self.sigma, self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = np.zeros((7, n))
+        self._risky_now, self._risky_before, self._sign_now, self._memo_sign = np.zeros((4, n), dtype=bool)
+        self._risky_known = False
+        self._memo_errors: Optional[Tuple[float, float]] = None
         self._f_plus = f_plus = dist.f == 1
         self._a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
         self._a_minus = dist.p - self._a_plus
@@ -354,14 +330,18 @@ class ScoreState:
         """A hypothesis on every atom, clipped to [-1, 1] as the update rule applies it."""
         return np.clip(h(self.dist.xs), -1.0, 1.0, out=self._hv)
 
-    def step(self, hv: np.ndarray, b: bool) -> "ScoreState":
-        """The state after one round adding values hv, recalibrating the risky set if b."""
-        nxt = copy.copy(self)
-        nxt._buf = 1 - self._buf
-        nxt.sigma = _step_scores(self.sigma, hv, b, self.lam, self._risky(), self._score_rows[nxt._buf], self._t1)
-        nxt._risky_mask = None
-        nxt._stats = None
-        return nxt
+    def step(self, hv: np.ndarray) -> None:
+        """Add lam * hv to the safe atoms, in place; the risky ones keep their scores."""
+        risky = self._risky()
+        _add_safe(self.sigma, hv, self.lam, risky, self._t1)
+        # the mask before the step is recalibrate()'s; the other row takes the next one
+        self._risky_before, self._risky_now = risky, self._risky_before
+        self._risky_known, self._stats = False, None
+
+    def recalibrate(self) -> None:
+        """Move the atoms that were risky before the last step() one lam toward zero, in place."""
+        _pull_risky(self.sigma, self.lam, self._risky_before, self._t1)
+        self._risky_known, self._stats = False, None
 
     def advantage(self, hv: np.ndarray) -> Optional[float]:
         """Exact advantage (1/2) E_mu[h(x) y] of values hv on the reweighted distribution."""
@@ -391,13 +371,13 @@ class ScoreState:
 
     def _risky(self) -> np.ndarray:
         """The mask |sigma| >= s, computed on first use; clobbers the scratch row t1."""
-        if self._risky_mask is None:
-            np.abs(self.sigma, out=self._t1)
-            self._risky_mask = np.greater_equal(self._t1, self.s, out=self._risky_rows[self._buf])
-        return self._risky_mask
+        if not self._risky_known:
+            np.greater_equal(np.abs(self.sigma, out=self._t1), self.s, out=self._risky_now)
+            self._risky_known = True
+        return self._risky_now
 
     def stats(self) -> ExactStats:
-        """The exact statistics of this state, computed on first use."""
+        """The exact statistics of the current scores, computed on first use."""
         if self._stats is not None:
             return self._stats
         sigma, risky = self.sigma, self._risky()
@@ -461,13 +441,12 @@ class ScoreState:
         return self._stats
 
     def _sign_errors(self, now: np.ndarray) -> Tuple[float, float]:
-        """lerr and ferr of sign(sigma), read off the run's memo unless the mask now = sigma >= 0 changed."""
-        memo = self._sign_memo
-        if memo.errors is None or np.not_equal(now, memo.sign, out=now).any():  # the test spends now
-            np.greater_equal(self.sigma, 0.0, out=memo.sign)
-            wrong = np.not_equal(memo.sign, self._f_plus, out=now)  # sign(sigma) != f
-            memo.errors = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
-        return memo.errors
+        """lerr and ferr of sign(sigma), computed anew only if the mask now = sigma >= 0 changed."""
+        if self._memo_errors is None or np.not_equal(now, self._memo_sign, out=now).any():  # the test spends now
+            np.greater_equal(self.sigma, 0.0, out=self._memo_sign)
+            wrong = np.not_equal(self._memo_sign, self._f_plus, out=now)  # sign(sigma) != f
+            self._memo_errors = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
+        return self._memo_errors
 
     def _max_noise_rate(self, u_plus: np.ndarray, u_minus: np.ndarray) -> float:
         """Largest flip mass over total mass on one atom; excluded atoms read 0."""
@@ -729,7 +708,9 @@ def boost(
     aggregated hypothesis and the per-round trace, whose scores field holds
     the final score of every atom. A BoostFailure that stops the loop (the
     round cap or a draw budget) leaves with the trace and aggregate of the
-    rounds completed.
+    rounds completed. Its scores are the aggregate's replay on the support,
+    since the state may hold the step of a round that failed in its
+    over-confidence test.
 
     The ablation flag sets s = inf: weights are M(yG) with no cutoff,
     hypotheses apply everywhere, and the over-confidence test, which could
@@ -747,10 +728,11 @@ def boost(
     def source(count: int, r: np.random.Generator) -> LabeledSample:  # D_mu of the current state
         return samp(oracle, state, count, r, d_hat=d_hat, delta=params.delta)[0]
 
-    def finish() -> AggregatedHypothesis:
+    def finish(failed: bool) -> AggregatedHypothesis:
+        agg = AggregatedHypothesis(params.lam, s, tuple(trace))
         run.total_draws = oracle.draws - draws_start
-        run.scores = state.sigma.copy()
-        return AggregatedHypothesis(params.lam, s, tuple(trace))
+        run.scores = agg.g(oracle.source.xs) if failed else state.sigma.copy()
+        return agg
 
     try:
         while d_hat > params.kappa:
@@ -763,9 +745,10 @@ def boost(
             if exact:  # h_t's advantage on D_mu, and D_mu's largest noise rate
                 exact_fields = dict(adv_exact=state.advantage(hv), max_noise_rate=state.stats().max_noise_rate)
             # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
-            added = state.step(hv, False)
-            b_t = not ablate_no_withholding and over_confident(oracle, added, params)
-            state = state.step(hv, True) if b_t else added
+            state.step(hv)
+            b_t = not ablate_no_withholding and over_confident(oracle, state, params)
+            if b_t:
+                state.recalibrate()
             trace.append((h_t, b_t))
             # measure the density and record the round
             if exact:
@@ -778,7 +761,7 @@ def boost(
                                         raw_draws=oracle.draws - draws_mark, **exact_fields))
             draws_mark = oracle.draws
     except BoostFailure as exc:
-        exc.aggregated = finish()
+        exc.aggregated = finish(True)
         exc.trace = run
         raise
-    return finish(), run
+    return finish(False), run

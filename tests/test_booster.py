@@ -458,20 +458,19 @@ def test_exact_round_allocates_no_per_atom_array():
         state.stats()
         hv = state.values(lambda xs: values)
         state.advantage(hv)
-        nxt = state.step(hv, False)
-        over_confident(oracle, nxt, params)
-        nxt.stats()
-        return nxt
+        state.step(hv)
+        over_confident(oracle, state, params)
+        state.stats()
 
     state = ScoreState(dist, params.lam, params.s)
     for values in (minus, minus, plus):  # every score ends at -lam; each step is exact
-        state = one_round(state, values)
+        one_round(state, values)
     peaks, scores = [], []
     for values in (plus, minus, minus):
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            state = one_round(state, values)
+            one_round(state, values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -482,14 +481,15 @@ def test_exact_round_allocates_no_per_atom_array():
 
 
 def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
-    """A round whose over-confidence test reaches its second stage allocates less than half a float row.
+    """A recalibrating round whose over-confidence test reaches its second stage allocates under half a float row.
 
     About a third of the scores are risky, with random signs, so the risky
     mass is far above epsilon/4 and the conditional error near 1/2. The test
     gathers the risky atoms into the workspace; what is left are the index
     array of the risky atoms and stats()'s gathered risky masses, 8n/3 bytes
     each and never alive together. The decision is that of the same formula
-    on fancy-indexed copies of the risky atoms.
+    on fancy-indexed copies of the risky atoms, and the recalibration and
+    the statistics after it write into the workspace too.
     """
     n = 100_000
     dist, params, oracle = striped_instance(n)
@@ -506,9 +506,11 @@ def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
         state.stats()
         hv = state.values(lambda xs: zeros)
         state.advantage(hv)
-        nxt = state.step(hv, False)
-        decision = over_confident(oracle, nxt, params)
-        nxt.stats()
+        state.step(hv)
+        decision = over_confident(oracle, state, params)
+        state.stats()
+        state.recalibrate()
+        state.stats()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,7 +1,7 @@
 """Property tests over random finite distributions, random boosting traces and whole boosting runs."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import assume, given, reject, settings
@@ -18,7 +18,13 @@ from massboost import (
     exact_potential,
     reweighted_noise_rates,
 )
-from massboost.booster import AggregatedHypothesis, DegenerateThreshold, ScoreState
+from massboost.booster import (
+    AggregatedHypothesis,
+    ConditionalDrawBudgetExceeded,
+    DegenerateThreshold,
+    DrawBudgetExceeded,
+    ScoreState,
+)
 from massboost.core import dump_dist, parse_dist
 
 
@@ -55,9 +61,18 @@ def finite_dists(draw):
 
 
 def state_at(dist, lam, s, scores) -> ScoreState:
-    """A state whose sigma is scores; a freshly stepped state has cached nothing, so it is set in place."""
-    state = ScoreState(dist, lam, s).step(np.zeros(dist.n_atoms), False)
+    """A state whose sigma is scores; a state just stepped has cached nothing, so they are set in place."""
+    state = ScoreState(dist, lam, s)
+    state.step(np.zeros(dist.n_atoms))
     state.sigma[:] = scores
+    return state
+
+
+def take_round(state: ScoreState, hv: np.ndarray, b: bool) -> ScoreState:
+    """state after the round (hv, b), as boost() takes it: stepped, then recalibrated if b."""
+    state.step(hv)
+    if b:
+        state.recalibrate()
     return state
 
 
@@ -89,7 +104,7 @@ def test_score_state_equals_trace_replay(data):
 
     state = ScoreState(dist, lam, s)
     for t, (h, b) in enumerate(trace, start=1):
-        state = state.step(state.values(h), b)
+        take_round(state, state.values(h), b)
         agg = AggregatedHypothesis(lam, s, tuple(trace[:t]))
         assert np.array_equal(state.sigma, agg.g(dist.xs))
         sample = oracle.sample_batch(data.draw(st.integers(0, 20)))
@@ -107,7 +122,7 @@ def test_exact_stats_match_the_measure(data):
 
     state = ScoreState(dist, lam, s)
     for h, b in trace:
-        state = state.step(state.values(h), b)
+        take_round(state, state.values(h), b)
     st_ = state.stats()
     assert st_.density <= st_.potential
     agg = AggregatedHypothesis(lam, s, tuple(trace))
@@ -151,12 +166,14 @@ class SawtoothLearner:
     """A weak learner that draws m examples from D_mu and a sawtooth hypothesis from its stream.
 
     It returns the sawtooth or its negation, whichever agrees with the
-    sample's labels more, or less if it is adversarial.
+    sample's labels more, or less if it is adversarial; with signs, it
+    returns that hypothesis's sign, a value in {-1, 0, +1}.
     """
 
     dim: int
     m: int
     adversarial: bool
+    signs: bool = False
     alpha: float = 0.25
     gamma: float = 0.25
 
@@ -164,47 +181,82 @@ class SawtoothLearner:
         sample = source(self.m)
         w, c, amp = rng.uniform(-3.0, 3.0, self.dim), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
         agrees = np.dot(sawtooth(w, c, amp)(sample.xs), sample.ys) >= 0.0
-        return sawtooth(w, c, amp if agrees != self.adversarial else -amp)
+        h = sawtooth(w, c, amp if agrees != self.adversarial else -amp)
+        return (lambda xs: np.sign(h(xs))) if self.signs else h
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_whole_exact_runs_keep_the_round_invariants(data):
-    """Every round of a random exact run keeps |G| < s + lambda and d_hat <= phi, and has one trace row.
+    """Every round of a random run moves the replayed scores as the update rule says, and has one trace row.
 
-    The rows' draws sum to the run's total whether the run completes or
-    stops at the round cap, and the final scores equal the aggregate's
-    replay in both cases.
+    Against the scores of round t - 1, round t adds lam * h_t on the safe
+    atoms |G| < s, and leaves the risky ones where they were, or moves them
+    one lam toward zero if its row reads overconfident. Every round keeps
+    |G| < s + lambda. In exact mode every row also has the replay's risky
+    mass, a noise rate of D_mu before the step of at most 1/2 - alpha, and
+    d_hat <= phi. The rows' draws sum to the run's total when it completes
+    or stops at the round cap, and to at most that after a draw budget stops
+    a Monte Carlo run. The final scores equal the aggregate's replay; after
+    a failure they are that replay, so the comparison holds trivially.
+    test_score_state_equals_trace_replay checks the ScoreState against the
+    replay round by round.
+
+    gamma = 1/4 or 3/8 makes lam a short binary fraction, and a threshold s
+    on its grid lets sums of +-1 values, which the learner returns when it
+    returns signs, land on s exactly. s replaces compute_params' own, which
+    differs from it by rounding only.
     """
+    mc = data.draw(st.booleans())
     dist = data.draw(finite_dists())
     eta = data.draw(st.floats(max(dist.eta_bound, 0.05), 0.45))
     # alpha is drawn through the threshold s it gives, small enough for short runs to reach the risky set
-    s = data.draw(st.floats(0.02, min(0.5, math.log((1.0 - eta) / eta)), exclude_max=True))
+    top = min(0.5, math.log((1.0 - eta) / eta))
+    lam = data.draw(st.one_of(st.sampled_from([0.25, 0.375]), st.floats(0.25, 0.49))) / 8.0
+    s = data.draw(st.one_of(st.integers(1, 8).map(lambda k: k * lam), st.floats(0.02, top)).filter(lambda v: v < top))
     c = (1.0 - eta) * math.exp(-s) - eta
     alpha = c / (4.0 * eta + 2.0 * c)
-    epsilon = 2.0 * c + data.draw(st.floats(0.0, 0.5))
+    # Monte Carlo sample sizes grow as 1/epsilon^2
+    epsilon = 2.0 * c + data.draw(st.floats(0.1 if mc else 0.0, 0.5))
     try:
-        params = compute_params(eta, alpha, data.draw(st.floats(0.25, 0.49)), epsilon, 0.1,
+        params = compute_params(eta, alpha, 8.0 * lam, epsilon, 0.1,
                                 sample_scale=data.draw(st.sampled_from([0.01, 0.05])),
-                                max_rounds=data.draw(st.integers(1, 40)))
+                                mode="mc" if mc else "exact", max_rounds=data.draw(st.integers(1, 40)))
     except ValueError:  # alpha or s rounded to 0
         reject()
+    assert math.isclose(params.s, s, rel_tol=1e-9)
+    params = replace(params, s=s)
     oracle = MassartOracle(dist, rng_seed=data.draw(st.integers(0, 2**32 - 1)))
     oracle.sample_batch(data.draw(st.integers(0, 20)))  # draws before the run are not the run's
-    learner = SawtoothLearner(dist.dim, data.draw(st.integers(1, 10)), data.draw(st.booleans()))
+    learner = SawtoothLearner(dist.dim, data.draw(st.integers(1, 10)), data.draw(st.booleans()), data.draw(st.booleans()))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
+    budget_failure = False
     try:
         agg, trace = boost(oracle, learner, params, rng)
     except MaxRoundsExceeded as exc:
         agg, trace = exc.aggregated, exc.trace
         assert len(agg) == params.max_rounds
-    for t in range(1, len(agg) + 1):
-        replay = AggregatedHypothesis(params.lam, params.s, agg.trace[:t]).g(dist.xs)
-        assert np.abs(replay).max() < params.s + params.lam
-    assert all(r.d_hat <= r.phi for r in trace.rows)
+    except (DrawBudgetExceeded, ConditionalDrawBudgetExceeded) as exc:
+        assert mc
+        agg, trace, budget_failure = exc.aggregated, exc.trace, True
+    bound = 0.5 - params.alpha + 1e-12
     assert [r.round for r in trace.rows] == list(range(1, len(agg) + 1))
-    assert sum(r.raw_draws for r in trace.rows) == trace.total_draws
+    prev = np.zeros(dist.n_atoms)
+    for t, row in enumerate(trace.rows, start=1):
+        replay = AggregatedHypothesis(lam, s, agg.trace[:t]).g(dist.xs)
+        risky = np.abs(prev) >= s
+        hv = np.clip(np.asarray(agg.trace[t - 1][0](dist.xs), dtype=np.float64), -1.0, 1.0)
+        assert np.array_equal(replay[~risky], (prev + lam * hv)[~risky]), t
+        moved = prev - np.copysign(lam, prev) if row.overconfident else prev
+        assert np.array_equal(replay[risky], moved[risky]), t
+        assert np.abs(replay).max() < s + lam
+        if not mc:
+            assert row.risky_mass == dist.p[np.abs(replay) >= s].sum(), t
+            assert row.max_noise_rate <= bound and row.d_hat <= row.phi, t
+        prev = replay
+    draws = sum(r.raw_draws for r in trace.rows)
+    assert draws <= trace.total_draws if budget_failure else draws == trace.total_draws
     assert np.array_equal(trace.scores, agg.g(dist.xs))
 
 

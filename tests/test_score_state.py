@@ -2,8 +2,8 @@
 
 tests/score_state_reference.py keeps the allocating originals of the exact
 statistics, the score update and the exact over-confidence decision. Here
-every ExactStats field, u_diff, both stepped score vectors and the decision
-must have the same bytes as the reference on random finite distributions,
+every ExactStats field, u_diff, the scores after step() and after
+recalibrate(), and the decision must have the same bytes as the reference on random finite distributions,
 starting from adversarial scores: signed zeros, the threshold s and its
 neighbours, tiny and huge magnitudes and multiples of the step size. lerr,
 ferr and the risky mass are the exceptions: each must have the bytes of its
@@ -29,7 +29,7 @@ from massboost.booster import ScoreState, over_confident
 from massboost.core import label_errors, sign_pm1
 from massboost.harness import build_instance
 from score_state_reference import ScoreStateReference, over_confident_reference
-from test_properties import finite_dists, state_at
+from test_properties import finite_dists, state_at, take_round
 
 EXACT = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,17 +65,21 @@ def assert_stats_equal(got, ref, s=None):
 
 
 def assert_round_matches(state, ref, hv, oracle, params):
-    """Statistics, over-confidence decision, advantage of hv and both steps by hv match the reference.
+    """Statistics, over-confidence decision, advantage of hv and the round by hv match the reference.
 
     At the state's threshold s = inf nothing is risky, so its decision is False whatever the reference's.
+    The round is taken by a state at the same scores, which must match the reference's round without
+    recalibration after step() and with it after recalibrate(); state itself does not move.
     """
     assert_stats_equal(state.stats(), ref, state.s)
     want = state.s < math.inf and over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
     assert over_confident(oracle, state, params) == want
     assert state.advantage(hv) == ref.advantage(hv)
-    # the two steps write one buffer, so each is read before the next
-    for b in (False, True):
-        assert state.step(hv, b).sigma.tobytes() == ref.step(hv, b).sigma.tobytes()
+    trial = state_at(state.dist, state.lam, state.s, state.sigma)
+    trial.step(hv)
+    assert trial.sigma.tobytes() == ref.step(hv, False).sigma.tobytes()
+    trial.recalibrate()
+    assert trial.sigma.tobytes() == ref.step(hv, True).sigma.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +100,8 @@ def test_score_state_matches_reference(data):
         hv = data.draw(hypothesis_values(n))
         assert_round_matches(state, ref, hv, oracle, params)
         b = data.draw(st.booleans())
-        state, ref = state.step(hv, b), ref.step(hv, b)
+        state, ref = take_round(state, hv, b), ref.step(hv, b)
+        assert state.sigma.tobytes() == ref.sigma.tobytes()
 
 
 @st.composite
@@ -140,7 +145,8 @@ def test_one_signed_states_match_reference(data):
     for k, (atom, value, b) in enumerate(LEAVE_AND_RETURN):
         hv = np.zeros(n)
         hv[atom] = value
-        state, ref = state.step(hv, b), ref.step(hv, b)
+        state, ref = take_round(state, hv, b), ref.step(hv, b)
+        assert state.sigma.tobytes() == ref.sigma.tobytes()
         assert one_signed(ref.sigma, s) == (k % 2 == 1)
         assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
 
@@ -169,7 +175,8 @@ def test_infinite_threshold_is_the_ablation(data):
         assert state.stats().risky_mass == 0.0
         assert_round_matches(state, ref, hv, oracle, params)
         b = data.draw(st.booleans())
-        state, ref = state.step(hv, b), ref.step(hv, b)
+        state, ref = take_round(state, hv, b), ref.step(hv, b)
+        assert state.sigma.tobytes() == ref.sigma.tobytes()
 
 
 # scores on a 1/4 grid with lam = 0.5 and s = 1, so every step below is exact
@@ -199,7 +206,7 @@ def test_memo_follows_mask_changes(s):
     for plus, minus, b in MEMO_SCHEDULE:
         hv = np.zeros(n)
         hv[list(plus)], hv[list(minus)] = 1.0, -1.0
-        state, ref = state.step(hv, b), ref.step(hv, b)
+        state, ref = take_round(state, hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
         assert_stats_equal(state.stats(), ref, s)
         want = s < math.inf and over_confident_reference(dist, ref, params.eta, 0.01)
@@ -226,6 +233,6 @@ def test_empty_risky_set_has_mass_zero(cfg_file):
     atom is risky and the risky mass is exactly 0.0, not the rounding left by 1 - dot(p, 1)."""
     dist = build_instance(load_config(CONFIGS / cfg_file), 0)[0]
     state = ScoreState(dist, EXACT.lam, EXACT.s)
-    below = state.step(np.full(dist.n_atoms, -1.0), False)
-    assert [state.stats().risky_mass, below.stats().risky_mass] == [0.0, 0.0]
-    assert (state.sigma >= 0.0).all() and (below.sigma == -EXACT.lam).all()
+    assert state.stats().risky_mass == 0.0 and (state.sigma >= 0.0).all()
+    state.step(np.full(dist.n_atoms, -1.0))
+    assert state.stats().risky_mass == 0.0 and (state.sigma == -EXACT.lam).all()
