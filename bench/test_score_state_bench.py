@@ -15,15 +15,21 @@ test fires. Three start scores are timed:
 - hard_like: no atom risky and masks that stay the same from round to
   round, but mixed signs: the bulk of the atoms at -s/2, one in every 6250
   at s/4. The hypothesis alternates between -1 and +1, so no atom ever
-  becomes risky. The statistics take ScoreState's general path.
+  becomes risky. The statistics take ScoreState's general path and compute
+  lerr and ferr anew every round. No measured run has this shape: after
+  G = 0 every state of a hard_floor run is all negative, and two
+  rect_benchmark runs (seeds 0 and 1) kept a mixed sign mask from one
+  statistics call to the next in 306 of 1641 calls.
 - one_signed: the shape of almost every state of a hard_floor run, where
   the adversary's -1 off its heavy hitters keeps every score negative and
   no atom risky: every atom at -s/2, the hypothesis alternating between -1
-  and +1. The statistics take ScoreState's one-signed path.
+  and +1. The statistics take ScoreState's one-signed path, and lerr and
+  ferr are the run's constants.
 
 Each timed call advances its own chain by one round. This directory is
-outside the pytest testpaths, so the test suite does not collect it. Run
-from the repository root:
+outside the pytest testpaths, so the test suite does not collect it;
+tests/test_bench.py runs it once with --benchmark-disable. Run from the
+repository root:
 
     python -m pytest bench/ --benchmark-only
 """

@@ -228,7 +228,6 @@ def wkl_rude(
         order = np.argsort(-surv_p, kind="stable")[: learner.survivor_cap]
         order = np.sort(order)
         survivors = survivors[order]
-        surv_p = surv_p[order]
 
     v_y = rng.uniform(*learner.v_y_range)
     labels = np.empty(len(survivors), dtype=np.int8)

@@ -268,27 +268,24 @@ class ScoreState:
     scores; the risky mass is p[risky].sum(), as over_confident takes it.
 
     The state allocates its workspace once, seven per-atom float rows and
-    four per-atom bool rows, and writes every per-atom float temporary into
+    three per-atom bool rows, and writes every per-atom float temporary into
     them, so a round of boost() allocates no float array of n_atoms elements;
     only the risky mass gathers the masses of the risky atoms, and
     over_confident their indices. The float rows are sigma, the values row,
     the u_diff row (scratch until stats() writes u_diff into it) and four
     scratch rows; the bool rows are the risky mask |sigma| >= s, the mask
-    from before the last step, a scratch row for the sign mask sigma >= 0
-    (then for the mask of wrong signs) and the memo's row.
+    from before the last step, and a scratch row for the sign mask sigma >= 0
+    (then for the mask of wrong signs).
 
-    Some statistics depend on a mask alone, and from round to round the masks
-    rarely change, so stats() skips the work a mask makes constant. lerr and
-    ferr depend only on the sign mask: they are kept with a copy of the mask
-    they were computed for, and read again while the mask has the same
-    contents. The safe row 1 - risky zeroes the weights. With no atom risky
-    and every score negative, as in the heavy-hitter adversary's runs, the
-    risky mass is 0.0 and no weight changes; min(sigma, 0) is sigma and
-    max(sigma, 0) is +0.0 on every atom, so M+ = exp(-0.0) = 1: phi(sigma) is
-    1 - sigma, phi(-sigma) is M-, the density's a+ dot is the run constant
-    dot(a+, 1) and u+ is a+ itself. Each value left is the same IEEE
-    operation on the same inputs as on the general path, so both paths give
-    the same bits.
+    With no score >= 0, as in almost every state of the heavy-hitter
+    adversary's runs, every prediction is -1, wrong exactly where f = +1, so
+    lerr and ferr are run constants, computed once. If no atom is risky
+    either, the risky mass is 0.0 and no weight changes; min(sigma, 0) is
+    sigma and max(sigma, 0) is +0.0 on every atom, so M+ = exp(-0.0) = 1:
+    phi(sigma) is 1 - sigma, phi(-sigma) is M-, the density's a+ dot is the
+    run constant dot(a+, 1) and u+ is a+ itself. Each value left is the same
+    IEEE operation on the same inputs as on the general path, so both paths
+    give the same bits.
 
     sigma, values() and ExactStats.u_diff are workspace rows: each stays
     valid until the next step(), values() or recalibrate(). Copy what must
@@ -301,10 +298,10 @@ class ScoreState:
         self.s = s
         n = dist.n_atoms
         self.sigma, self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = np.zeros((7, n))
-        self._risky_now, self._risky_before, self._sign_now, self._memo_sign = np.zeros((4, n), dtype=bool)
+        self._risky_now, self._risky_before, self._sign_now = np.zeros((3, n), dtype=bool)
         self._risky_known = False
-        self._memo_errors: Optional[Tuple[float, float]] = None
         self._f_plus = f_plus = dist.f == 1
+        self._errors_negative = label_errors(dist.p, dist.eta, f_plus)  # every -1 is wrong exactly where f = +1
         self._a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
         self._a_minus = dist.p - self._a_plus
         # an atom without mass on its flipped label has noise rate exactly 0,
@@ -377,76 +374,56 @@ class ScoreState:
         return self._risky_now
 
     def stats(self) -> ExactStats:
-        """The exact statistics of the current scores, computed on first use."""
+        """The exact statistics of the current scores, computed on first use (see the class docstring)."""
         if self._stats is not None:
             return self._stats
         sigma, risky = self.sigma, self._risky()
         sign = np.greater_equal(sigma, 0.0, out=self._sign_now)
-        if not (sign.any() or risky.any()):
-            return self._stats_one_signed(sign)
-        # M+ is built in the u_diff row and turned into u_diff in place, which
+        nonnegative = sign.any()
+        # M+ is built in the u_diff row and turned into u+ in place, which
         # spares the memory traffic of one more row
         lo, m_minus, m_plus, phi = self._t1, self._t2, self._u_diff, self._t4
-        # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma;
-        # min(-sigma, 0) is -max(sigma, 0) and max(-sigma, 0) is -min(sigma, 0)
-        # up to the sign of a zero, which neither exp nor the sum with M >= 1 sees
-        np.minimum(sigma, 0.0, out=lo)
-        np.exp(lo, out=m_minus)
-        np.add(m_minus, np.maximum(sigma, 0.0, out=m_plus), out=phi)
-        pot_minus = np.dot(self._a_minus, phi)
-        np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
-        np.subtract(m_plus, lo, out=phi)
-        potential = float(np.dot(self._a_plus, phi) + pot_minus)
-        risky_mass = float(self.dist.p[risky].sum())
-        # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
-        safe = np.subtract(1.0, risky, out=phi)
-        np.multiply(m_plus, safe, out=m_plus)
-        np.multiply(m_minus, safe, out=m_minus)
-        # density and potential share the dot structure so the pointwise
-        # mu <= phi inequality survives float accumulation; each dot runs
-        # next to the product that reads the same two rows, while they are
-        # in cache
-        d_plus = np.dot(self._a_plus, m_plus)
-        u_plus = np.multiply(self._a_plus, m_plus, out=m_plus)
-        d_minus = np.dot(self._a_minus, m_minus)
-        u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
-        density = float(d_plus + d_minus)
-        return self._finish_stats(density, potential, risky_mass, u_plus, u_minus, sign)
-
-    def _stats_one_signed(self, sign: np.ndarray) -> ExactStats:
-        """stats() of a state with no risky atom and no score >= 0 (see the class docstring)."""
-        sigma, m_minus, phi = self.sigma, self._t2, self._t4
-        np.exp(sigma, out=m_minus)
-        pot_minus = np.dot(self._a_minus, m_minus)  # also the density's a- dot
-        potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
-        u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
-        density = float(self._d_plus_one_signed + pot_minus)
-        return self._finish_stats(density, potential, 0.0, self._a_plus, u_minus, sign)
-
-    def _finish_stats(self, density: float, potential: float, risky_mass: float, u_plus: np.ndarray,
-                      u_minus: np.ndarray, sign: np.ndarray) -> ExactStats:
-        """The ExactStats of u+ and u-, with u_diff written into its row; spends the sign mask."""
-        max_noise_rate = self._max_noise_rate(u_plus, u_minus)
+        if nonnegative or risky.any():
+            # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma;
+            # min(-sigma, 0) is -max(sigma, 0) and max(-sigma, 0) is -min(sigma, 0)
+            # up to the sign of a zero, which neither exp nor the sum with M >= 1 sees
+            np.minimum(sigma, 0.0, out=lo)
+            np.exp(lo, out=m_minus)
+            np.add(m_minus, np.maximum(sigma, 0.0, out=m_plus), out=phi)
+            pot_minus = np.dot(self._a_minus, phi)
+            np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
+            np.subtract(m_plus, lo, out=phi)
+            potential = float(np.dot(self._a_plus, phi) + pot_minus)
+            risky_mass = float(self.dist.p[risky].sum())
+            # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
+            safe = np.subtract(1.0, risky, out=phi)
+            np.multiply(m_plus, safe, out=m_plus)
+            np.multiply(m_minus, safe, out=m_minus)
+            # density and potential share the dot structure so the pointwise
+            # mu <= phi inequality survives float accumulation; each dot runs
+            # next to the product that reads the same two rows, while they are
+            # in cache
+            d_plus = np.dot(self._a_plus, m_plus)
+            u_plus = np.multiply(self._a_plus, m_plus, out=m_plus)
+            d_minus = np.dot(self._a_minus, m_minus)
+            u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
+            density = float(d_plus + d_minus)
+        else:  # no risky atom and no score >= 0 (see the class docstring)
+            np.exp(sigma, out=m_minus)
+            pot_minus = np.dot(self._a_minus, m_minus)  # also the density's a- dot
+            potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
+            u_plus, u_minus = self._a_plus, np.multiply(self._a_minus, m_minus, out=m_minus)
+            density, risky_mass = float(self._d_plus_one_signed + pot_minus), 0.0
+        max_noise_rate = self._max_noise_rate(u_plus, u_minus)  # before u_diff overwrites u+ in its row
         np.subtract(u_plus, u_minus, out=self._u_diff)
-        lerr, ferr = self._sign_errors(sign)
-        self._stats = ExactStats(
-            density=density,
-            potential=potential,
-            lerr=lerr,
-            ferr=ferr,
-            risky_mass=risky_mass,
-            max_noise_rate=max_noise_rate,
-            u_diff=self._u_diff,
-        )
+        if nonnegative:
+            wrong = np.not_equal(sign, self._f_plus, out=sign)  # sign(sigma) != f
+            lerr, ferr = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
+        else:
+            lerr, ferr = self._errors_negative
+        self._stats = ExactStats(density=density, potential=potential, lerr=lerr, ferr=ferr, risky_mass=risky_mass,
+                                 max_noise_rate=max_noise_rate, u_diff=self._u_diff)
         return self._stats
-
-    def _sign_errors(self, now: np.ndarray) -> Tuple[float, float]:
-        """lerr and ferr of sign(sigma), computed anew only if the mask now = sigma >= 0 changed."""
-        if self._memo_errors is None or np.not_equal(now, self._memo_sign, out=now).any():  # the test spends now
-            np.greater_equal(self.sigma, 0.0, out=self._memo_sign)
-            wrong = np.not_equal(self._memo_sign, self._f_plus, out=now)  # sign(sigma) != f
-            self._memo_errors = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
-        return self._memo_errors
 
     def _max_noise_rate(self, u_plus: np.ndarray, u_minus: np.ndarray) -> float:
         """Largest flip mass over total mass on one atom; excluded atoms read 0."""

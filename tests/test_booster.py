@@ -446,9 +446,10 @@ def test_exact_round_allocates_no_per_atom_array():
 
     The hypotheses return rows built beforehand, so nothing but the round's
     own code could allocate a float array of n elements; the allocating
-    round peaked at about 13 of them. The first two measured rounds change
-    the sign mask, so lerr and ferr are computed anew (on the general path,
-    then on the one-signed one); the third keeps it and reads the memo.
+    round peaked at about 13 of them. The first measured round ends with
+    every score at 0, so lerr and ferr are computed anew on the general
+    path; the other two end with every score negative, so the one-signed
+    path reads them from the run constants.
     """
     n = 100_000
     dist, params, oracle = striped_instance(n)

@@ -14,6 +14,7 @@ import massboost.harness as harness
 from massboost import ConfigParse, FiniteMassartDist, cli, emit_metrics, run_experiment
 from massboost.core import load_dist, save_dist
 from massboost.harness import build_instance, load_config, parse_config
+from test_properties import check_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,8 +271,9 @@ class TestFailedSeeds:
         rows = (tmp_path / f"round_trace_{r.seed}.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, r.rounds + 1))
         dist, _, _ = build_instance(cfg, r.seed)
-        # the reported scores are those the completed rounds' trace replays to
-        assert np.array_equal(r.trace.scores, failure.aggregated.g(dist.xs))
+        # the completed rounds keep the round invariants, and the reported
+        # scores are those their trace replays to
+        check_run(dist, harness._boost_params(cfg), failure.aggregated, r.trace, budget_failure=True)
         summary = json.loads((tmp_path / "summary.json").read_text())["seeds"][0]
         assert summary["rounds"] == r.rounds and summary["lerr"] is not None
         # total_draws also meters the draws of the round that failed, which no row records

@@ -1,7 +1,8 @@
 """Property tests over random finite distributions, random boosting traces and whole boosting runs."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Dict
 
 import numpy as np
 from hypothesis import assume, given, reject, settings
@@ -19,6 +20,7 @@ from massboost import (
     reweighted_noise_rates,
 )
 from massboost.booster import (
+    MODE_EXACT,
     AggregatedHypothesis,
     ConditionalDrawBudgetExceeded,
     DegenerateThreshold,
@@ -161,19 +163,40 @@ def test_safe_set_noise_rate_at_most_half_minus_alpha(data):
     assert state_at(dist, params.lam, s, scores).stats().max_noise_rate <= bound
 
 
+def against_f(dist, k: int) -> Dict[bytes, float]:
+    """-f on the k heaviest atoms of dist, keyed by the bytes of their points."""
+    return {dist.xs[i].tobytes(): -float(dist.f[i]) for i in np.argsort(-dist.p, kind="stable")[:k]}
+
+
+def answering(h, values: Dict[bytes, float]):
+    """h, except that a point among the keys of values gets its value."""
+
+    def g(xs):
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        out = np.array(h(xs), dtype=np.float64)
+        for i, x in enumerate(xs):
+            out[i] = values.get(x.tobytes(), out[i])
+        return out
+
+    return g
+
+
 @dataclass
 class SawtoothLearner:
     """A weak learner that draws m examples from D_mu and a sawtooth hypothesis from its stream.
 
     It returns the sawtooth or its negation, whichever agrees with the
     sample's labels more, or less if it is adversarial; with signs, it
-    returns that hypothesis's sign, a value in {-1, 0, +1}.
+    returns that hypothesis's sign, a value in {-1, 0, +1}. On the points
+    of against it answers their values instead, such as against_f's -f on
+    the heaviest atoms, which the heavy-hitter adversary answers too.
     """
 
     dim: int
     m: int
     adversarial: bool
     signs: bool = False
+    against: Dict[bytes, float] = field(default_factory=dict)
     alpha: float = 0.25
     gamma: float = 0.25
 
@@ -181,24 +204,54 @@ class SawtoothLearner:
         sample = source(self.m)
         w, c, amp = rng.uniform(-3.0, 3.0, self.dim), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
         agrees = np.dot(sawtooth(w, c, amp)(sample.xs), sample.ys) >= 0.0
-        h = sawtooth(w, c, amp if agrees != self.adversarial else -amp)
-        return (lambda xs: np.sign(h(xs))) if self.signs else h
+        saw = sawtooth(w, c, amp if agrees != self.adversarial else -amp)
+        h = (lambda xs: np.sign(saw(xs))) if self.signs else saw
+        return answering(h, self.against) if self.against else h
+
+
+def check_run(dist, params, agg, trace, budget_failure: bool) -> None:
+    """The round invariants of a run of boost() on dist that returned, or stopped with, agg and trace.
+
+    Against the scores of round t - 1, round t of the replay adds lam * h_t on
+    the safe atoms |G| < s, and leaves the risky ones where they were, or
+    moves them one lam toward zero if its row reads overconfident. Every round
+    has one row and keeps |G| <= s + lam as floats round it: a safe score
+    below s gains at most lam, and rounding is monotone, but the sum can
+    round up to s + lam itself (seven steps of an inexact lam can sum to one
+    ulp below s = 7 lam). In exact mode every row also has the replay's
+    risky mass, a noise rate of D_mu before the step of at most 1/2 - alpha,
+    and d_hat <= phi. The rows' draws sum to the run's total
+    when it completes or stops at the round cap, and to less after a draw
+    budget stops it, since the failed round drew before it raised. The final
+    scores equal the aggregate's replay; after a failure they are that
+    replay, so the comparison holds trivially.
+    """
+    lam, s = agg.lam, agg.s
+    bound = 0.5 - params.alpha + 1e-12
+    assert [r.round for r in trace.rows] == list(range(1, len(agg) + 1))
+    prev = np.zeros(dist.n_atoms)
+    for t, row in enumerate(trace.rows, start=1):
+        replay = AggregatedHypothesis(lam, s, agg.trace[:t]).g(dist.xs)
+        risky = np.abs(prev) >= s
+        hv = np.clip(np.asarray(agg.trace[t - 1][0](dist.xs), dtype=np.float64), -1.0, 1.0)
+        assert np.array_equal(replay[~risky], (prev + lam * hv)[~risky]), t
+        moved = prev - np.copysign(lam, prev) if row.overconfident else prev
+        assert np.array_equal(replay[risky], moved[risky]), t
+        assert np.abs(replay).max() <= s + lam, t
+        if params.mode == MODE_EXACT:
+            assert row.risky_mass == dist.p[np.abs(replay) >= s].sum(), t
+            assert row.max_noise_rate <= bound and row.d_hat <= row.phi, t
+        prev = replay
+    draws = sum(r.raw_draws for r in trace.rows)
+    assert draws < trace.total_draws if budget_failure else draws == trace.total_draws
+    assert np.array_equal(trace.scores, agg.g(dist.xs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_whole_exact_runs_keep_the_round_invariants(data):
-    """Every round of a random run moves the replayed scores as the update rule says, and has one trace row.
+    """Every round of a random run, exact or Monte Carlo, keeps the invariants of check_run.
 
-    Against the scores of round t - 1, round t adds lam * h_t on the safe
-    atoms |G| < s, and leaves the risky ones where they were, or moves them
-    one lam toward zero if its row reads overconfident. Every round keeps
-    |G| < s + lambda. In exact mode every row also has the replay's risky
-    mass, a noise rate of D_mu before the step of at most 1/2 - alpha, and
-    d_hat <= phi. The rows' draws sum to the run's total when it completes
-    or stops at the round cap, and to at most that after a draw budget stops
-    a Monte Carlo run. The final scores equal the aggregate's replay; after
-    a failure they are that replay, so the comparison holds trivially.
     test_score_state_equals_trace_replay checks the ScoreState against the
     replay round by round.
 
@@ -228,7 +281,8 @@ def test_whole_exact_runs_keep_the_round_invariants(data):
     params = replace(params, s=s)
     oracle = MassartOracle(dist, rng_seed=data.draw(st.integers(0, 2**32 - 1)))
     oracle.sample_batch(data.draw(st.integers(0, 20)))  # draws before the run are not the run's
-    learner = SawtoothLearner(dist.dim, data.draw(st.integers(1, 10)), data.draw(st.booleans()), data.draw(st.booleans()))
+    learner = SawtoothLearner(dist.dim, data.draw(st.integers(1, 10)), data.draw(st.booleans()), data.draw(st.booleans()),
+                              against_f(dist, data.draw(st.integers(0, 3))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
     budget_failure = False
@@ -240,24 +294,7 @@ def test_whole_exact_runs_keep_the_round_invariants(data):
     except (DrawBudgetExceeded, ConditionalDrawBudgetExceeded) as exc:
         assert mc
         agg, trace, budget_failure = exc.aggregated, exc.trace, True
-    bound = 0.5 - params.alpha + 1e-12
-    assert [r.round for r in trace.rows] == list(range(1, len(agg) + 1))
-    prev = np.zeros(dist.n_atoms)
-    for t, row in enumerate(trace.rows, start=1):
-        replay = AggregatedHypothesis(lam, s, agg.trace[:t]).g(dist.xs)
-        risky = np.abs(prev) >= s
-        hv = np.clip(np.asarray(agg.trace[t - 1][0](dist.xs), dtype=np.float64), -1.0, 1.0)
-        assert np.array_equal(replay[~risky], (prev + lam * hv)[~risky]), t
-        moved = prev - np.copysign(lam, prev) if row.overconfident else prev
-        assert np.array_equal(replay[risky], moved[risky]), t
-        assert np.abs(replay).max() < s + lam
-        if not mc:
-            assert row.risky_mass == dist.p[np.abs(replay) >= s].sum(), t
-            assert row.max_noise_rate <= bound and row.d_hat <= row.phi, t
-        prev = replay
-    draws = sum(r.raw_draws for r in trace.rows)
-    assert draws <= trace.total_draws if budget_failure else draws == trace.total_draws
-    assert np.array_equal(trace.scores, agg.g(dist.xs))
+    check_run(dist, params, agg, trace, budget_failure)
 
 
 @settings(max_examples=100, deadline=None)
