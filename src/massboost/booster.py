@@ -245,9 +245,7 @@ class ExactStats:
     ferr: float  # Pr[sign G(x) != f(x)]
     risky_mass: float  # Pr[|G(x)| >= s]
     max_noise_rate: float  # largest per-atom flip probability under D_mu
-    # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1); a ScoreState
-    # workspace row (see ScoreState)
-    u_diff: np.ndarray
+    u_diff: np.ndarray  # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1); a ScoreState row
 
 
 class ScoreState:
@@ -267,15 +265,18 @@ class ScoreState:
     core.label_errors of sign(sigma), as summary.json's are of the final
     scores; the risky mass is p[risky].sum(), as over_confident takes it.
 
-    The state allocates its workspace once, seven per-atom float rows and
-    three per-atom bool rows, and writes every per-atom float temporary into
-    them, so a round of boost() allocates no float array of n_atoms elements;
-    only the risky mass gathers the masses of the risky atoms, and
-    over_confident their indices. The float rows are sigma, the values row,
-    the u_diff row (scratch until stats() writes u_diff into it) and four
-    scratch rows; the bool rows are the risky mask |sigma| >= s, the mask
-    from before the last step, and a scratch row for the sign mask sigma >= 0
-    (then for the mask of wrong signs).
+    The state allocates its workspace once, six per-atom float rows and three
+    per-atom bool rows, so a round of boost() allocates no float array of
+    n_atoms elements; only the risky mass gathers the masses of the risky
+    atoms, and over_confident their indices. The float rows are sigma, the
+    values row, u_diff, phi and the scratch rows t1 and t2; the bool rows are
+    the risky mask |sigma| >= s, the mask from before the last step and the
+    sign row. Each phase owns its scratch: step(), recalibrate() and the risky
+    mask write t1. stats() keeps min(sigma, 0) in t1, M- and u- in t2, M+ and
+    u+ in the u_diff row and sigma >= 0 in the sign row; once lerr and ferr
+    have read that row, _max_noise_rate writes t1, the phi row and the first
+    k cells of the sign row. over_confident gathers p into t2, the wrong
+    signs through t1 into the phi row and the sign row, and then eta into t1.
 
     With no score >= 0, as in almost every state of the heavy-hitter
     adversary's runs, every prediction is -1, wrong exactly where f = +1, so
@@ -297,7 +298,7 @@ class ScoreState:
         self.lam = lam
         self.s = s
         n = dist.n_atoms
-        self.sigma, self._hv, self._u_diff, self._t1, self._t2, self._t3, self._t4 = np.zeros((7, n))
+        self.sigma, self._hv, self._u_diff, self._t1, self._t2, self._phi = np.zeros((6, n))
         self._risky_now, self._risky_before, self._sign_now = np.zeros((3, n), dtype=bool)
         self._risky_known = False
         self._f_plus = f_plus = dist.f == 1
@@ -311,7 +312,6 @@ class ScoreState:
         noisy_plus = np.flatnonzero(flip & f_plus)
         self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
         self._n_noisy_plus = len(noisy_plus)
-        self._den_pos = np.empty(len(self._noisy), dtype=bool)
         self._d_plus_one_signed = np.dot(self._a_plus, np.ones(n))  # a dot, as the general path takes it, not a sum
         # at G = 0 every weight is exactly 1, so density and potential are the
         # total mass; it is summed, not dotted, and round 1's advantage
@@ -358,11 +358,11 @@ class ScoreState:
         pr_risky = float(p.sum())
         if pr_risky <= epsilon / 4.0:
             return False
-        eta_k = np.take(self.dist.eta, idx, out=self._t3[:k], mode="clip")
         wrong = np.greater_equal(self.sigma, 0.0, out=self._sign_now)
         np.copyto(self._t1, np.not_equal(wrong, self._f_plus, out=wrong))  # sign(sigma) != f, as 0.0 or 1.0
-        row = np.take(self._t1, idx, out=self._t4[:k], mode="clip")
+        row = np.take(self._t1, idx, out=self._phi[:k], mode="clip")
         wrong = np.greater(row, 0.0, out=self._sign_now[:k])  # the same mask, at the risky atoms
+        eta_k = np.take(self.dist.eta, idx, out=self._t1[:k], mode="clip")  # t1 is free once the mask is gathered
         cond_err = label_errors(p, eta_k, wrong, out=row)[0] / pr_risky
         return cond_err >= eta + 3.0 * epsilon / 4.0
 
@@ -382,7 +382,7 @@ class ScoreState:
         nonnegative = sign.any()
         # M+ is built in the u_diff row and turned into u+ in place, which
         # spares the memory traffic of one more row
-        lo, m_minus, m_plus, phi = self._t1, self._t2, self._u_diff, self._t4
+        lo, m_minus, m_plus, phi = self._t1, self._t2, self._u_diff, self._phi
         if nonnegative or risky.any():
             # phi(v) = M(v) + max(-v, 0) with M(v) = exp(min(-v, 0)), at v = +-sigma;
             # min(-sigma, 0) is -max(sigma, 0) and max(-sigma, 0) is -min(sigma, 0)
@@ -414,13 +414,13 @@ class ScoreState:
             potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
             u_plus, u_minus = self._a_plus, np.multiply(self._a_minus, m_minus, out=m_minus)
             density, risky_mass = float(self._d_plus_one_signed + pot_minus), 0.0
-        max_noise_rate = self._max_noise_rate(u_plus, u_minus)  # before u_diff overwrites u+ in its row
-        np.subtract(u_plus, u_minus, out=self._u_diff)
         if nonnegative:
             wrong = np.not_equal(sign, self._f_plus, out=sign)  # sign(sigma) != f
-            lerr, ferr = label_errors(self.dist.p, self.dist.eta, wrong, out=self._t4)
+            lerr, ferr = label_errors(self.dist.p, self.dist.eta, wrong, out=phi)
         else:
             lerr, ferr = self._errors_negative
+        max_noise_rate = self._max_noise_rate(u_plus, u_minus)  # before u_diff overwrites u+ in its row
+        np.subtract(u_plus, u_minus, out=self._u_diff)
         self._stats = ExactStats(density=density, potential=potential, lerr=lerr, ferr=ferr, risky_mass=risky_mass,
                                  max_noise_rate=max_noise_rate, u_diff=self._u_diff)
         return self._stats
@@ -430,13 +430,13 @@ class ScoreState:
         k, kp = len(self._noisy), self._n_noisy_plus
         if k == 0:
             return 0.0
-        num, den = self._t3[:k], self._t4[:k]
+        num, den = self._t1[:k], self._phi[:k]
         # mode="clip" moves no in-range index, and unlike "raise" it buffers no copy of out
         np.take(u_plus, self._noisy, out=den, mode="clip")
         np.take(u_minus, self._noisy, out=num, mode="clip")  # the flipped label of f = +1 is -1
         np.add(den, num, out=den)
         np.take(u_plus, self._noisy[kp:], out=num[kp:], mode="clip")  # and that of f = -1 is +1
-        np.divide(num, den, out=num, where=np.greater(den, 0.0, out=self._den_pos))
+        np.divide(num, den, out=num, where=np.greater(den, 0.0, out=self._sign_now[:k]))
         return float(num.max())
 
 
@@ -606,18 +606,17 @@ def repeat_weak_learner(
     round cap is the backstop.
 
     The streams are those of rng.spawn(n_candidates + 1), the last one for
-    the test sample; it is spawned every round, so that every later spawn
-    key is the same, but it becomes a generator only when it is used.
+    the test sample; it is spawned every round, used or not, so that every
+    later spawn key is the same.
     """
     n_candidates, test_size = repetition_schedule(params.delta_err, params.gamma, params.sample_scale)
-    seeds = rng.bit_generator.seed_seq.spawn(n_candidates + 1)
-    streams = [np.random.Generator(type(rng.bit_generator)(seed)) for seed in seeds[:-1]]
+    *streams, test_stream = rng.spawn(n_candidates + 1)
     candidates = [
         wkl.train_from_source(lambda c, stream=stream: mu_sample_source(c, stream), stream) for stream in streams
     ]
     if n_candidates == 1:
         return candidates[0]
-    test = mu_sample_source(test_size, np.random.Generator(type(rng.bit_generator)(seeds[-1])))
+    test = mu_sample_source(test_size, test_stream)
     ys = test.ys.astype(np.float64)
     advantages = [0.5 * np.mean(np.clip(np.asarray(h(test.xs), dtype=np.float64), -1.0, 1.0) * ys) for h in candidates]
     return candidates[int(np.argmax(advantages))]

@@ -39,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))  # each flag's dest is the config key it overrides
-    if args.pop("command") != "run":  # pragma: no cover - argparse enforces this
-        return 2
+    del args["command"]  # argparse requires the one subcommand, run
     path = args.pop("config")
     try:
         cfg = load_config(path, {key: value for key, value in args.items() if value is not None})

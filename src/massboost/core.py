@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "load_dist",
     "make_massart",
     "parse_dist",
-    "predict_labels",
     "save_dist",
 ]
 
@@ -67,11 +66,6 @@ class BoundNotBelowHalf(ValueError):
 def sign_pm1(values: np.ndarray) -> np.ndarray:
     """Sign with the convention sign(0) = +1, returned as int8 labels."""
     return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
-
-
-def predict_labels(hypothesis: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
-    """Evaluate a hypothesis on a batch of points and harden to {-1,+1}."""
-    return sign_pm1(np.asarray(hypothesis(xs), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -207,12 +201,12 @@ def label_errors(p: np.ndarray, eta: np.ndarray, wrong: np.ndarray,
 
 def exact_lerr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact misclassification probability of a hypothesis under the joint distribution."""
-    return label_errors(dist.p, dist.eta, predict_labels(hypothesis, dist.xs) != dist.f)[0]
+    return label_errors(dist.p, dist.eta, sign_pm1(hypothesis(dist.xs)) != dist.f)[0]
 
 
 def exact_ferr(dist: FiniteMassartDist, hypothesis) -> float:
     """Exact disagreement probability with the true labeling under the marginal."""
-    return label_errors(dist.p, dist.eta, predict_labels(hypothesis, dist.xs) != dist.f)[1]
+    return label_errors(dist.p, dist.eta, sign_pm1(hypothesis(dist.xs)) != dist.f)[1]
 
 
 def exact_advantage(dist: FiniteMassartDist, hypothesis) -> float:

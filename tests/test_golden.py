@@ -1,13 +1,13 @@
 """Golden output fingerprints of small slices of the shipped configs.
 
-Each slice runs two seeds of configs/rect_benchmark.cfg or configs/hard_floor.cfg
-with overrides that shrink the instance and the round count, in exact-oracle
-and in Monte Carlo mode, and compares the sha256 of every file emit_metrics
-writes (summary.json and each round_trace_<seed>.csv) against the digests
-below. A trace CSV has a column for every RoundRecord field, so a change
-that moves any per-round float, draw count or summary field fails here. In
-each exact slice, every seed's last trace row must also carry the lerr and
-ferr of its summary.json.
+Each slice runs two seeds of configs/rect_benchmark.cfg, configs/hard_floor.cfg
+or configs/hard_ablation.cfg with overrides that shrink the instance and the
+round count, in exact-oracle and in Monte Carlo mode, and compares the sha256
+of every file emit_metrics writes (summary.json and each
+round_trace_<seed>.csv) against the digests below. A trace CSV has a column
+for every RoundRecord field, so a change that moves any per-round float, draw
+count or summary field fails here. In each exact slice, every seed's last
+trace row must also carry the lerr and ferr of its summary.json.
 Re-record only when outputs change on purpose, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,10 +26,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # (config, overrides): the rect slice raises gamma and eta (with epsilon =
 # 2c) so a seed stops within about a hundred rounds on a 12x12 grid; the
-# hard slice raises gamma on a 2000-point support
+# hard slice raises gamma on a 2000-point support; the ablation slice (s =
+# inf) raises gamma on the shipped 10000-point support, whose one noisy atom's
+# reweighted flip probability passes 1/2 before both seeds hit the round cap
 SLICES = {
     "rect": ("rect_benchmark.cfg", {"rect_side": "12", "gamma": "0.45", "eta": "0.3", "epsilon": "0.3"}),
     "hard": ("hard_floor.cfg", {"hard_support": "2000", "gamma": "0.2"}),
+    "ablation": ("hard_ablation.cfg", {"hard_support": "10000", "gamma": "0.2", "max_rounds": "120"}),
 }
 
 GOLDEN = {
@@ -52,6 +55,16 @@ GOLDEN = {
         'summary.json': 'f4cb7763ff50001f34788385b0aa519f23aa71327cc8b2d280110edbc789f114',
         'round_trace_0.csv': 'a7c1478c9ba63c03c5f210807115d1a9bdaff8dce2ff38900e6d29c2e63f0841',
         'round_trace_1.csv': '528986f439e5de6498b048c59b076f3edb75858fa02c848e35fd6a8b6a22a690',
+    },
+    ('ablation', 'exact-oracle'): {
+        'summary.json': '19f5b6eb34a4298c9535506dbf69317124b486f0eaec8b7675dab0c5224dcf67',
+        'round_trace_0.csv': '2dcc2ef3f35eba55042e37179d56a6b1ed1248cab2b9b8dd9b9fd65e2201fd41',
+        'round_trace_1.csv': 'ea448499a3d171940a71d82af3d2d05d08f5d3d883205db341de7286fc93cb43',
+    },
+    ('ablation', 'monte-carlo'): {
+        'summary.json': '720088f6df73d62f30bbf32c6751217734b3f86683e2e803c74d7fb378dff2ce',
+        'round_trace_0.csv': '5585cc972bf590bf0b270ae4dd5cbde19f3800bf6897981289356d1ac8843783',
+        'round_trace_1.csv': '234d5f94c9db1e084f832b3a4bc5bb027d4947467683d527554d424dfa88781c',
     },
 }
 

@@ -27,7 +27,8 @@ from massboost.booster import (
     DrawBudgetExceeded,
     ScoreState,
 )
-from massboost.core import dump_dist, parse_dist
+from massboost.core import dump_dist, make_massart, parse_dist
+from score_state_reference import over_confident_reference
 
 
 def sawtooth(w: np.ndarray, c: float, amp: float):
@@ -220,11 +221,12 @@ def check_run(dist, params, agg, trace, budget_failure: bool) -> None:
     round up to s + lam itself (seven steps of an inexact lam can sum to one
     ulp below s = 7 lam). In exact mode every row also has the replay's
     risky mass, a noise rate of D_mu before the step of at most 1/2 - alpha,
-    and d_hat <= phi. The rows' draws sum to the run's total
-    when it completes or stops at the round cap, and to less after a draw
-    budget stops it, since the failed round drew before it raised. The final
-    scores equal the aggregate's replay; after a failure they are that
-    replay, so the comparison holds trivially.
+    d_hat <= phi, and the over-confidence decision that the frozen reference
+    takes on the scores of round t - 1 stepped by h_t. The rows' draws sum
+    to the run's total when it completes or stops at the round cap, and to
+    less after a draw budget stops it, since the failed round drew before
+    it raised. The final scores equal the aggregate's replay; after a
+    failure they are that replay, so the comparison holds trivially.
     """
     lam, s = agg.lam, agg.s
     bound = 0.5 - params.alpha + 1e-12
@@ -241,6 +243,9 @@ def check_run(dist, params, agg, trace, budget_failure: bool) -> None:
         if params.mode == MODE_EXACT:
             assert row.risky_mass == dist.p[np.abs(replay) >= s].sum(), t
             assert row.max_noise_rate <= bound and row.d_hat <= row.phi, t
+            stepped = state_at(dist, lam, s, prev)
+            stepped.step(hv)
+            assert row.overconfident == over_confident_reference(dist, stepped, params.eta, params.epsilon), t
         prev = replay
     draws = sum(r.raw_draws for r in trace.rows)
     assert draws < trace.total_draws if budget_failure else draws == trace.total_draws
@@ -295,6 +300,21 @@ def test_whole_exact_runs_keep_the_round_invariants(data):
         assert mc
         agg, trace, budget_failure = exc.aggregated, exc.trace, True
     check_run(dist, params, agg, trace, budget_failure)
+
+
+def test_an_over_confident_exact_run_keeps_the_round_invariants():
+    """A pinned exact run with over-confident rounds keeps the invariants of check_run.
+
+    A drawn run need not reach one. Here the learner answers -f on the
+    heaviest atom, which turns risky with the wrong sign in round 6.
+    """
+    dist = make_massart([((0.0,), 0.4, 1, 0.1), ((0.125,), 0.3, -1, 0.3), ((0.25,), 0.2, 1, 0.0),
+                         ((0.375,), 0.1, -1, 0.2)], 0.4)
+    params = compute_params(0.4, 0.04, 0.375, 0.14, 0.1, mode="exact", max_rounds=12)
+    learner = SawtoothLearner(1, 5, False, against=against_f(dist, 1))
+    agg, trace = boost(MassartOracle(dist, rng_seed=0), learner, params, np.random.default_rng(0))
+    assert [r.round for r in trace.rows if r.overconfident] == [6, 7, 8]
+    check_run(dist, params, agg, trace, False)
 
 
 @settings(max_examples=100, deadline=None)
