@@ -245,7 +245,9 @@ class ExactStats:
     ferr: float  # Pr[sign G(x) != f(x)]
     risky_mass: float  # Pr[|G(x)| >= s]
     max_noise_rate: float  # largest per-atom flip probability under D_mu
-    u_diff: np.ndarray  # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1); a ScoreState row
+    # per atom, P(x, +1) mu(x, +1) - P(x, -1) mu(x, -1); a ScoreState
+    # workspace row (see ScoreState)
+    u_diff: np.ndarray
 
 
 class ScoreState:
@@ -271,12 +273,9 @@ class ScoreState:
     atoms, and over_confident their indices. The float rows are sigma, the
     values row, u_diff, phi and the scratch rows t1 and t2; the bool rows are
     the risky mask |sigma| >= s, the mask from before the last step and the
-    sign row. Each phase owns its scratch: step(), recalibrate() and the risky
-    mask write t1. stats() keeps min(sigma, 0) in t1, M- and u- in t2, M+ and
-    u+ in the u_diff row and sigma >= 0 in the sign row; once lerr and ferr
-    have read that row, _max_noise_rate writes t1, the phi row and the first
-    k cells of the sign row. over_confident gathers p into t2, the wrong
-    signs through t1 into the phi row and the sign row, and then eta into t1.
+    sign row. step(), recalibrate() and the risky mask write t1; stats() and
+    over_confident write t1, t2, phi and the sign row, and stats() u_diff,
+    taking lerr and ferr off the sign row before its noise rates reuse it.
 
     With no score >= 0, as in almost every state of the heavy-hitter
     adversary's runs, every prediction is -1, wrong exactly where f = +1, so

@@ -249,7 +249,7 @@ def _grid_points(d: int, side: int) -> np.ndarray:
 
 
 def build_instance(cfg: RunConfig, seed: int):
-    """Build (dist, concept, oracle_seed_sequence) for one seed."""
+    """Build (dist, concept, the four SeedSequences spawned for the seed) for one seed."""
     ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(4)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":

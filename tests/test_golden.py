@@ -32,7 +32,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SLICES = {
     "rect": ("rect_benchmark.cfg", {"rect_side": "12", "gamma": "0.45", "eta": "0.3", "epsilon": "0.3"}),
     "hard": ("hard_floor.cfg", {"hard_support": "2000", "gamma": "0.2"}),
-    "ablation": ("hard_ablation.cfg", {"hard_support": "10000", "gamma": "0.2", "max_rounds": "120"}),
+    "ablation": ("hard_ablation.cfg", {"gamma": "0.2", "max_rounds": "120"}),
 }
 
 GOLDEN = {

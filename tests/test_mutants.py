@@ -1,4 +1,4 @@
-"""Every entry of tools/mutants.toml applies to the tree: its old text occurs exactly once in its file.
+"""Every entry of tools/mutants.json applies to the tree: its old text occurs exactly once in its file.
 
 Whether the named tests kill each mutant is checked by running
 python3 tools/mutants.py, which is not part of this suite.

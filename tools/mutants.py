@@ -1,6 +1,12 @@
-"""Run the mutants of tools/mutants.toml and report the ones that no named test kills.
+"""Run the mutants of tools/mutants.json and report the ones that no named test kills.
 
-    python3 tools/mutants.py [--name NAME ...]
+    python3 tools/mutants.py
+
+Each entry of tools/mutants.json has a name, a file, the old text (a list
+of lines, joined by newlines) that must occur exactly once in that file, the
+new text that replaces it, and the tests (pytest node ids, run from the
+repository root) that must kill it. A change that adds a guard adds the
+mutants it kills there.
 
 Copies the working tree once into a temporary directory (as tools/ab.py
 snapshots it: the files git tracks or would track, as on disk), removed at
@@ -17,26 +23,25 @@ entry. Exits 0 when every mutant run is killed, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-import tomllib
 from pathlib import Path
 from typing import List
 
 from ab import ROOT, snapshot
 
-MUTANTS = ROOT / "tools" / "mutants.toml"
+MUTANTS = ROOT / "tools" / "mutants.json"
 
 
 def load() -> List[dict]:
-    """The [[mutant]] entries of tools/mutants.toml, each with name, file, old, new and tests."""
-    with open(MUTANTS, "rb") as fh:
-        return tomllib.load(fh)["mutant"]
+    """The entries of tools/mutants.json, each with name, file, old, new and tests; old and new as text."""
+    with open(MUTANTS) as fh:
+        return [{**m, "old": "\n".join(m["old"]), "new": "\n".join(m["new"])} for m in json.load(fh)]
 
 
 def pytest(tree: Path, tests: List[str]) -> int:
@@ -64,16 +69,8 @@ def run_mutant(tree: Path, mutant: dict) -> str:
     return {0: "survived", 1: "killed"}.get(code, "error")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--name", action="append", help="run only this mutant; repeatable")
-    args = parser.parse_args(argv)
+def main() -> int:
     mutants = load()
-    if args.name:
-        unknown = set(args.name) - {m["name"] for m in mutants}
-        if unknown:
-            parser.error(f"unknown mutant {', '.join(sorted(unknown))}")
-        mutants = [m for m in mutants if m["name"] in args.name]
     start = time.perf_counter()
     results = {}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
