@@ -44,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from massboost import MassartOracle, compute_params, load_config  # noqa: E402
-from massboost.booster import ScoreState, over_confident  # noqa: E402
+from massboost.booster import ScoreState  # noqa: E402
 from massboost.harness import build_instance  # noqa: E402
 from score_state_reference import ScoreStateReference, over_confident_reference  # noqa: E402
 from test_properties import state_at  # noqa: E402
@@ -95,7 +95,7 @@ def score_state_round(state, oracle, params, h):
     hv = state.values(h)
     state.advantage(hv)
     state.step(hv)
-    if over_confident(oracle, state, params):
+    if state.over_confident(params.epsilon, params.eta):
         state.recalibrate()
     state.stats()
     return state

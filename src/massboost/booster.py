@@ -265,17 +265,18 @@ class ScoreState:
     Density and potential are dot products of per-atom weights with the joint
     label masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
     core.label_errors of sign(sigma), as summary.json's are of the final
-    scores; the risky mass is p[risky].sum(), as over_confident takes it.
+    scores; the risky mass is p[risky].sum(), over_confident's stage 1.
 
     The state allocates its workspace once, six per-atom float rows and three
     per-atom bool rows, so a round of boost() allocates no float array of
     n_atoms elements; only the risky mass gathers the masses of the risky
-    atoms, and over_confident their indices. The float rows are sigma, the
-    values row, u_diff, phi and the scratch rows t1 and t2; the bool rows are
-    the risky mask |sigma| >= s, the mask from before the last step and the
-    sign row. step(), recalibrate() and the risky mask write t1; stats() and
-    over_confident write t1, t2, phi and the sign row, and stats() u_diff,
-    taking lerr and ferr off the sign row before its noise rates reuse it.
+    atoms, and over_confident their indices and labels. The float rows are
+    sigma, the values row, u_diff, phi and the scratch rows t1 and t2; the
+    bool rows are the risky mask |sigma| >= s, the mask from before the last
+    step and the sign row. step(), recalibrate() and the risky mask write
+    t1; stats() writes t1, t2, phi, the sign row and u_diff, taking lerr and
+    ferr off the sign row before its noise rates reuse it, and then
+    over_confident only prefixes of t1, t2, phi and the sign row.
 
     With no score >= 0, as in almost every state of the heavy-hitter
     adversary's runs, every prediction is -1, wrong exactly where f = +1, so
@@ -347,22 +348,18 @@ class ScoreState:
         return None
 
     def over_confident(self, epsilon: float, eta: float) -> bool:
-        """over_confident's exact test; the risky atoms are gathered into rows free until the next stats()."""
-        risky = self._risky()
-        if not risky.any():
+        """over_confident's exact test: stage 1 reads stats(), stage 2 gathers the risky atoms into scratch prefixes."""
+        risky_mass = self.stats().risky_mass
+        if risky_mass <= epsilon / 4.0:
             return False
-        idx = np.flatnonzero(risky)
+        idx = np.flatnonzero(self._risky())
         k = len(idx)
+        scores = np.take(self.sigma, idx, out=self._t1[:k], mode="clip")
+        # sign(sigma) != f is sigma * f < 0, since a risky score is nonzero: |sigma| >= s > 0
+        wrong = np.less(np.multiply(scores, self.dist.f[idx], out=scores), 0.0, out=self._sign_now[:k])
         p = np.take(self.dist.p, idx, out=self._t2[:k], mode="clip")
-        pr_risky = float(p.sum())
-        if pr_risky <= epsilon / 4.0:
-            return False
-        wrong = np.greater_equal(self.sigma, 0.0, out=self._sign_now)
-        np.copyto(self._t1, np.not_equal(wrong, self._f_plus, out=wrong))  # sign(sigma) != f, as 0.0 or 1.0
-        row = np.take(self._t1, idx, out=self._phi[:k], mode="clip")
-        wrong = np.greater(row, 0.0, out=self._sign_now[:k])  # the same mask, at the risky atoms
-        eta_k = np.take(self.dist.eta, idx, out=self._t1[:k], mode="clip")  # t1 is free once the mask is gathered
-        cond_err = label_errors(p, eta_k, wrong, out=row)[0] / pr_risky
+        eta_k = np.take(self.dist.eta, idx, out=self._t1[:k], mode="clip")  # t1 is free once the mask is taken
+        cond_err = label_errors(p, eta_k, wrong, out=self._phi[:k])[0] / risky_mass
         return cond_err >= eta + 3.0 * epsilon / 4.0
 
     def _risky(self) -> np.ndarray:
@@ -543,18 +540,15 @@ def over_confident(
     scorer: SampleScorer,
     params: BoostParams,
 ) -> bool:
-    """Decide whether sign(G) is over-confident on the withheld risky set.
+    """Monte Carlo test of whether sign(G) is over-confident on the withheld risky set.
 
-    Stage 1 checks whether the risky mass Pr[|G(x)| >= s] exceeds epsilon/4;
-    if not, returns False. Stage 2 compares the misclassification rate of
-    sign(G) conditioned on the risky set against eta + 3*epsilon/4. In
-    exact-oracle mode the scorer is the run's ScoreState and both stages
-    use exact expectations over its support (ScoreState.over_confident).
+    Stage 1 estimates the risky mass Pr[|G(x)| >= s] on fresh draws; at most
+    epsilon/4, it returns False. Stage 2 estimates the misclassification
+    rate of sign(G) on draws that land in the risky set and compares it
+    against eta + 3*epsilon/4. boost() calls it in Monte Carlo mode only;
+    exact-oracle mode asks its ScoreState.over_confident.
     """
     s = scorer.s
-    if params.mode == MODE_EXACT:
-        return scorer.over_confident(params.epsilon, params.eta)
-
     n1 = int(math.ceil(params.sample_scale * 32.0 * math.log(2.0 / params.delta_err) / params.epsilon**2))
     first = oracle.sample_batch(n1)
     frac = float(np.mean(np.abs(scorer.sample_scores(first)) >= s))
@@ -721,7 +715,8 @@ def boost(
                 exact_fields = dict(adv_exact=state.advantage(hv), max_noise_rate=state.stats().max_noise_rate)
             # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
             state.step(hv)
-            b_t = not ablate_no_withholding and over_confident(oracle, state, params)
+            b_t = not ablate_no_withholding and (state.over_confident(params.epsilon, params.eta) if exact
+                                                 else over_confident(oracle, state, params))
             if b_t:
                 state.recalibrate()
             trace.append((h_t, b_t))

@@ -249,8 +249,8 @@ def _grid_points(d: int, side: int) -> np.ndarray:
 
 
 def build_instance(cfg: RunConfig, seed: int):
-    """Build (dist, concept, the four SeedSequences spawned for the seed) for one seed."""
-    ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(4)
+    """Build (dist, concept, SeedSequences of a rect_grid instance, the oracle and boost()'s rng) for one seed."""
+    ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(3)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":
         union = _random_union(inst_rng, cfg.rect_d, cfg.rect_k)

@@ -208,7 +208,7 @@ def _blocks(xs: np.ndarray, positive: np.ndarray, k: int):
 
 
 def _staircase(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
-    """(signed axes, thresholds, cell) of the best positive-free candidate above the floor, or None.
+    """(signed axes, thresholds, cell, count, 0) of the best positive-free candidate above the floor, or None.
 
     For k = 1 or 2 and a positive floor, which no empty candidate clears.
     The candidate at index i of a signed axis keeps the points whose signed
@@ -254,7 +254,7 @@ def _staircase(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: floa
         return None
     combo = combos[block]
     cell = (int(edge[block]),) if block < len(edge) else (int(row), int(first[block - len(edge), row]))
-    return combo, _thresholds(uniques, combo), cell
+    return combo, _thresholds(uniques, combo), cell, int(counts[block, row]), 0
 
 
 def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
@@ -273,7 +273,7 @@ def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
 
 
 def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
-    """(signed axes, thresholds, cell) of the candidate minimizing wkl_box's key over every cell, or None."""
+    """(signed axes, thresholds, cell, count, positive count) of the candidate minimizing wkl_box's key, or None."""
     best_key, best = None, None  # (ratio, -count, block_rank, flat_idx)
     for block_rank, (combo, thresholds, counts) in enumerate(_blocks(xs, positive, k)):
         pick = _pick(counts[0], counts[1], n, floor)
@@ -282,7 +282,8 @@ def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: flo
         key = (pick[0], -pick[1], block_rank, pick[2])
         if best_key is None or key < best_key:
             best_key = key
-            best = combo, thresholds, np.unravel_index(pick[2], counts.shape[1:])
+            best = (combo, thresholds, np.unravel_index(pick[2], counts.shape[1:]), int(pick[1]),
+                    int(counts[1].flat[pick[2]]))
     return best
 
 
@@ -301,6 +302,8 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     each signed coordinate. If no candidate clears the floor, returns the
     constant sample majority; for a finite alpha only k = 0 gets there,
     because with k >= 1 the smallest thresholds keep the whole sample.
+    Outside the rectangle it answers the majority label, +1 on a tie, from the
+    search's counts inside; labels are exactly -1 or +1 (core's convention).
 
     The search has two stages. A candidate with no positive point inside
     has fraction 0, so if one clears the floor, the winner is among them;
@@ -335,9 +338,9 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
         logger.info("wkl_box: no candidate rectangle met the mass floor (only k = 0 admits none); constant %+d", z)
         return BoxHypothesis(None, z)
 
-    combo, thresholds, cell = found
+    combo, thresholds, cell, inside, positive_inside = found
     best_rect = NegRectangle(tuple((a, s, float(t[i])) for (a, s), t, i in zip(combo, thresholds, cell)))
-    return BoxHypothesis(best_rect, _majority(ys[~best_rect.contains(xs)]))
+    return BoxHypothesis(best_rect, 1 if 2 * (np.count_nonzero(positive) - positive_inside) >= n - inside else -1)
 
 
 def enumerate_negative_subrectangles(

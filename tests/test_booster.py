@@ -195,32 +195,32 @@ class TestEstDensity:
 
 class TestOverConfident:
     @staticmethod
-    def params(epsilon=0.2, eta=0.1, mode="exact"):
-        return compute_params(eta, 0.1, 0.05, epsilon, 0.1, mode=mode)
-
-    @staticmethod
     def scored(dist, scores, s):
         return state_at(dist, 0.1, s, scores)
 
     def test_small_risky_mass_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
-        oracle = MassartOracle(dist, rng_seed=0)
-        assert over_confident(oracle, self.scored(dist, [1.5, 0.1], s=1.0), self.params()) is False
+        assert self.scored(dist, [1.5, 0.1], s=1.0).over_confident(0.2, 0.1) is False
+
+    def test_risky_mass_of_exactly_a_quarter_epsilon_returns_false(self):
+        # the risky atom is wrong, so past stage 1 its error 0.9 would answer True; 0.2 / 4 is the float 0.05
+        dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.05, 0.95])
+        state = self.scored(dist, [-1.5, 0.1], s=1.0)
+        assert state.stats().risky_mass == 0.2 / 4.0
+        assert state.over_confident(0.2, 0.1) is False
 
     def test_large_risky_error_returns_true(self):
         # risky mass 0.1 split between a clean and an inverted atom: error 1/2
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
-        oracle = MassartOracle(dist, rng_seed=0)
-        assert over_confident(oracle, self.scored(dist, [1.5, 1.5, 0.1], s=1.0), self.params()) is True
+        assert self.scored(dist, [1.5, 1.5, 0.1], s=1.0).over_confident(0.2, 0.1) is True
 
     def test_small_risky_error_returns_false(self):
         dist = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.1, 0.9])
-        oracle = MassartOracle(dist, rng_seed=0)
-        assert over_confident(oracle, self.scored(dist, [1.5, 0.1], s=1.0), self.params()) is False
+        assert self.scored(dist, [1.5, 0.1], s=1.0).over_confident(0.2, 0.1) is False
 
     def test_mc_mode_matches_exact_on_clear_cases(self):
         dist = index_dist(f=[1, -1, 1], eta=[0.1, 0.1, 0.1], p=[0.05, 0.05, 0.9])
-        mc = self.params(mode="mc")
+        mc = compute_params(0.1, 0.1, 0.05, 0.2, 0.1, mode="mc")
         oracle = MassartOracle(dist, rng_seed=77)
         assert over_confident(oracle, self.scored(dist, [1.5, 1.5, 0.1], s=1.0), mc) is True
         dist2 = index_dist(f=[1, 1], eta=[0.1, 0.1], p=[0.01, 0.99])
@@ -376,6 +376,7 @@ class TestBoost:
             raise AssertionError("over_confident called in an ablated run")
 
         monkeypatch.setattr(booster, "over_confident", called)
+        monkeypatch.setattr(booster.ScoreState, "over_confident", called)
         rng = np.random.default_rng(9)
         dist, f = rcn_dist(rng, 20, eta=0.1)
         params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, max_rounds=3, sample_scale=0.02, mode=mode)
@@ -434,11 +435,11 @@ class TestBoost:
 
 
 def striped_instance(n: int):
-    """n equal atoms on a line, f = +1 on every third, eta 0.1; exact-mode parameters and an oracle."""
+    """n equal atoms on a line, f = +1 on every third, eta 0.1, and exact-mode parameters."""
     f = np.where(np.arange(n) % 3 == 0, 1, -1)
     dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n), f,
                              np.full(n, 0.1), 0.1)
-    return dist, compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact"), MassartOracle(dist, rng_seed=0)
+    return dist, compute_params(0.1, 0.1, 0.05, 0.15, 0.1, mode="exact")
 
 
 def test_exact_round_allocates_no_per_atom_array():
@@ -452,7 +453,7 @@ def test_exact_round_allocates_no_per_atom_array():
     path reads them from the run constants.
     """
     n = 100_000
-    dist, params, oracle = striped_instance(n)
+    dist, params = striped_instance(n)
     minus, plus = np.full(n, -1.0), np.full(n, 1.0)
 
     def one_round(state, values):
@@ -460,7 +461,7 @@ def test_exact_round_allocates_no_per_atom_array():
         hv = state.values(lambda xs: values)
         state.advantage(hv)
         state.step(hv)
-        over_confident(oracle, state, params)
+        state.over_confident(params.epsilon, params.eta)
         state.stats()
 
     state = ScoreState(dist, params.lam, params.s)
@@ -488,12 +489,13 @@ def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
     mass is far above epsilon/4 and the conditional error near 1/2. The test
     gathers the risky atoms into the workspace; what is left are the index
     array of the risky atoms and stats()'s gathered risky masses, 8n/3 bytes
-    each and never alive together. The decision is that of the same formula
+    each and never alive together, and the risky atoms' int8 labels, n/3
+    bytes next to the index array. The decision is that of the same formula
     on fancy-indexed copies of the risky atoms, and the recalibration and
     the statistics after it write into the workspace too.
     """
     n = 100_000
-    dist, params, oracle = striped_instance(n)
+    dist, params = striped_instance(n)
     scores = np.random.default_rng(0).uniform(-1.5 * params.s, 1.5 * params.s, n)
     zeros = np.zeros(n)
     risky = np.abs(scores) >= params.s
@@ -508,7 +510,7 @@ def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
         hv = state.values(lambda xs: zeros)
         state.advantage(hv)
         state.step(hv)
-        decision = over_confident(oracle, state, params)
+        decision = state.over_confident(params.epsilon, params.eta)
         state.stats()
         state.recalibrate()
         state.stats()

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massboost import FiniteMassartDist, MassartOracle, compute_params, load_config
-from massboost.booster import ScoreState, over_confident
+from massboost import FiniteMassartDist, compute_params, load_config
+from massboost.booster import ScoreState
 from massboost.core import label_errors, sign_pm1
 from massboost.harness import build_instance
 from score_state_reference import ScoreStateReference, over_confident_reference
@@ -64,7 +64,7 @@ def assert_stats_equal(got, ref, s=None):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
-def assert_round_matches(state, ref, hv, oracle, params):
+def assert_round_matches(state, ref, hv, params):
     """Statistics, over-confidence decision, advantage of hv and the round by hv match the reference.
 
     At the state's threshold s = inf nothing is risky, so its decision is False whatever the reference's.
@@ -72,8 +72,8 @@ def assert_round_matches(state, ref, hv, oracle, params):
     recalibration after step() and with it after recalibrate(); state itself does not move.
     """
     assert_stats_equal(state.stats(), ref, state.s)
-    want = state.s < math.inf and over_confident_reference(oracle.source, ref, params.eta, params.epsilon)
-    assert over_confident(oracle, state, params) == want
+    want = state.s < math.inf and over_confident_reference(state.dist, ref, params.eta, params.epsilon)
+    assert state.over_confident(params.epsilon, params.eta) == want
     assert state.advantage(hv) == ref.advantage(hv)
     trial = state_at(state.dist, state.lam, state.s, state.sigma)
     trial.step(hv)
@@ -90,7 +90,6 @@ def test_score_state_matches_reference(data):
     lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)))
     s = data.draw(st.floats(0.1, 3.0))
     params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
-    oracle = MassartOracle(dist, rng_seed=0)
 
     ref = ScoreStateReference(dist, lam, s, True)
     assert_stats_equal(ScoreState(dist, lam, s).stats(), ref)
@@ -98,7 +97,7 @@ def test_score_state_matches_reference(data):
     state, ref = state_at(dist, lam, s, scores), ref.at(scores)
     for _ in range(data.draw(st.integers(1, 4))):
         hv = data.draw(hypothesis_values(n))
-        assert_round_matches(state, ref, hv, oracle, params)
+        assert_round_matches(state, ref, hv, params)
         b = data.draw(st.booleans())
         state, ref = take_round(state, hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
@@ -132,13 +131,12 @@ def test_one_signed_states_match_reference(data):
     s = data.draw(st.floats(0.1, 3.0))
     lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)).filter(lambda v: v < s))
     params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
-    oracle = MassartOracle(dist, rng_seed=0)
 
     scores = data.draw(one_signed_scores(n, s, lam))
     assert one_signed(scores, s)
     state = state_at(dist, lam, s, scores)
     ref = ScoreStateReference(dist, lam, s, True).at(scores)
-    assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
+    assert_round_matches(state, ref, data.draw(hypothesis_values(n)), params)
 
     scores[:2] = -lam / 2, -s + lam / 2
     state, ref = state_at(dist, lam, s, scores), ref.at(scores)
@@ -148,7 +146,7 @@ def test_one_signed_states_match_reference(data):
         state, ref = take_round(state, hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
         assert one_signed(ref.sigma, s) == (k % 2 == 1)
-        assert_round_matches(state, ref, data.draw(hypothesis_values(n)), oracle, params)
+        assert_round_matches(state, ref, data.draw(hypothesis_values(n)), params)
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,7 +162,6 @@ def test_infinite_threshold_is_the_ablation(data):
     lam = data.draw(st.one_of(st.sampled_from([0.00125, 0.125]), st.floats(0.001, 1.0)))
     s = data.draw(st.floats(0.1, 3.0))
     params = replace(EXACT, eta=data.draw(st.floats(0.0, 0.45)), epsilon=data.draw(st.floats(0.01, 1.0)))
-    oracle = MassartOracle(dist, rng_seed=0)
 
     ref = ScoreStateReference(dist, lam, s, False)
     assert_stats_equal(ScoreState(dist, lam, math.inf).stats(), ref, math.inf)
@@ -173,7 +170,7 @@ def test_infinite_threshold_is_the_ablation(data):
     for _ in range(data.draw(st.integers(1, 4))):
         hv = data.draw(hypothesis_values(n))
         assert state.stats().risky_mass == 0.0
-        assert_round_matches(state, ref, hv, oracle, params)
+        assert_round_matches(state, ref, hv, params)
         b = data.draw(st.booleans())
         state, ref = take_round(state, hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
@@ -199,7 +196,6 @@ def test_memo_follows_mask_changes(s):
     dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n),
                              [1, -1, 1, 1, -1, 1, -1, 1], [0.1, 0.0, 0.2, 0.3, 0.1, 0.0, 0.4, 0.2], 0.45)
     params = replace(EXACT, epsilon=0.01)
-    oracle = MassartOracle(dist, rng_seed=0)
     state = state_at(dist, 0.5, s, MEMO_SCORES)
     ref = ScoreStateReference(dist, 0.5, 1.0, s < math.inf).at(MEMO_SCORES)
     signs, risky = set(), set()
@@ -209,8 +205,8 @@ def test_memo_follows_mask_changes(s):
         state, ref = take_round(state, hv, b), ref.step(hv, b)
         assert state.sigma.tobytes() == ref.sigma.tobytes()
         assert_stats_equal(state.stats(), ref, s)
-        want = s < math.inf and over_confident_reference(dist, ref, params.eta, 0.01)
-        assert over_confident(oracle, state, params) == want
+        want = s < math.inf and over_confident_reference(dist, ref, params.eta, params.epsilon)
+        assert state.over_confident(params.epsilon, params.eta) == want
         signs.add((ref.sigma >= 0).tobytes())
         risky.add((np.abs(ref.sigma) >= 1.0).tobytes())
     assert len(signs) == len(risky) == 2
