@@ -208,11 +208,10 @@ def wkl_rude(
     a uniformly drawn threshold v_h; step 3 draws a label threshold v_y and
     assigns each survivor the label +1 iff the +1 fraction among its fresh
     occurrences reaches v_y (no occurrences count as fraction 0). Everything
-    outside the surviving set is labeled -1.
+    outside the surviving set is labeled -1. The source returns the count
+    asked, at least 1 each step, as booster.samp does.
     """
     s1 = sample_source(learner.step1_size())
-    if len(s1) == 0:
-        return HeavyHitterHypothesis(np.empty((0, 1)), np.empty(0, dtype=np.int8))
     candidates = np.unique(np.atleast_2d(s1.xs), axis=0)
 
     s2 = sample_source(learner.step2_size())

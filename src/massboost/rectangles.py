@@ -15,7 +15,6 @@ always exists.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -34,8 +33,6 @@ __all__ = [
     "enumerate_negative_subrectangles",
     "wkl_box",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class EmptySample(ValueError):
@@ -96,9 +93,9 @@ class BoxHypothesis:
     """Weak hypothesis: -1 on b_best, the fallback label z outside.
 
     With b_best None there is no rectangle and the hypothesis is the
-    constant z everywhere (z = +1 for the small-negative-fraction branch,
-    the sample majority when no candidate met the mass floor, which only
-    happens with k = 0).
+    constant z everywhere. wkl_box returns it only as the constant +1 of
+    its small-negative-fraction branch: for k >= 1 and alpha > 0 some
+    candidate always clears the mass floor.
     """
 
     b_best: Optional[NegRectangle]
@@ -112,7 +109,7 @@ class BoxHypothesis:
 
 
 def _majority(ys: np.ndarray) -> int:
-    """Majority label; ties (including empty input) default to +1."""
+    """Majority label, +1 on ties and empty input; only the frozen tests/wkl_box_reference.py uses it."""
     return 1 if np.count_nonzero(ys == 1) >= np.count_nonzero(ys == -1) else -1
 
 
@@ -258,27 +255,27 @@ def _staircase(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: floa
 
 
 def _pick(counts: np.ndarray, pos_counts: np.ndarray, n: int, floor: float):
-    """(ratio, count, flat index) of the block's best cell, or None if no cell clears the floor.
+    """(ratio, count, flat index) of the block's best cell.
 
     One linear pass each: the minimum positive fraction over the cells with
     count / n > floor, then the largest count among the cells at that
-    fraction, of which argmax returns the first in flat (C) order.
+    fraction, of which argmax returns the first in flat (C) order. Cell
+    (0, ..., 0) keeps all n points, so it clears wkl_box's floor, always < 1.
     """
     ratio = np.divide(pos_counts, counts, out=np.full(counts.shape, np.inf), where=counts / n > floor)
     best = ratio.min()
-    if best == np.inf:
-        return None
     j = int(np.argmax(np.where(ratio == best, counts, -1.0)))
     return float(best), float(counts.flat[j]), j
 
 
 def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: float):
-    """(signed axes, thresholds, cell, count, positive count) of the candidate minimizing wkl_box's key, or None."""
+    """(signed axes, thresholds, cell, count, positive count) of the candidate minimizing wkl_box's key.
+
+    Runs for k >= 3, or when _staircase finds nothing; every block has a candidate (see _pick).
+    """
     best_key, best = None, None  # (ratio, -count, block_rank, flat_idx)
     for block_rank, (combo, thresholds, counts) in enumerate(_blocks(xs, positive, k)):
         pick = _pick(counts[0], counts[1], n, floor)
-        if pick is None:
-            continue
         key = (pick[0], -pick[1], block_rank, pick[2])
         if best_key is None or key < best_key:
             best_key = key
@@ -290,30 +287,31 @@ def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: flo
 def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesis:
     """Train the rectangle weak learner on a labeled sample.
 
-    If the observed negative fraction is below alpha/2, returns the constant
-    +1 hypothesis. Otherwise considers every candidate rectangle with at
-    most k closed inequalities, directions over the 2d signed axes and
-    thresholds at sample coordinates, keeps those with empirical mass
-    strictly above alpha / (8 (2d)^k), and returns the one minimizing the
-    key (positive fraction inside, -count inside, block rank, flat index).
+    Needs k >= 1 and alpha > 0, else raises ValueError. If the observed
+    negative fraction is below alpha/2, returns the constant +1 hypothesis.
+    Otherwise considers every candidate rectangle with at most k closed
+    inequalities, directions over the 2d signed axes and thresholds at
+    sample coordinates, keeps those with empirical mass strictly above
+    alpha / (8 (2d)^k), and returns the one minimizing the key (positive
+    fraction inside, -count inside, block rank, flat index).
     A block is one combination of signed axes, ranked in enumeration order
     (one inequality first, then pairs, ...); its flat index is the C-order
     position of the thresholds' indices among the sorted unique values of
-    each signed coordinate. If no candidate clears the floor, returns the
-    constant sample majority; for a finite alpha only k = 0 gets there,
-    because with k >= 1 the smallest thresholds keep the whole sample.
-    Outside the rectangle it answers the majority label, +1 on a tie, from the
-    search's counts inside; labels are exactly -1 or +1 (core's convention).
+    each signed coordinate. Some candidate clears the floor: each block's
+    smallest thresholds keep all n points, and a floor of 1 or more needs
+    alpha >= 16, which returns the constant +1. Outside the rectangle it
+    answers the majority label, +1 on a tie, from the search's counts
+    inside; labels are exactly -1 or +1 (core's convention).
 
     The search has two stages. A candidate with no positive point inside
     has fraction 0, so if one clears the floor, the winner is among them;
     for k = 1 or 2, _staircase finds it for all blocks in one batched pass
     over padded tables of their staircase edges, with one argmax over the
     stacked counts for the tie-break. Only when none clears the floor, and
-    for k = 0, k >= 3 or alpha = 0, does _exhaustive scan every cell, with
-    one suffix-sum table per set of distinct axes (_blocks, _box_counts) and
-    a linear-time pick per block (_pick). All counts are exact integers, so
-    the hypothesis is the one a direct enumeration of the candidates returns.
+    for k >= 3, does _exhaustive scan every cell, with one suffix-sum table
+    per set of distinct axes (_blocks, _box_counts) and a linear-time pick
+    per block (_pick). All counts are exact integers, so the hypothesis is
+    the one a direct enumeration of the candidates returns.
     """
     n = len(sample)
     if n == 0:
@@ -322,22 +320,19 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     ys = np.asarray(sample.ys)
     if xs.shape[1] != d:
         raise ValueError(f"sample dimension {xs.shape[1]} != d = {d}")
-    if not alpha >= 0.0:  # a negative floor admits empty candidates, whose fraction is 0/0
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not alpha > 0.0:  # also rejects nan
+        raise ValueError(f"alpha must be > 0, got {alpha}")
 
     if np.count_nonzero(ys == -1) / n < alpha / 2.0:
         return BoxHypothesis(None, 1)
 
     floor = alpha / (8.0 * (2.0 * d) ** k)
     positive = ys == 1
-    found = _staircase(xs, positive, k, n, floor) if 0 < k <= 2 and floor > 0 else None
+    found = _staircase(xs, positive, k, n, floor) if k <= 2 else None
     if found is None:
         found = _exhaustive(xs, positive, k, n, floor)
-    if found is None:
-        z = _majority(ys)
-        logger.info("wkl_box: no candidate rectangle met the mass floor (only k = 0 admits none); constant %+d", z)
-        return BoxHypothesis(None, z)
-
     combo, thresholds, cell, inside, positive_inside = found
     best_rect = NegRectangle(tuple((a, s, float(t[i])) for (a, s), t, i in zip(combo, thresholds, cell)))
     return BoxHypothesis(best_rect, 1 if 2 * (np.count_nonzero(positive) - positive_inside) >= n - inside else -1)

@@ -55,6 +55,16 @@ def test_gain_rule_of_fixed_pairs(change, want):
     assert got["parent_iqr"] == pytest.approx(0.45) and got["gain"] is want
 
 
+def test_gain_rule_needs_the_median_beyond_the_iqr():
+    # parent 10..19: median 14.5, IQR 16.75 - 12.25 = 4.5, exact in floats;
+    # the change wins 9 of 10 and its median 10 is better by exactly the IQR
+    parent = [float(v) for v in range(10, 20)]
+    change = [9.0] + [10.0] * 8 + [30.0]
+    got = summarize([({"setup_s": p}, {"setup_s": c}) for p, c in zip(parent, change)], {"setup_s": "lower"})
+    assert got["setup_s"]["parent_iqr"] == 4.5 and got["setup_s"]["wins"] == 9
+    assert got["setup_s"]["gain"] is False
+
+
 def test_gain_rule_reads_the_better_direction():
     # higher is better: the same numbers, mirrored, show the same gain
     pairs = [({"score": -p}, {"score": -c}) for p, c in zip(GAIN_PARENT, [11.0] * 9 + [13.0])]
@@ -80,8 +90,10 @@ def test_unlisted_metric_is_better_lower():
         # worse by 20% of the median, inside the bound, with a narrow parent
         ([11.9, 12.0, 12.0, 12.0, 12.1], [14.0, 14.4, 14.4, 14.4, 14.5], "lower", "within bound"),
         ([3.0] * 5, [3.0] * 5, "lower", "within bound"),
+        # worse by exactly the bound, 1 of median 4: not more than it
+        ([4.0] * 5, [5.0] * 5, "lower", "within bound"),
     ],
-    ids=["worse-median", "worse-higher", "wide-parent", "wide-parent-all-beaten", "inside-bound", "equal"],
+    ids=["worse-median", "worse-higher", "wide-parent", "wide-parent-all-beaten", "inside-bound", "equal", "at-bound"],
 )
 def test_verdict_of_fixed_runs(parent, change, better, want):
     assert verdict(parent, change, better, 0.25) == want

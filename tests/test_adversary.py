@@ -85,6 +85,22 @@ class TestHardDistSpec:
             spec(eta=eta, alpha=0.001)
 
 
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: spec(eta=0.1, alpha=0.4), "alpha must be in"),  # alpha must stay below 1/2 - eta
+        (lambda: spec(n=0), "n must be between"),
+        (lambda: spec(n=65), "n must be between"),
+        (lambda: hard_distribution(spec(n=4), 0), "support_size"),
+        (lambda: hard_distribution(spec(n=4), 17), "support_size"),  # above 2^n points
+    ],
+    ids=["alpha-at-half-minus-eta", "no-bits", "65-bits", "empty-support", "support-beyond-domain"],
+)
+def test_bad_hard_instance_is_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestHardDistribution:
     def test_rho_zero_noiseless(self):
         dist = hard_distribution(spec(rho=0.0), 10_000)

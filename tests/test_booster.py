@@ -150,6 +150,15 @@ class TestSamp:
         counts = np.bincount(sample.xs[:, 0].astype(int), minlength=4) / 5000
         assert np.all(np.abs(counts - 0.25) < 0.02)
 
+    def test_zero_request_draws_nothing(self):
+        dist = index_dist(f=[1, -1, 1, -1], eta=[0.1] * 4)
+        oracle = MassartOracle(dist, rng_seed=3)
+        sample, raw = samp(oracle, Measure(const_h(0.0), s=2.0), 0, np.random.default_rng(4))
+        assert len(sample) == 0 and raw == 0 and oracle.draws == 0
+        # the oracle's stream is untouched: its next draws are a fresh oracle's first
+        after, fresh = oracle.sample_batch(20), MassartOracle(dist, rng_seed=3).sample_batch(20)
+        assert np.array_equal(after.xs, fresh.xs) and np.array_equal(after.ys, fresh.ys)
+
     def test_zero_weight_atom_never_appears(self):
         dist = index_dist(f=[1, 1], eta=[0.0, 0.0])
         oracle = MassartOracle(dist, rng_seed=5)

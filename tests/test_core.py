@@ -99,6 +99,24 @@ class TestMakeMassart:
         assert dist.p.sum() == 1.0
 
 
+@pytest.mark.parametrize(
+    "build,error,match",
+    [
+        (lambda: FiniteMassartDist([[0.0], [1.0]], [1.0], [1], [0.0], 0.4), ValueError, "matching lengths"),
+        (lambda: FiniteMassartDist([[np.inf]], [1.0], [1], [0.0], 0.4), ValueError, "coordinates must be finite"),
+        (lambda: make_massart([((0.0,), 1.0, 1, -0.1)], 0.4), BadProbability, "flip probabilities"),
+        (lambda: make_massart([((0.0,), 1.0, 1, float("nan"))], 0.4), BadProbability, "flip probabilities"),
+        (lambda: make_massart([], 0.4), BadProbability, "empty atom list"),
+        (lambda: MassartOracle(single_atom().p, rng_seed=0), TypeError, "FiniteMassartDist"),
+        (lambda: MassartOracle(single_atom(), rng_seed=0).sample_batch(-1), ValueError, "nonnegative"),
+    ],
+    ids=["lengths", "infinite-coordinate", "negative-eta", "nan-eta", "no-atoms", "not-a-dist", "negative-count"],
+)
+def test_bad_input_is_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 class TestSampleExample:
     def test_zero_noise_point_always_clean(self):
         oracle = MassartOracle(single_atom(f=1, eta=0.0), rng_seed=7)

@@ -65,6 +65,12 @@ class TestWklBox:
         with pytest.raises(EmptySample):
             wkl_box(LabeledSample(np.empty((0, 1)), np.empty(0, dtype=np.int8)), 1, 1, 0.1)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sample_of_another_dimension_raises(self, d):
+        sample = LabeledSample(np.zeros((4, 2)), np.array([1, -1, 1, -1], dtype=np.int8))
+        with pytest.raises(ValueError, match=f"sample dimension 2 != d = {d}"):
+            wkl_box(sample, d, 1, 0.1)
+
     def test_all_positive_sample_constant_plus_one(self):
         xs = np.random.default_rng(0).random((100, 2))
         sample = LabeledSample(xs, np.ones(100, dtype=np.int8))

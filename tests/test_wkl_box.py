@@ -72,9 +72,6 @@ TWINNED = make_case([[0.0, 1.0], [1.0, -0.0], [0.5, 0.5], [0.0, 1.0], [1.0, -0.0
 TIED_ROWS = make_case([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 0.0]], [1, 1, 1, -1], 2, 0.1)
 # The only positive-free cell holds 1 of 64 points, exactly the floor 0.25 / 16, which it must exceed.
 AT_FLOOR = make_case([[float(i)] for i in range(64)], [1, -1] * 32, 1, 0.25)
-# k = 0 admits no inequality, so no cell can clear the floor: the constant majority.
-# With k >= 1 this branch cannot run: the block's smallest threshold keeps all n points.
-NO_CELL = make_case([[0.0, 0.0], [1.0, -0.0], [1.0, 1.0]], [-1, -1, 1], 0, 0.1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -82,7 +79,6 @@ NO_CELL = make_case([[0.0, 0.0], [1.0, -0.0], [1.0, 1.0]], [-1, -1, 1], 0, 0.1)
 @example(case=ALL_NEGATIVE)
 @example(case=CONSTANT_PLUS)
 @example(case=TWINNED)
-@example(case=NO_CELL)
 def test_matches_frozen_reference(case):
     # k = 4 lets two slabs (both directions on one axis) share a block
     sample, d, k, alpha = case
@@ -100,20 +96,20 @@ def test_staircase_matches_frozen_reference(case):
     assert wkl_box(sample, d, k, alpha) == wkl_box_reference(sample, d, k, alpha)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=samples(max_n=60, max_grid=4, max_k=2))
-@example(case=TWINNED)
-def test_zero_alpha_matches_frozen_reference(case):
-    # alpha = 0 gives the floor 0, which every nonempty candidate clears
-    sample, d, k, _ = case
-    assert wkl_box(sample, d, k, 0.0) == wkl_box_reference(sample, d, k, 0.0)
-
-
-@pytest.mark.parametrize("alpha", [-0.1, -1e-9, float("nan")])
-def test_negative_or_nan_alpha_is_rejected(alpha):
-    # a negative floor would admit empty candidates, whose positive fraction is 0/0
+@pytest.mark.parametrize("alpha", [0.0, -0.1, -1e-9, float("nan")])
+def test_nonpositive_or_nan_alpha_is_rejected(alpha):
+    # the weak learner needs a noise margin: a floor of 0 or below admits
+    # candidates of any mass, and empty ones have positive fraction 0/0
     sample, d, k, _ = TWINNED
     with pytest.raises(ValueError, match="alpha"):
+        wkl_box(sample, d, k, alpha)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_fewer_than_one_inequality_is_rejected(k):
+    # a union of no rectangles has no candidate to search
+    sample, d, _, alpha = TWINNED
+    with pytest.raises(ValueError, match="k must be"):
         wkl_box(sample, d, k, alpha)
 
 
@@ -221,6 +217,8 @@ def test_block_counts_match_contains(case):
     sample, d, k, _ = case
     positive = sample.ys == 1
     for combo, thresholds, counts in _blocks(sample.xs, positive, k):
+        # the smallest thresholds keep every point, so each block has a candidate above any floor below 1
+        assert counts[(0,) * counts.ndim] == len(sample)
         for cell in np.ndindex(counts.shape[1:]):
             rect = NegRectangle(tuple((a, s, float(t[i])) for (a, s), t, i in zip(combo, thresholds, cell)))
             inside = rect.contains(sample.xs)
