@@ -33,16 +33,11 @@ from .core import FiniteMassartDist, LabeledSample
 __all__ = [
     "HardDistSpec",
     "HeavyHitterHypothesis",
-    "RhoOutOfRange",
     "RudeWeakLearner",
     "biased_labels",
     "hard_distribution",
     "wkl_rude",
 ]
-
-
-class RhoOutOfRange(ValueError):
-    """rho must lie in [0, alpha/1000)."""
 
 
 def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
@@ -69,7 +64,7 @@ def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HardDistSpec:
-    """Parameters of the biased hard instance over {0,1}^n."""
+    """Parameters of the biased hard instance over {0,1}^n; one out of range raises ValueError."""
 
     n: int
     eta: float
@@ -83,7 +78,7 @@ class HardDistSpec:
         if not (0.0 < self.alpha < 0.5 - self.eta):
             raise ValueError(f"alpha must be in (0, 1/2 - eta), got {self.alpha}")
         if not (0.0 <= self.rho < self.alpha / 1000.0):
-            raise RhoOutOfRange(f"rho must be in [0, alpha/1000), got {self.rho}")
+            raise ValueError(f"rho must be in [0, alpha/1000), got {self.rho}")
         if not (1 <= self.n <= 64):
             raise ValueError("n must be between 1 and 64 bits")
 

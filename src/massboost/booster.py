@@ -37,9 +37,7 @@ __all__ = [
     "BoostFailure",
     "BoostParams",
     "ConditionalDrawBudgetExceeded",
-    "DegenerateThreshold",
     "DrawBudgetExceeded",
-    "EpsilonTooSmall",
     "ExactStats",
     "FixedHypothesisWeakLearner",
     "MaxRoundsExceeded",
@@ -60,14 +58,6 @@ __all__ = [
 MODE_EXACT = "exact-oracle"
 MODE_MC = "monte-carlo"
 _MODE_ALIASES = {"exact": MODE_EXACT, "exact-oracle": MODE_EXACT, "mc": MODE_MC, "monte-carlo": MODE_MC}
-
-
-class EpsilonTooSmall(ValueError):
-    """epsilon is below 8*eta*alpha/(1-2*alpha), the minimum the analysis supports."""
-
-
-class DegenerateThreshold(ValueError):
-    """The threshold s = log((1-eta)/(eta+c)) of the risky set is not positive."""
 
 
 class BoostFailure(RuntimeError):
@@ -131,7 +121,8 @@ def compute_params(
 
     c = 4*eta*alpha/(1-2*alpha), s = log((1-eta)/(eta+c)), lambda = gamma/8,
     kappa = eta, delta_err = delta*eta*gamma^2/1536, delta_dens the same with
-    1024. Requires Massart noise, 0 < eta < 1/2, and epsilon >= 2c.
+    1024. Requires Massart noise, 0 < eta < 1/2, and epsilon >= 2c; an
+    input out of range raises ValueError with the check's message.
     """
     if mode not in _MODE_ALIASES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -155,11 +146,11 @@ def compute_params(
     # overflows it to infinity; surface both as the threshold degenerating
     # rather than a range error
     if not (0.0 < s < math.inf):
-        raise DegenerateThreshold(f"threshold s = {s} of eta = {eta}, alpha = {alpha} must be positive and finite")
+        raise ValueError(f"threshold s = {s} of eta = {eta}, alpha = {alpha} must be positive and finite")
     # 2c rounds up for some exact boundary inputs (eta 0.2, alpha 0.1 gives
     # 0.20000000000000004), so equality is judged up to float rounding
     if epsilon < 2.0 * c and not math.isclose(epsilon, 2.0 * c, rel_tol=1e-12):
-        raise EpsilonTooSmall(f"epsilon {epsilon} < 8*eta*alpha/(1-2*alpha) = {2.0 * c}")
+        raise ValueError(f"epsilon {epsilon} < 8*eta*alpha/(1-2*alpha) = {2.0 * c}")
 
     if max_rounds is None:
         max_rounds = math.ceil(10.0 * 128.0 / (eta * gamma**2))

@@ -26,13 +26,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "BadProbability",
-    "BoundNotBelowHalf",
-    "DuplicatePoint",
     "FiniteMassartDist",
     "LabeledSample",
     "MassartOracle",
-    "NoiseExceedsBound",
     "exact_advantage",
     "exact_ferr",
     "exact_lerr",
@@ -45,22 +41,6 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-9
-
-
-class BadProbability(ValueError):
-    """An atom probability or flip probability is invalid."""
-
-
-class DuplicatePoint(ValueError):
-    """Two atoms share the same domain point."""
-
-
-class NoiseExceedsBound(ValueError):
-    """Some eta(x) exceeds the declared noise bound."""
-
-
-class BoundNotBelowHalf(ValueError):
-    """The declared noise bound is not strictly below 1/2."""
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
@@ -105,7 +85,8 @@ class FiniteMassartDist:
 
     All expectations over the induced joint distribution on (x, y) reduce to
     finite sums, with the probability of (x, y) equal to p_x * (1 - eta_x)
-    when y = f(x) and p_x * eta_x otherwise.
+    when y = f(x) and p_x * eta_x otherwise. An invalid table raises
+    ValueError with the check's message.
     """
 
     def __init__(self, xs, p, f, eta, eta_bound, _validated=False):
@@ -126,29 +107,29 @@ class FiniteMassartDist:
         if self.xs.shape[0] != n or len(self.f) != n or len(self.eta) != n:
             raise ValueError("atom arrays must have matching lengths")
         if n == 0:
-            raise BadProbability("distribution needs at least one atom")
+            raise ValueError("distribution needs at least one atom")
         if not np.all(np.isfinite(self.xs)):
             raise ValueError("atom coordinates must be finite")
         if not 0.0 <= self.eta_bound < 0.5:  # also rejects nan, against which no eta(x) compares
-            raise BoundNotBelowHalf(f"eta_bound must be in [0, 1/2), got {self.eta_bound}")
+            raise ValueError(f"eta_bound must be in [0, 1/2), got {self.eta_bound}")
         if np.any(self.p < 0) or not np.all(np.isfinite(self.p)):
-            raise BadProbability("atom probabilities must be finite and nonnegative")
+            raise ValueError("atom probabilities must be finite and nonnegative")
         total = float(self.p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise BadProbability(f"atom probabilities sum to {total!r}, not 1")
+            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
         # renormalize only beyond float accumulation noise, so that reloading
         # an already-normalized table is bit exact
         if abs(total - 1.0) > 1e-13:
             self.p = self.p / total
         if np.any(self.eta < 0) or not np.all(np.isfinite(self.eta)):
-            raise BadProbability("flip probabilities must be finite and nonnegative")
+            raise ValueError("flip probabilities must be finite and nonnegative")
         if np.any(self.eta > self.eta_bound):
             worst = float(self.eta.max())
-            raise NoiseExceedsBound(f"eta(x) = {worst} exceeds bound {self.eta_bound}")
+            raise ValueError(f"eta(x) = {worst} exceeds bound {self.eta_bound}")
         # sorted, equal rows (-0.0 == 0.0) are adjacent; points of no coordinates are all equal
         rows = self.xs[np.lexsort(self.xs.T)] if self.dim else self.xs
         if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
-            raise DuplicatePoint("atom points must be distinct")
+            raise ValueError("atom points must be distinct")
 
     @property
     def n_atoms(self) -> int:
@@ -172,7 +153,7 @@ def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
     """
     atoms = list(atoms)
     if not atoms:
-        raise BadProbability("empty atom list")
+        raise ValueError("empty atom list")
     xs = np.atleast_2d(np.asarray([np.atleast_1d(np.asarray(a[0], dtype=np.float64)) for a in atoms]))
     p = np.asarray([a[1] for a in atoms], dtype=np.float64)
     f = np.asarray([a[2] for a in atoms])

@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SeedResult",
+    "build_instance",
     "emit_metrics",
     "load_config",
     "parse_config",
@@ -196,10 +197,9 @@ def parse_config(text: str, source: str = "<config>", overrides: Mapping[str, st
             cfg.instance = load_dist(cfg.distribution[5:])
         except (OSError, ValueError) as exc:
             raise ConfigParse(f"{source}: distribution {cfg.distribution!r}: {exc}") from None
-    derived = [key for key, f in _KEYS.items() if key not in given and f.metadata["derive"]]
     for key, f in _KEYS.items():
         rule, derive = f.metadata["rule"], f.metadata["derive"]
-        if key in derived:
+        if derive and key not in given:
             setattr(cfg, key, derive(cfg))
         elif rule and not rule[1](getattr(cfg, key)):
             raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, got {given.get(key)!r}")
@@ -207,12 +207,6 @@ def parse_config(text: str, source: str = "<config>", overrides: Mapping[str, st
         _check_rules(cfg)
     except ValueError as exc:
         raise ConfigParse(f"{source}: {exc}") from None
-    # a derived value is checked as a given one, after the rules between
-    # keys, which name the given key a bad derived value comes from
-    for key in derived:
-        rule = _KEYS[key].metadata["rule"]
-        if rule and not rule[1](getattr(cfg, key)):
-            raise ConfigParse(f"{source}: field {key!r}: must be {rule[0]}, derived {getattr(cfg, key)!r}")
     return cfg
 
 

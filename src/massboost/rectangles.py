@@ -25,7 +25,6 @@ from .core import FiniteMassartDist, LabeledSample
 __all__ = [
     "BoxHypothesis",
     "BoxWeakLearner",
-    "EmptySample",
     "Ineq",
     "NegRectangle",
     "Rectangle",
@@ -33,10 +32,6 @@ __all__ = [
     "enumerate_negative_subrectangles",
     "wkl_box",
 ]
-
-
-class EmptySample(ValueError):
-    """The weak learner was handed an empty sample."""
 
 
 Ineq = Tuple[int, int, float]  # (axis, direction in {-1,+1}, threshold)
@@ -106,11 +101,6 @@ class BoxHypothesis:
         if self.b_best is None:
             return np.full(xs.shape[0], self.z, dtype=np.int8)
         return np.where(self.b_best.contains(xs), np.int8(-1), np.int8(self.z))
-
-
-def _majority(ys: np.ndarray) -> int:
-    """Majority label, +1 on ties and empty input; only the frozen tests/wkl_box_reference.py uses it."""
-    return 1 if np.count_nonzero(ys == 1) >= np.count_nonzero(ys == -1) else -1
 
 
 def _suffix_table(inv, m, axes: Tuple[int, ...], positive: np.ndarray) -> np.ndarray:
@@ -287,21 +277,22 @@ def _exhaustive(xs: np.ndarray, positive: np.ndarray, k: int, n: int, floor: flo
 def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesis:
     """Train the rectangle weak learner on a labeled sample.
 
-    Needs k >= 1 and alpha > 0, else raises ValueError. If the observed
-    negative fraction is below alpha/2, returns the constant +1 hypothesis.
-    Otherwise considers every candidate rectangle with at most k closed
-    inequalities, directions over the 2d signed axes and thresholds at
-    sample coordinates, keeps those with empirical mass strictly above
-    alpha / (8 (2d)^k), and returns the one minimizing the key (positive
-    fraction inside, -count inside, block rank, flat index).
-    A block is one combination of signed axes, ranked in enumeration order
-    (one inequality first, then pairs, ...); its flat index is the C-order
-    position of the thresholds' indices among the sorted unique values of
-    each signed coordinate. Some candidate clears the floor: each block's
-    smallest thresholds keep all n points, and a floor of 1 or more needs
-    alpha >= 16, which returns the constant +1. Outside the rectangle it
-    answers the majority label, +1 on a tie, from the search's counts
-    inside; labels are exactly -1 or +1 (core's convention).
+    Needs a nonempty sample of dimension d, k >= 1 and alpha > 0, else
+    raises ValueError. If the observed negative fraction is below alpha/2,
+    returns the constant +1 hypothesis. Otherwise considers every candidate
+    rectangle with at most k closed inequalities, directions over the 2d
+    signed axes and thresholds at sample coordinates, keeps those with
+    empirical mass strictly above alpha / (8 (2d)^k), and returns the one
+    minimizing the key (positive fraction inside, -count inside, block rank,
+    flat index). A block is one combination of signed axes, ranked in
+    enumeration order (one inequality first, then pairs, ...); its flat
+    index is the C-order position of the thresholds' indices among the
+    sorted unique values of each signed coordinate. Some candidate clears
+    the floor: each block's smallest thresholds keep all n points, and a
+    floor of 1 or more needs alpha >= 16, which returns the constant +1.
+    Outside the rectangle it answers the majority label, +1 on a tie, from
+    the search's counts inside; labels are exactly -1 or +1 (core's
+    convention).
 
     The search has two stages. A candidate with no positive point inside
     has fraction 0, so if one clears the floor, the winner is among them;
@@ -315,7 +306,7 @@ def wkl_box(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesi
     """
     n = len(sample)
     if n == 0:
-        raise EmptySample("weak learner needs a nonempty sample")
+        raise ValueError("weak learner needs a nonempty sample")
     xs = np.atleast_2d(np.asarray(sample.xs, dtype=np.float64))
     ys = np.asarray(sample.ys)
     if xs.shape[1] != d:

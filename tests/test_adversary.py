@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from massboost import HardDistSpec, RudeWeakLearner, hard_distribution
-from massboost.adversary import RhoOutOfRange, _match_rows, biased_labels, wkl_rude
+from massboost.adversary import _match_rows, biased_labels, wkl_rude
 from massboost.core import LabeledSample
 
 def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7, n=64):
@@ -74,9 +74,9 @@ class TestHardDistSpec:
         assert math.isclose(spec(eta=0.1, alpha=0.2).eta_prime, 0.104, rel_tol=1e-15)
 
     def test_rho_out_of_range(self):
-        with pytest.raises(RhoOutOfRange):
+        with pytest.raises(ValueError, match=r"rho must be in \[0, alpha/1000\)"):
             spec(rho=0.2 / 1000)  # must be strictly below alpha/1000
-        with pytest.raises(RhoOutOfRange):
+        with pytest.raises(ValueError, match=r"rho must be in \[0, alpha/1000\)"):
             spec(rho=-1e-6)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5])

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -55,3 +56,14 @@ def test_top_level_surface():
     assert public - submodules == TOP_LEVEL
     assert submodules <= set(MODULES) | {"cli"}
     assert massboost.__version__
+
+
+def test_config_parse_is_the_only_value_error_subclass():
+    """Rejected input raises ValueError with its message; only ConfigParse, which cli maps to exit code 2, subclasses it."""
+    subclasses = {
+        f"{obj.__module__}.{obj.__qualname__}"
+        for info in pkgutil.iter_modules(massboost.__path__)
+        for obj in vars(importlib.import_module(f"massboost.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, ValueError) and obj.__module__.startswith("massboost")
+    }
+    assert subclasses == {"massboost.harness.ConfigParse"}

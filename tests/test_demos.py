@@ -1,6 +1,8 @@
-"""Each demo under demos/ runs to completion, as README shows it run: from the repo root with PYTHONPATH=src."""
+"""Each demo under demos/ and each python block of README runs to completion, as README shows it run:
+from the repo root with PYTHONPATH=src."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def run_python(args):
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_demos_found():
@@ -17,8 +27,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
-    src = str(ROOT / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    res = run_python([str(demo)])
+    assert res.returncode == 0, res.stderr[-2000:]
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_exits_zero(block):
+    res = run_python(["-c", block])
     assert res.returncode == 0, res.stderr[-2000:]

@@ -11,7 +11,7 @@ import pytest
 
 import massboost.booster as booster
 import massboost.harness as harness
-from massboost import ConfigParse, FiniteMassartDist, cli, emit_metrics, run_experiment
+from massboost import ConfigParse, cli, emit_metrics, run_experiment
 from massboost.core import load_dist, save_dist
 from massboost.harness import build_instance, load_config, parse_config
 from test_properties import check_run
@@ -141,15 +141,6 @@ class TestConfigSchema:
         assert cli.main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
-
-    def test_derived_value_is_checked_by_its_rule(self, monkeypatch):
-        """rect_d derived from a file: distribution of dimension 0 breaks rect_d's rule."""
-        flat = FiniteMassartDist(np.empty((1, 0)), np.ones(1), np.ones(1), np.zeros(1), 0.1, _validated=True)
-        monkeypatch.setattr(harness, "load_dist", lambda path: flat)
-        text = CONFIG_SMALL.replace("distribution = rect_grid", "distribution = file:flat.txt")
-        text = text.replace("rect_d = 2\n", "").replace("weak_learner = concept", "weak_learner = box")
-        with pytest.raises(ConfigParse, match="rect_d.*> 0"):
-            parse_config(text)
 
     def test_readme_tables_every_key(self):
         """README has one row per key, no row for a key that is gone, and each row names the key's reader."""

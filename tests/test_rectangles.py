@@ -14,7 +14,7 @@ from massboost import (
     wkl_box,
 )
 from massboost.core import LabeledSample
-from massboost.rectangles import EmptySample, Rectangle
+from massboost.rectangles import Rectangle
 
 
 def box(lo, hi):
@@ -62,7 +62,7 @@ class TestRectUnionEval:
 
 class TestWklBox:
     def test_empty_sample_raises(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(ValueError, match="weak learner needs a nonempty sample"):
             wkl_box(LabeledSample(np.empty((0, 1)), np.empty(0, dtype=np.int8)), 1, 1, 0.1)
 
     @pytest.mark.parametrize("d", [1, 3])

@@ -12,7 +12,12 @@ from typing import Optional
 import numpy as np
 
 from massboost.core import LabeledSample
-from massboost.rectangles import BoxHypothesis, EmptySample, NegRectangle, _majority
+from massboost.rectangles import BoxHypothesis, NegRectangle
+
+
+def _majority(ys: np.ndarray) -> int:
+    """Majority label, +1 on ties and empty input."""
+    return 1 if np.count_nonzero(ys == 1) >= np.count_nonzero(ys == -1) else -1
 
 
 def wkl_box_reference(sample: LabeledSample, d: int, k: int, alpha: float) -> BoxHypothesis:
@@ -27,7 +32,7 @@ def wkl_box_reference(sample: LabeledSample, d: int, k: int, alpha: float) -> Bo
     """
     n = len(sample)
     if n == 0:
-        raise EmptySample("weak learner needs a nonempty sample")
+        raise ValueError("weak learner needs a nonempty sample")
     xs = np.atleast_2d(np.asarray(sample.xs, dtype=np.float64))
     ys = np.asarray(sample.ys)
     if xs.shape[1] != d:
