@@ -7,6 +7,9 @@ reweighted stream is no longer a bounded-noise distribution at all, and no
 weak-learner guarantee applies to it. The trace logs the blow-up round.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from massboost import (
@@ -27,8 +30,7 @@ wkl = RudeWeakLearner(m=32, T=2000, gamma=0.08, scale=2e-4)
 oracle = MassartOracle(dist, rng_seed=22)
 
 try:
-    _, trace = boost(oracle, wkl, params, np.random.default_rng(23),
-                     ablate_no_withholding=True)
+    _, trace = boost(oracle, wkl, replace(params, s=math.inf), np.random.default_rng(23))
 except MaxRoundsExceeded as exc:
     trace = exc.trace  # the ablated run has no reason to terminate
 

@@ -118,12 +118,13 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
 
 @dataclass(frozen=True)
 class RudeWeakLearner:
-    """The heavy-hitter adversary as a weak learner: advertised advantage gamma, alpha = 20*gamma.
+    """The heavy-hitter adversary as a weak learner with advertised advantage gamma.
 
-    m is the booster's example budget and T its round bound; gamma defaults
-    to alpha/20 at the call site. scale multiplies the step sample sizes;
-    survivor_cap bounds how many certified heavy hitters get label votes
-    (largest estimated mass first).
+    m is the booster's example budget and T its round bound; the harness
+    passes the config's gamma, and the margin alpha is the hard instance's
+    (HardDistSpec). scale multiplies the step sample sizes; survivor_cap
+    bounds how many certified heavy hitters get label votes (largest
+    estimated mass first).
     """
 
     m: int
@@ -131,10 +132,6 @@ class RudeWeakLearner:
     gamma: float
     scale: float = 1.0
     survivor_cap: ClassVar[int] = 16
-
-    @property
-    def alpha(self) -> float:
-        return 20.0 * self.gamma
 
     @property
     def v_h_range(self) -> Tuple[float, float]:
@@ -149,9 +146,6 @@ class RudeWeakLearner:
 
     def step2_size(self) -> int:
         return max(1, math.ceil(self.scale * self.m * self.T / self.gamma))
-
-    def step3_size(self) -> int:
-        return self.step2_size()
 
     def train_from_source(
         self, source: Callable[[int], LabeledSample], rng: np.random.Generator
@@ -226,7 +220,7 @@ def wkl_rude(
     v_y = rng.uniform(*learner.v_y_range)
     labels = np.empty(len(survivors), dtype=np.int8)
     for i in range(len(survivors)):
-        s3 = sample_source(learner.step3_size())
+        s3 = sample_source(learner.step2_size())
         inst = np.all(np.atleast_2d(s3.xs) == survivors[i][None, :], axis=1)
         n_inst = int(inst.sum())
         p1 = float(np.sum(s3.ys[inst] == 1)) / n_inst if n_inst > 0 else 0.0

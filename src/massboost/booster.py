@@ -88,7 +88,7 @@ class MaxRoundsExceeded(BoostFailure):
 
 @dataclass(frozen=True)
 class BoostParams:
-    """All scalars the boosting loop needs, mostly derived by compute_params."""
+    """All scalars the boosting loop needs, mostly derived by compute_params; s = inf is the ablation."""
 
     eta: float
     alpha: float
@@ -433,12 +433,11 @@ class ScoreState:
 class WeakLearner(Protocol):
     """Trainable producer of weak hypotheses.
 
-    alpha and gamma are the advertised noise-tolerance margin and advantage.
-    train_from_source draws the reweighted examples it needs through
-    source(count) and returns a hypothesis.
+    gamma is the advertised advantage. train_from_source draws the
+    reweighted examples it needs through source(count) and returns a
+    hypothesis.
     """
 
-    alpha: float
     gamma: float
 
     def train_from_source(self, source: Callable[[int], LabeledSample], rng: np.random.Generator): ...
@@ -657,8 +656,6 @@ def boost(
     wkl: WeakLearner,
     params: BoostParams,
     rng: np.random.Generator,
-    *,
-    ablate_no_withholding: bool = False,
 ) -> Tuple[AggregatedHypothesis, RunTrace]:
     """Run the boosting loop until the measure density drops to kappa.
 
@@ -672,14 +669,13 @@ def boost(
     since the state may hold the step of a round that failed in its
     over-confidence test.
 
-    The ablation flag sets s = inf: weights are M(yG) with no cutoff,
-    hypotheses apply everywhere, and the over-confidence test, which could
-    only answer False, is skipped. It exists to demonstrate how unbounded
+    params.s = inf is the no-withholding ablation: weights are M(yG) with no
+    cutoff, hypotheses apply everywhere, and the over-confidence test, which
+    could only answer False, is skipped. It demonstrates how unbounded
     reweighting destroys the bounded-noise property.
     """
     exact = params.mode == MODE_EXACT
-    s = math.inf if ablate_no_withholding else params.s
-    state = ScoreState(oracle.source, params.lam, s)
+    state = ScoreState(oracle.source, params.lam, params.s)
     trace: List[Tuple[Callable, bool]] = []
     run = RunTrace()
     d_hat = 1.0
@@ -689,7 +685,7 @@ def boost(
         return samp(oracle, state, count, r, d_hat=d_hat, delta=params.delta)[0]
 
     def finish(failed: bool) -> AggregatedHypothesis:
-        agg = AggregatedHypothesis(params.lam, s, tuple(trace))
+        agg = AggregatedHypothesis(params.lam, params.s, tuple(trace))
         run.total_draws = oracle.draws - draws_start
         run.scores = agg.g(oracle.source.xs) if failed else state.sigma.copy()
         return agg
@@ -706,8 +702,8 @@ def boost(
                 exact_fields = dict(adv_exact=state.advantage(hv), max_noise_rate=state.stats().max_noise_rate)
             # add h_t on the safe set; pull the risky set back if sign(G) is over-confident there
             state.step(hv)
-            b_t = not ablate_no_withholding and (state.over_confident(params.epsilon, params.eta) if exact
-                                                 else over_confident(oracle, state, params))
+            b_t = params.s < math.inf and (state.over_confident(params.epsilon, params.eta) if exact
+                                           else over_confident(oracle, state, params))
             if b_t:
                 state.recalibrate()
             trace.append((h_t, b_t))

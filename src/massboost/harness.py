@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -131,7 +131,8 @@ def _convert(kind, text: str):
 
 
 def _boost_params(cfg: RunConfig) -> BoostParams:
-    return compute_params(
+    """compute_params of the boost keys; ablate_no_withholding sets s = inf."""
+    params = compute_params(
         cfg.eta,
         cfg.alpha,
         cfg.gamma,
@@ -141,6 +142,7 @@ def _boost_params(cfg: RunConfig) -> BoostParams:
         mode=cfg.mode,
         max_rounds=cfg.max_rounds,
     )
+    return replace(params, s=math.inf) if cfg.ablate_no_withholding else params
 
 
 def _check_rules(cfg: RunConfig) -> None:
@@ -150,11 +152,10 @@ def _check_rules(cfg: RunConfig) -> None:
         HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=0)
         if cfg.hard_support > 2**cfg.hard_n:
             raise ValueError(f"hard_support {cfg.hard_support} > 2^hard_n = {2**cfg.hard_n}")
-    if cfg.instance is not None:
-        if cfg.weak_learner == "concept":
-            raise ValueError("the 'concept' learner needs a generated distribution, not a file")
-        if cfg.rect_d != cfg.instance.dim:
-            raise ValueError(f"rect_d = {cfg.rect_d}, but {cfg.distribution!r} has dimension {cfg.instance.dim}")
+    if cfg.weak_learner == "concept" and cfg.distribution != "rect_grid":
+        raise ValueError(f"the 'concept' learner needs distribution = rect_grid, got {cfg.distribution!r}")
+    if cfg.instance is not None and cfg.rect_d != cfg.instance.dim:
+        raise ValueError(f"rect_d = {cfg.rect_d}, but {cfg.distribution!r} has dimension {cfg.instance.dim}")
 
 
 def parse_config(text: str, source: str = "<config>", overrides: Mapping[str, str] = {}) -> RunConfig:
@@ -243,7 +244,7 @@ def _grid_points(d: int, side: int) -> np.ndarray:
 
 
 def build_instance(cfg: RunConfig, seed: int):
-    """Build (dist, concept, SeedSequences of a rect_grid instance, the oracle and boost()'s rng) for one seed."""
+    """One seed's (dist, rect_grid's union or None, SeedSequences of the instance, the oracle and boost()'s rng)."""
     ss = np.random.SeedSequence(entropy=[int(seed), 0x6D62]).spawn(3)
     inst_rng = np.random.default_rng(ss[0])
     if cfg.distribution == "rect_grid":
@@ -259,9 +260,7 @@ def build_instance(cfg: RunConfig, seed: int):
         return dist, union, ss
     if cfg.distribution == "hard":
         spec = HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=int(seed))
-        dist = hard_distribution(spec, cfg.hard_support)
-        concept = lambda xs: dist.f[np.clip(np.atleast_2d(xs)[:, 0].astype(int), 0, dist.n_atoms - 1)]
-        return dist, concept, ss
+        return hard_distribution(spec, cfg.hard_support), None, ss
     return cfg.instance, None, ss  # file:, loaded by parse_config
 
 
@@ -328,7 +327,7 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     rng = np.random.default_rng(ss[2])
     error = ""
     try:
-        _, trace = boost(oracle, wkl, params, rng, ablate_no_withholding=cfg.ablate_no_withholding)
+        _, trace = boost(oracle, wkl, params, rng)
     except BoostFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
         trace = exc.trace

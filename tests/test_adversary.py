@@ -189,7 +189,7 @@ class TestWklRude:
     def test_adapter_consumes_fixed_sample(self):
         learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=0.05)
         rng = np.random.default_rng(8)
-        n = learner.step1_size() + learner.step2_size() + learner.survivor_cap * learner.step3_size()
+        n = learner.step1_size() + learner.step2_size() + learner.survivor_cap * learner.step2_size()
         xs = rng.integers(0, 50, size=n).astype(np.float64).reshape(-1, 1)
         sample = LabeledSample(xs, np.where(rng.random(n) < 0.2, 1, -1).astype(np.int8))
         served = 0

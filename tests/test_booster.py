@@ -366,8 +366,8 @@ class TestBoost:
         with pytest.raises(MaxRoundsExceeded) as err:
             boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=3), np.random.default_rng(11))
         with pytest.raises(MaxRoundsExceeded) as ablated:  # 400 rounds of lam take scores past s
-            boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=400), np.random.default_rng(11),
-                  ablate_no_withholding=True)
+            boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, max_rounds=400, s=math.inf),
+                  np.random.default_rng(11))
         boost(MassartOracle(dist, rng_seed=12), wkl, params, np.random.default_rng(13))
         failed = err.value, ablated.value
         for run, scores in [(agg, trace.scores)] + [(exc.aggregated, exc.trace.scores) for exc in failed]:
@@ -389,8 +389,7 @@ class TestBoost:
         params = compute_params(0.1, 0.1, 0.05, 0.15, 0.1, max_rounds=3, sample_scale=0.02, mode=mode)
         wkl = FixedHypothesisWeakLearner(lookup_h(f), gamma=0.05)
         with pytest.raises(MaxRoundsExceeded) as err:
-            boost(MassartOracle(dist, rng_seed=10), wkl, params, np.random.default_rng(11),
-                  ablate_no_withholding=True)
+            boost(MassartOracle(dist, rng_seed=10), wkl, replace(params, s=math.inf), np.random.default_rng(11))
         assert err.value.trace.rounds == 3
         assert err.value.aggregated.s == math.inf
 

@@ -37,6 +37,12 @@ seeds = 0..2
 """
 
 
+def run_cli(args):
+    """The massboost CLI run in a subprocess, with its output captured."""
+    return subprocess.run([sys.executable, "-m", "massboost.cli"] + args, capture_output=True, text=True,
+                          env=dict(os.environ))
+
+
 def save_small_instance(tmp_path) -> Path:
     """Seed 0's instance of CONFIG_SMALL, saved as a distribution file."""
     path = tmp_path / "dist.txt"
@@ -97,10 +103,10 @@ REJECTED = {
     "out": None,
     "ablate_no_withholding": "on",
     "rect_d": "0",
-    "rect_k": "-1",
+    "rect_k": ("0", "-1"),
     "rect_side": "0",
     "noise_profile": "pink",
-    "hard_n": "65",
+    "hard_n": ("0", "65"),
     "hard_rho": "-1e-5",
     "hard_support": "0",
     "box_scale": "-1",
@@ -141,6 +147,17 @@ class TestConfigSchema:
         assert cli.main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    def test_hard_support_at_most_two_to_the_hard_n(self, tmp_path, capsys):
+        text = CONFIG_SMALL.replace("seeds = 0..2", "seeds =").replace(
+            "distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_n = 4"
+        ).replace("weak_learner = concept", "weak_learner = rude")
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text + "hard_support = 17\n")
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "hard_support" in err
+        assert parse_config(text + "hard_support = 16\n").hard_support == 16
 
     def test_readme_tables_every_key(self):
         """README has one row per key, no row for a key that is gone, and each row names the key's reader."""
@@ -292,19 +309,11 @@ class TestFailedSeeds:
 
 
 class TestCli:
-    def run_cli(self, args):
-        return subprocess.run(
-            [sys.executable, "-m", "massboost.cli"] + args,
-            capture_output=True,
-            text=True,
-            env=dict(os.environ),
-        )
-
     def test_run_end_to_end(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
         out_dir = tmp_path / "metrics"
-        res = self.run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "0..1"])
+        res = run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "0..1"])
         assert res.returncode == 0, res.stderr
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "round_trace_0.csv").exists()
@@ -314,18 +323,18 @@ class TestCli:
     def test_malformed_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.txt"
         cfg_path.write_text("this is not a config\n")
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr
 
     def test_missing_config_file(self, tmp_path):
-        res = self.run_cli(["run", str(tmp_path / "nope.txt")])
+        res = run_cli(["run", str(tmp_path / "nope.txt")])
         assert res.returncode == 2
 
     def test_empty_seed_list_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds ="))
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 0
 
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -338,7 +347,7 @@ class TestCli:
             args += ["--seed-range", "5..3"]
         else:
             cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds = 5..3"))
-        res = self.run_cli(args)
+        res = run_cli(args)
         assert res.returncode == 2
         assert "config error" in res.stderr and "5..3" in res.stderr
         assert "Traceback" not in res.stderr
@@ -348,9 +357,9 @@ class TestCli:
         """An explicitly empty flag value reads as a blank config line, not as an absent flag."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
-        self.assert_config_error(self.run_cli(["run", str(cfg_path), "--sample-scale", ""]), "sample_scale")
+        self.assert_config_error(run_cli(["run", str(cfg_path), "--sample-scale", ""]), "sample_scale")
         out_dir = tmp_path / "metrics"
-        res = self.run_cli(["run", str(cfg_path), "--seed-range", "", "--out", str(out_dir)])
+        res = run_cli(["run", str(cfg_path), "--seed-range", "", "--out", str(out_dir)])
         assert res.returncode == 0, res.stderr
         assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
         assert json.loads((out_dir / "summary.json").read_text())["seeds"] == []
@@ -360,7 +369,7 @@ class TestCli:
         cfg_path.write_text(CONFIG_SMALL)
         out = tmp_path / "taken"
         out.write_text("")
-        res = self.run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--out", str(out)])
+        res = run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--out", str(out)])
         assert res.returncode == 1
         assert "io error" in res.stderr and str(out) in res.stderr
         assert "Traceback" not in res.stderr
@@ -369,7 +378,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
         out_dir = tmp_path / "metrics"
-        res = self.run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "7"])
+        res = run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "7"])
         assert res.returncode == 0, res.stderr
         assert sorted(p.name for p in out_dir.iterdir()) == ["round_trace_7.csv", "summary.json"]
 
@@ -428,7 +437,7 @@ class TestCli:
     def test_unparsable_generator_parameter_is_config_error(self, tmp_path, old, new, key):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace(old, new))
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and key in res.stderr
         assert "Traceback" not in res.stderr
@@ -441,7 +450,7 @@ class TestCli:
         """A key that the configured generators never read is still checked by the rule of the one that does."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL + line + "\n")
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
@@ -449,7 +458,7 @@ class TestCli:
     def test_epsilon_below_two_c_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace("epsilon = 0.15", "epsilon = 0.01"))
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and "epsilon" in res.stderr
         assert "Traceback" not in res.stderr
@@ -461,7 +470,7 @@ class TestCli:
         """max_rounds below 1 would fail every seed; an unknown boolean would silently read as false."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL + line + "\n")
-        res = self.run_cli(["run", str(cfg_path)])
+        res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
@@ -482,12 +491,12 @@ class TestCli:
     def test_non_finite_float_is_config_error(self, tmp_path, old, new):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace(old, new))
-        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), new.split(" = ")[0])
+        self.assert_config_error(run_cli(["run", str(cfg_path)]), new.split(" = ")[0])
 
     def test_non_finite_sample_scale_flag_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
-        self.assert_config_error(self.run_cli(["run", str(cfg_path), "--sample-scale", "nan"]), "sample_scale")
+        self.assert_config_error(run_cli(["run", str(cfg_path), "--sample-scale", "nan"]), "sample_scale")
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_is_config_error(self, tmp_path, where):
@@ -498,18 +507,20 @@ class TestCli:
             args.append("--seed-range=-2..-1")
         else:
             cfg_path.write_text(CONFIG_SMALL.replace("seeds = 0..2", "seeds = -3"))
-        self.assert_config_error(self.run_cli(args), "seeds")
+        self.assert_config_error(run_cli(args), "seeds")
 
-    @pytest.mark.parametrize("rule", ["hard-rho", "concept-on-file"])
+    @pytest.mark.parametrize("rule", ["hard-rho", "concept-on-file", "concept-on-hard"])
     def test_cross_key_rule_is_checked_without_seeds(self, tmp_path, rule):
         text = CONFIG_SMALL.replace("seeds = 0..2", "seeds =")
         if rule == "hard-rho":
             text = text.replace("distribution = rect_grid", "distribution = hard\nhard_rho = 0.5")
+        elif rule == "concept-on-hard":
+            text = text.replace("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5")
         else:
             text = text.replace("distribution = rect_grid", f"distribution = file:{save_small_instance(tmp_path)}")
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)
-        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), "rho" if rule == "hard-rho" else "concept")
+        self.assert_config_error(run_cli(["run", str(cfg_path)]), "rho" if rule == "hard-rho" else "concept")
 
     def test_rect_d_must_match_distribution_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -518,13 +529,13 @@ class TestCli:
             .replace("weak_learner = concept", "weak_learner = box")
             .replace("rect_d = 2", "rect_d = 3")
         )
-        self.assert_config_error(self.run_cli(["run", str(cfg_path)]), "rect_d")
+        self.assert_config_error(run_cli(["run", str(cfg_path)]), "rect_d")
 
     def test_repeated_seed_flag_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
         out_dir = tmp_path / "metrics"
-        res = self.run_cli(["run", str(cfg_path), "--seed-range", "2 2 3", "--out", str(out_dir)])
+        res = run_cli(["run", str(cfg_path), "--seed-range", "2 2 3", "--out", str(out_dir)])
         self.assert_config_error(res, "seeds")
         assert not out_dir.exists()
 
@@ -550,7 +561,7 @@ class TestCli:
             .replace("weak_learner = concept", "weak_learner = box")
             .replace("rect_d = 2\n", "")
         )
-        res = self.run_cli(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+        res = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "out")])
         assert res.returncode == 2
         assert "config error" in res.stderr and "dist.txt" in res.stderr
         assert "Traceback" not in res.stderr
@@ -558,20 +569,10 @@ class TestCli:
 
 
 class TestCliFlags:
-    def run_cli(self, args):
-        import os
-
-        return subprocess.run(
-            [sys.executable, "-m", "massboost.cli"] + args,
-            capture_output=True,
-            text=True,
-            env=dict(os.environ),
-        )
-
     def test_mode_and_scale_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
-        res = self.run_cli(
+        res = run_cli(
             ["run", str(cfg_path), "--seed-range", "0..0", "--mode", "exact", "--sample-scale", "0.02"]
         )
         assert res.returncode == 0, res.stderr
@@ -581,7 +582,7 @@ class TestCliFlags:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace("mode = exact", f"mode = {config_mode}"))
         out_dir = tmp_path / "out"
-        res = self.run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--mode", flag, "--out", str(out_dir)])
+        res = run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--mode", flag, "--out", str(out_dir)])
         assert res.returncode == 0, res.stderr
         header, first = (out_dir / "round_trace_0.csv").read_text().splitlines()[:2]
         phi = dict(zip(header.split(","), first.split(",")))["phi"]
@@ -591,7 +592,7 @@ class TestCliFlags:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL + "max_rounds = 40\n")
         out_dir = tmp_path / "out"
-        res = self.run_cli(
+        res = run_cli(
             ["run", str(cfg_path), "--seed-range", "0..1", "--ablate-no-withholding", "--out", str(out_dir)]
         )
         assert res.returncode == 0, res.stderr

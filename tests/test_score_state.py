@@ -178,28 +178,28 @@ def test_infinite_threshold_is_the_ablation(data):
 
 # scores on a 1/4 grid with lam = 0.5 and s = 1, so every step below is exact
 # and stepping an atom by +lam and back returns it to the same bits
-MEMO_SCORES = [-0.25, 0.25, 0.75, -0.75, 0.0, -0.0, 0.5, -0.5]
+MASK_SCORES = [-0.25, 0.25, 0.75, -0.75, 0.0, -0.0, 0.5, -0.5]
 # (atoms given +1, atoms given -1, b): hv = 0 rounds keep both masks, round 3
 # flips the sign of atom 0, round 5 makes atom 2 risky, round 7 returns both
 # (atom 2 by recalibration when withheld, by its -1 when ablated)
-MEMO_SCHEDULE = [((), (), False), ((), (), False), ((0,), (), False), ((), (), False), ((2,), (), False),
+MASK_SCHEDULE = [((), (), False), ((), (), False), ((0,), (), False), ((), (), False), ((2,), (), False),
                  ((), (), False), ((), (0, 2), True), ((), (), False), ((), (), False)]
 
 
 @pytest.mark.parametrize("s", [1.0, math.inf], ids=["withheld", "ablated"])
-def test_memo_follows_mask_changes(s):
+def test_stats_follow_mask_changes(s):
     """Masks that hold, change and return: every stats field still matches the reference, step by step.
 
     The reference's threshold is 1; at the state's s = inf it takes its withhold=False path.
     """
-    n = len(MEMO_SCORES)
+    n = len(MASK_SCORES)
     dist = FiniteMassartDist(np.arange(n, dtype=np.float64).reshape(-1, 1), np.full(n, 1.0 / n),
                              [1, -1, 1, 1, -1, 1, -1, 1], [0.1, 0.0, 0.2, 0.3, 0.1, 0.0, 0.4, 0.2], 0.45)
     params = replace(EXACT, epsilon=0.01)
-    state = state_at(dist, 0.5, s, MEMO_SCORES)
-    ref = ScoreStateReference(dist, 0.5, 1.0, s < math.inf).at(MEMO_SCORES)
+    state = state_at(dist, 0.5, s, MASK_SCORES)
+    ref = ScoreStateReference(dist, 0.5, 1.0, s < math.inf).at(MASK_SCORES)
     signs, risky = set(), set()
-    for plus, minus, b in MEMO_SCHEDULE:
+    for plus, minus, b in MASK_SCHEDULE:
         hv = np.zeros(n)
         hv[list(plus)], hv[list(minus)] = 1.0, -1.0
         state, ref = take_round(state, hv, b), ref.step(hv, b)
@@ -210,7 +210,7 @@ def test_memo_follows_mask_changes(s):
         signs.add((ref.sigma >= 0).tobytes())
         risky.add((np.abs(ref.sigma) >= 1.0).tobytes())
     assert len(signs) == len(risky) == 2
-    assert np.array_equal(state.sigma, MEMO_SCORES)
+    assert np.array_equal(state.sigma, MASK_SCORES)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
