@@ -36,7 +36,7 @@ def hard_floor_dist():
 def nonuniform_dist(n=100_000):
     p = np.random.default_rng(1).random(n) + 1e-3
     xs = np.arange(n, dtype=np.float64)[:, None]
-    return FiniteMassartDist(xs, p / p.sum(), np.ones(n), np.zeros(n), 0.4, _validated=True)
+    return FiniteMassartDist(xs, p / p.sum(), np.ones(n), np.zeros(n), 0.4)
 
 
 TABLES = {"hard_floor": hard_floor_dist, "nonuniform": nonuniform_dist}

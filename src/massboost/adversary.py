@@ -110,7 +110,7 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
         noisy = rng.choice(negatives, size=k_noisy, replace=False)
         eta[noisy] = spec.eta
     p = np.full(support_size, 1.0 / support_size)
-    return FiniteMassartDist(xs, p, f, eta, spec.eta, _validated=True)
+    return FiniteMassartDist(xs, p, f, eta, spec.eta)
 
 
 # -- adversarial weak learner ---------------------------------------------------

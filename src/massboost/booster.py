@@ -448,7 +448,6 @@ class FixedHypothesisWeakLearner:
     """Degenerate weak learner returning one fixed hypothesis (e.g. the true concept); draws nothing."""
 
     hypothesis: Callable
-    alpha: float = 0.25
     gamma: float = 0.25
 
     def train_from_source(self, source: Callable[[int], LabeledSample], rng: np.random.Generator):

@@ -89,9 +89,9 @@ class FiniteMassartDist:
     ValueError with the check's message.
     """
 
-    def __init__(self, xs, p, f, eta, eta_bound, _validated=False):
+    def __init__(self, xs, p, f, eta, eta_bound):
         # labels are checked before the int8 cast, which wraps or overflows other ints
-        if not _validated and not np.all(np.isin(f, (-1, 1))):
+        if not np.all(np.isin(f, (-1, 1))):
             raise ValueError("true labels must be -1 or +1")
         self.xs = np.ascontiguousarray(np.atleast_2d(np.asarray(xs, dtype=np.float64)))
         # contiguous, as strided p or eta would change the summation order of their dots
@@ -99,10 +99,6 @@ class FiniteMassartDist:
         self.f = np.ascontiguousarray(f, dtype=np.int8)
         self.eta = np.ascontiguousarray(eta, dtype=np.float64)
         self.eta_bound = float(eta_bound)
-        if not _validated:
-            self._validate()
-
-    def _validate(self):
         n = len(self.p)
         if self.xs.shape[0] != n or len(self.f) != n or len(self.eta) != n:
             raise ValueError("atom arrays must have matching lengths")

@@ -256,7 +256,7 @@ def build_instance(cfg: RunConfig, seed: int):
         else:
             eta = cfg.eta * inst_rng.random(len(xs))
         p = np.full(len(xs), 1.0 / len(xs))
-        dist = FiniteMassartDist(xs, p, f, eta, cfg.eta, _validated=True)
+        dist = FiniteMassartDist(xs, p, f, eta, cfg.eta)
         return dist, union, ss
     if cfg.distribution == "hard":
         spec = HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=int(seed))
@@ -269,7 +269,7 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
         return BoxWeakLearner(d=dist.dim, k=cfg.rect_k, alpha=cfg.alpha, sample_scale=cfg.box_scale)
     if cfg.weak_learner == "rude":
         return RudeWeakLearner(m=cfg.rude_m, T=cfg.rude_t, gamma=cfg.gamma, scale=cfg.rude_scale)
-    return FixedHypothesisWeakLearner(concept, alpha=cfg.alpha, gamma=cfg.gamma)
+    return FixedHypothesisWeakLearner(concept, gamma=cfg.gamma)
 
 
 # -- running -------------------------------------------------------------------

@@ -54,7 +54,7 @@ def grid_instance(seed, eta_bound, profile, side=35, d=2, k=2):
         eta = np.full(n, eta_bound)
     else:
         eta = eta_bound * rng.random(n)
-    dist = FiniteMassartDist(xs, np.full(n, 1.0 / n), f, eta, eta_bound, _validated=True)
+    dist = FiniteMassartDist(xs, np.full(n, 1.0 / n), f, eta, eta_bound)
     return dist, union
 
 
@@ -102,7 +102,7 @@ def bucket():
                 eta, 0.1, 0.1, epsilon_for(eta, 0.1), 0.1, mode="exact", sample_scale=0.02
             )
             oracle = MassartOracle(dist, rng_seed=7000 + i)
-            wkl = FixedHypothesisWeakLearner(union, alpha=0.1, gamma=0.1)
+            wkl = FixedHypothesisWeakLearner(union, gamma=0.1)
             agg, trace = boost(oracle, wkl, params, np.random.default_rng([i, 51]))
             honest.append(BucketRun(f"concept-eta{eta}-{i}", dist, params, agg, trace, True))
     # 14 rectangle weak-learner runs
@@ -134,7 +134,7 @@ def bucket():
         params = compute_params(0.1, 0.1, 0.1, 0.15, 0.1, mode="exact", sample_scale=0.02)
         params = dataclasses.replace(params, max_rounds=220)
         oracle = MassartOracle(dist, rng_seed=8600 + i)
-        wkl = FixedHypothesisWeakLearner(fighter, alpha=0.1, gamma=0.1)
+        wkl = FixedHypothesisWeakLearner(fighter, gamma=0.1)
         try:
             agg, trace = boost(oracle, wkl, params, np.random.default_rng([i, 53]))
             terminated = True
@@ -369,7 +369,7 @@ def random_union_instance(rng, d, k, side, eta_bound, min_neg=0.05):
         if neg_mass <= min_neg:
             continue
         eta = eta_bound * rng.random(n)
-        dist = FiniteMassartDist(xs, np.full(n, 1.0 / n), f, eta, eta_bound, _validated=True)
+        dist = FiniteMassartDist(xs, np.full(n, 1.0 / n), f, eta, eta_bound)
         return dist, union, neg_mass
 
 

@@ -36,6 +36,14 @@ class TestMakeMassart:
         with pytest.raises(ValueError, match="exceeds bound 0.4"):
             make_massart([((0.0,), 1.0, 1, 0.6)], eta_bound=0.4)
 
+    def test_noise_one_ulp_above_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="exceeds bound 0.4"):
+            make_massart([((0.0,), 1.0, 1, np.nextafter(0.4, 1.0))], eta_bound=0.4)
+
+    def test_noise_at_bound_is_accepted(self):
+        """eta(x) may equal the bound: noise_profile = rcn flips every label with probability eta."""
+        assert make_massart([((0.0,), 1.0, 1, 0.4)], eta_bound=0.4).eta.tolist() == [0.4]
+
     def test_bound_not_below_half(self):
         with pytest.raises(ValueError, match=r"eta_bound must be in \[0, 1/2\)"):
             make_massart([((0.0,), 1.0, 1, 0.1)], eta_bound=0.5)
@@ -94,13 +102,16 @@ class TestMakeMassart:
     [
         (lambda: FiniteMassartDist([[0.0], [1.0]], [1.0], [1], [0.0], 0.4), ValueError, "matching lengths"),
         (lambda: FiniteMassartDist([[np.inf]], [1.0], [1], [0.0], 0.4), ValueError, "coordinates must be finite"),
+        (lambda: FiniteMassartDist([[0.0], [1.0]], [np.nan, 1.0], [1, 1], [0.0, 0.0], 0.4), ValueError,
+         "atom probabilities must be finite"),
         (lambda: make_massart([((0.0,), 1.0, 1, -0.1)], 0.4), ValueError, "flip probabilities"),
         (lambda: make_massart([((0.0,), 1.0, 1, float("nan"))], 0.4), ValueError, "flip probabilities"),
         (lambda: make_massart([], 0.4), ValueError, "empty atom list"),
         (lambda: MassartOracle(single_atom().p, rng_seed=0), TypeError, "FiniteMassartDist"),
         (lambda: MassartOracle(single_atom(), rng_seed=0).sample_batch(-1), ValueError, "nonnegative"),
     ],
-    ids=["lengths", "infinite-coordinate", "negative-eta", "nan-eta", "no-atoms", "not-a-dist", "negative-count"],
+    ids=["lengths", "infinite-coordinate", "nan-p", "negative-eta", "nan-eta", "no-atoms", "not-a-dist",
+         "negative-count"],
 )
 def test_bad_input_is_rejected(build, error, match):
     with pytest.raises(error, match=match):
@@ -140,7 +151,7 @@ def table_oracle(p, rng_seed=0):
     """An oracle over len(p) atoms with masses p; the lookup reads only p."""
     n = len(p)
     xs = np.arange(n, dtype=np.float64)[:, None]
-    dist = FiniteMassartDist(xs, p, np.ones(n), np.full(n, 0.25), 0.4, _validated=True)
+    dist = FiniteMassartDist(xs, p, np.ones(n), np.full(n, 0.25), 0.4)
     return MassartOracle(dist, rng_seed)
 
 

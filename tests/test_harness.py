@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -38,9 +40,14 @@ seeds = 0..2
 
 
 def run_cli(args):
-    """The massboost CLI run in a subprocess, with its output captured."""
-    return subprocess.run([sys.executable, "-m", "massboost.cli"] + args, capture_output=True, text=True,
-                          env=dict(os.environ))
+    """cli.main run in process on args, with its exit code and output captured as a subprocess's would be."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's exit on a bad command line
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def save_small_instance(tmp_path) -> Path:
@@ -313,7 +320,9 @@ class TestCli:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
         out_dir = tmp_path / "metrics"
-        res = run_cli(["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "0..1"])
+        args = ["run", str(cfg_path), "--out", str(out_dir), "--seed-range", "0..1"]
+        res = subprocess.run([sys.executable, "-m", "massboost.cli"] + args, capture_output=True, text=True,
+                             env=dict(os.environ))  # the module entry point, in its own process
         assert res.returncode == 0, res.stderr
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "round_trace_0.csv").exists()

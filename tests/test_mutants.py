@@ -4,10 +4,12 @@ Its old text occurs exactly once in its file, and each of its test ids names
 a test function, or a test method of a test class, defined in the named
 file; the file is parsed, not collected. Whether the named tests kill each
 mutant is checked by running python3 tools/mutants.py, which is not part of
-this suite.
+this suite; that a run past its time limit is a timeout, with the file
+restored, is checked here with subprocess.run replaced.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from mutants import load  # noqa: E402
+from mutants import TIMEOUT_S, load, run_mutant  # noqa: E402
 
 
 def defined_tests(path: Path) -> set:
@@ -41,3 +43,17 @@ def test_named_tests_are_defined(mutant):
     for test in mutant["tests"]:
         path, _, name = test.partition("::")
         assert name.split("[")[0] in defined_tests(ROOT / path), test
+
+
+def test_a_run_past_the_time_limit_is_a_timeout_and_restores_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "loop.py"
+    path.write_text("while i < n:\n    i += 1\n")
+
+    def hang(args, **kwargs):
+        assert path.read_text() == "while i < n:\n    pass\n" and kwargs["timeout"] == TIMEOUT_S
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    mutant = {"file": "loop.py", "old": "    i += 1", "new": "    pass", "tests": ["tests/test_loop.py"]}
+    assert run_mutant(tmp_path, mutant) == "timeout"
+    assert path.read_text() == "while i < n:\n    i += 1\n"

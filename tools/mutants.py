@@ -18,7 +18,9 @@ restores the file. Each pytest run starts with no hypothesis database, so
 no mutant replays an example found for another. A mutant is killed when
 pytest exits 1, that is when a test failed; it survives when pytest exits 0.
 Any other exit (a collection error, no test selected) is an error of the
-entry. Exits 0 when every mutant run is killed, 1 otherwise.
+entry. A pytest run still going after TIMEOUT_S seconds, as when a mutant
+makes a loop unbounded, is stopped and reported as a timeout, which is not
+a kill. Exits 0 when every mutant run is killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 from ab import ROOT, snapshot
 
 MUTANTS = ROOT / "tools" / "mutants.json"
+TIMEOUT_S = 300
 
 
 def load() -> List[dict]:
@@ -44,19 +47,21 @@ def load() -> List[dict]:
         return [{**m, "old": "\n".join(m["old"]), "new": "\n".join(m["new"])} for m in json.load(fh)]
 
 
-def pytest(tree: Path, tests: List[str]) -> int:
-    """The exit code of pytest -x on tests in tree; the hypothesis database it leaves is removed."""
+def pytest(tree: Path, tests: List[str]) -> Optional[int]:
+    """The exit code of pytest -x on tests in tree, or None if it timed out; its hypothesis database is removed."""
     env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                                "--hypothesis-seed=0", *tests],
-                              cwd=tree, env=env, capture_output=True).returncode
+                              cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
     finally:
         shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
 
 
 def run_mutant(tree: Path, mutant: dict) -> str:
-    """"killed", "survived" or "error": the mutant applied in tree, its tests run, and the file restored."""
+    """"killed", "survived", "timeout" or "error": the mutant applied in tree, its tests run, and the file restored."""
     path = tree / mutant["file"]
     text = path.read_text()
     if text.count(mutant["old"]) != 1:
@@ -66,7 +71,7 @@ def run_mutant(tree: Path, mutant: dict) -> str:
         code = pytest(tree, mutant["tests"])
     finally:
         path.write_text(text)
-    return {0: "survived", 1: "killed"}.get(code, "error")
+    return {0: "survived", 1: "killed", None: "timeout"}.get(code, "error")
 
 
 def main() -> int:
