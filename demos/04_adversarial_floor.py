@@ -21,7 +21,7 @@ from massboost import (
     hard_distribution,
 )
 
-spec = HardDistSpec(n=64, eta=0.1, alpha=0.2, rho=1e-4, seed=11)
+spec = HardDistSpec(eta=0.1, alpha=0.2, rho=1e-4, seed=11)
 dist = hard_distribution(spec, 20_000)
 print(f"hard instance: eta' = {spec.eta_prime}, OPT = rho*eta = {dist.opt():.2e}")
 print(f"positive fraction {np.mean(dist.f == 1):.4f}, noisy atoms {np.sum(dist.eta > 0)}")

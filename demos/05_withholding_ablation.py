@@ -22,7 +22,7 @@ from massboost import (
     hard_distribution,
 )
 
-spec = HardDistSpec(n=64, eta=0.1, alpha=0.2, rho=1e-4, seed=21)
+spec = HardDistSpec(eta=0.1, alpha=0.2, rho=1e-4, seed=21)
 dist = hard_distribution(spec, 10_000)
 params = compute_params(eta=0.1, alpha=0.2, gamma=0.08, epsilon=0.28, delta=0.1,
                         sample_scale=0.02, mode="exact", max_rounds=260)

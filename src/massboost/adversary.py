@@ -1,6 +1,6 @@
 """Stress harness: biased hard distribution and the heavy-hitter adversary.
 
-The hard instance is a highly label-biased concept over n-bit strings: a
+The hard instance is a highly label-biased concept over 64-bit integers: a
 keyed-hash function family labels each point +1 with probability eta', with
 eta' = eta (1 + alpha/5), and a pseudorandomly chosen sliver of the negative
 points (total mass rho) carries flip probability eta. The floor on achievable
@@ -64,9 +64,8 @@ def biased_labels(seed: int, xs: np.ndarray, eta_prime: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HardDistSpec:
-    """Parameters of the biased hard instance over {0,1}^n; one out of range raises ValueError."""
+    """Parameters of the biased hard instance over 64-bit integers; one out of range raises ValueError."""
 
-    n: int
     eta: float
     alpha: float
     rho: float
@@ -79,8 +78,6 @@ class HardDistSpec:
             raise ValueError(f"alpha must be in (0, 1/2 - eta), got {self.alpha}")
         if not (0.0 <= self.rho < self.alpha / 1000.0):
             raise ValueError(f"rho must be in [0, alpha/1000), got {self.rho}")
-        if not (1 <= self.n <= 64):
-            raise ValueError("n must be between 1 and 64 bits")
 
     @property
     def eta_prime(self) -> float:
@@ -90,14 +87,14 @@ class HardDistSpec:
 def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDist:
     """Materialize the hard instance as a uniform finite support.
 
-    Uses the first support_size points of the domain (the keyed hash makes
-    their labels pseudorandom regardless), labels them with the biased
+    Uses the integers 0 .. support_size - 1 (the keyed hash makes their
+    labels pseudorandom regardless), labels them with the biased
     function, and plants flip probability eta on exactly round(rho *
     support_size) pseudorandomly chosen negative points, so the optimal
     error is rho * eta up to that one rounding.
     """
-    if support_size < 1 or support_size > 2**spec.n:
-        raise ValueError(f"support_size must be in [1, 2^{spec.n}]")
+    if support_size < 1:
+        raise ValueError(f"support_size must be at least 1, got {support_size}")
     xs = np.arange(support_size, dtype=np.float64).reshape(-1, 1)
     f = biased_labels(spec.seed, np.arange(support_size), spec.eta_prime)
     eta = np.zeros(support_size)

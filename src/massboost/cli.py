@@ -1,12 +1,11 @@
 """Command line entry point.
 
     massboost run <config> [--seed-range a..b] [--out DIR] [--mode exact|mc]
-                           [--sample-scale F] [--ablate-no-withholding]
 
-Each flag overrides its config key (seeds, out, mode, sample_scale,
-ablate_no_withholding) and is parsed and checked with the config's own
-lines, before any seed runs. Exit code 0 once the batch completes (per-seed
-failures are recorded in the summary), 2 on config errors, 1 on IO errors.
+Each flag overrides its config key (seeds, out, mode) and is parsed and
+checked with the config's own lines, before any seed runs. Exit code 0 once
+the batch completes (per-seed failures are recorded in the summary), 2 on
+config errors, 1 on IO errors.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", help="output directory for summary.json and trace CSVs")
     run.add_argument("--mode", choices=["exact", "mc"], help="override the execution mode")
-    run.add_argument("--sample-scale", help="override the subroutine sample multiplier")
-    run.add_argument(
-        "--ablate-no-withholding",
-        action="store_const",
-        const="true",
-        help="disable risky-set withholding (noise-violation demonstration)",
-    )
     return parser
 
 

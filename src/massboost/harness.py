@@ -89,7 +89,6 @@ class RunConfig:
     rect_k: int = _key("rect_grid, box", 2, _POSITIVE)
     rect_side: int = _key("rect_grid", rule=_POSITIVE, derive=lambda c: 100 if c.rect_d == 2 else 22)
     noise_profile: str = _key("rect_grid", "rcn", ("rcn or random", lambda v: v in ("rcn", "random")))
-    hard_n: int = _key("hard", 64, ("in [1, 64]", lambda v: 1 <= v <= 64))
     hard_rho: float = _key("hard", 1e-4, (">= 0", lambda v: v >= 0))
     hard_support: int = _key("hard", 100_000, _POSITIVE)
     box_scale: float = _key("box", rule=_POSITIVE, derive=lambda c: c.sample_scale)
@@ -149,9 +148,7 @@ def _check_rules(cfg: RunConfig) -> None:
     """The rules between keys; each raises ValueError when it fails."""
     _boost_params(cfg)  # epsilon >= 2c = 8 eta alpha/(1 - 2 alpha), and the boost keys' ranges
     if cfg.distribution == "hard":  # hard_rho < alpha/1000
-        HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=0)
-        if cfg.hard_support > 2**cfg.hard_n:
-            raise ValueError(f"hard_support {cfg.hard_support} > 2^hard_n = {2**cfg.hard_n}")
+        HardDistSpec(eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=0)
     if cfg.weak_learner == "concept" and cfg.distribution != "rect_grid":
         raise ValueError(f"the 'concept' learner needs distribution = rect_grid, got {cfg.distribution!r}")
     if cfg.instance is not None and cfg.rect_d != cfg.instance.dim:
@@ -259,7 +256,7 @@ def build_instance(cfg: RunConfig, seed: int):
         dist = FiniteMassartDist(xs, p, f, eta, cfg.eta)
         return dist, union, ss
     if cfg.distribution == "hard":
-        spec = HardDistSpec(n=cfg.hard_n, eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=int(seed))
+        spec = HardDistSpec(eta=cfg.eta, alpha=cfg.alpha, rho=cfg.hard_rho, seed=int(seed))
         return hard_distribution(spec, cfg.hard_support), None, ss
     return cfg.instance, None, ss  # file:, loaded by parse_config
 

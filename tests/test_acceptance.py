@@ -421,7 +421,6 @@ def test_criterion_8_weak_learner_contract():
 
 HARD_FLOOR_CONFIG = """
 distribution = hard
-hard_n = 64
 hard_support = 100000
 hard_rho = 1e-4
 weak_learner = rude
@@ -443,7 +442,7 @@ seeds = 0..19
 def test_criterion_9_error_floor():
     cfg = parse_config(HARD_FLOOR_CONFIG)
     report = run_experiment(cfg)
-    spec = HardDistSpec(n=64, eta=0.1, alpha=0.2, rho=1e-4, seed=0)
+    spec = HardDistSpec(eta=0.1, alpha=0.2, rho=1e-4, seed=0)
     floor = spec.eta_prime - 0.02
     assert math.isclose(floor, 0.084, rel_tol=1e-12)
     opt = hard_distribution(spec, 100_000).opt()
@@ -472,7 +471,6 @@ def test_criterion_9_error_floor():
 
 HARD_ABLATION_CONFIG = """
 distribution = hard
-hard_n = 64
 hard_support = 10000
 hard_rho = 1e-4
 weak_learner = rude

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import massboost.adversary as adversary
 from massboost import HardDistSpec, RudeWeakLearner, hard_distribution
 from massboost.adversary import _match_rows, biased_labels, wkl_rude
 from massboost.core import LabeledSample
 
-def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7, n=64):
-    return HardDistSpec(n=n, eta=eta, alpha=alpha, rho=rho, seed=seed)
+def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7):
+    return HardDistSpec(eta=eta, alpha=alpha, rho=rho, seed=seed)
 
 
 def biased_labels_per_point(seed, xs, eta_prime):
@@ -89,12 +90,9 @@ class TestHardDistSpec:
     "build,match",
     [
         (lambda: spec(eta=0.1, alpha=0.4), "alpha must be in"),  # alpha must stay below 1/2 - eta
-        (lambda: spec(n=0), "n must be between"),
-        (lambda: spec(n=65), "n must be between"),
-        (lambda: hard_distribution(spec(n=4), 0), "support_size"),
-        (lambda: hard_distribution(spec(n=4), 17), "support_size"),  # above 2^n points
+        (lambda: hard_distribution(spec(), 0), "support_size"),
     ],
-    ids=["alpha-at-half-minus-eta", "no-bits", "65-bits", "empty-support", "support-beyond-domain"],
+    ids=["alpha-at-half-minus-eta", "empty-support"],
 )
 def test_bad_hard_instance_is_rejected(build, match):
     with pytest.raises(ValueError, match=match):
@@ -127,6 +125,19 @@ class TestHardDistribution:
         a = hard_distribution(spec(seed=3), 5000)
         b = hard_distribution(spec(seed=3), 5000)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.eta, b.eta)
+
+    def test_noisy_set_needs_as_many_negatives(self, monkeypatch):
+        """round(rho N) = 2 noisy points need 2 negatives. The keyed hash labels about
+        a tenth of the points +1, never nearly all, so the labels are replaced."""
+
+        def labels_with(negatives):
+            return lambda seed, xs, eta_prime: np.where(np.arange(len(xs)) < negatives, -1, 1).astype(np.int8)
+
+        monkeypatch.setattr(adversary, "biased_labels", labels_with(2))
+        assert np.flatnonzero(hard_distribution(spec(rho=1.9e-4), 10_000).eta).tolist() == [0, 1]
+        monkeypatch.setattr(adversary, "biased_labels", labels_with(1))
+        with pytest.raises(ValueError, match="not enough negative points"):
+            hard_distribution(spec(rho=1.9e-4), 10_000)
 
 
 def atom_source(masses, plus_probs, seed):
@@ -220,3 +231,20 @@ class TestWklRude:
 def test_match_rows_finds_every_candidate_in_itself():
     candidates = np.unique([[1.0], [2.0], [3.0]], axis=0)
     assert _match_rows(candidates, candidates).tolist() == [0, 1, 2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: _match_rows searches a byte order that np.unique(axis=0) does not sort by",
+)
+def test_heavy_atom_after_lighter_ones_in_byte_order_gets_its_label():
+    """A heavy +1 atom at 1.0 beside light atoms at 2.0 and 3.0; in byte order 2.0 < 3.0 < 1.0.
+
+    With the heavy atom at 0.0 instead, whose bytes sort first in both orders,
+    every seed labels it +1.
+    """
+    learner = RudeWeakLearner(m=4, T=50, gamma=0.2, scale=1.0)
+    for seed in range(10):
+        source = atom_source([0.0, 0.6, 0.2, 0.2], [0.5, 0.9, 0.1, 0.1], seed=seed)
+        h = wkl_rude(source, learner, np.random.default_rng(100 + seed))
+        assert h(np.array([[1.0]])).tolist() == [1], seed

@@ -113,7 +113,6 @@ REJECTED = {
     "rect_k": ("0", "-1"),
     "rect_side": "0",
     "noise_profile": "pink",
-    "hard_n": ("0", "65"),
     "hard_rho": "-1e-5",
     "hard_support": "0",
     "box_scale": "-1",
@@ -143,7 +142,7 @@ def rejection_cases():
 class TestConfigSchema:
     def test_every_key_has_a_rejection_case(self):
         assert set(REJECTED) == set(harness._KEYS)
-        assert len(harness._KEYS) == 24
+        assert len(harness._KEYS) == 23
 
     @pytest.mark.parametrize("key,value", list(rejection_cases()))
     def test_rejected_value_exits_2(self, tmp_path, capsys, key, value):
@@ -154,17 +153,6 @@ class TestConfigSchema:
         assert cli.main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
-
-    def test_hard_support_at_most_two_to_the_hard_n(self, tmp_path, capsys):
-        text = CONFIG_SMALL.replace("seeds = 0..2", "seeds =").replace(
-            "distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_n = 4"
-        ).replace("weak_learner = concept", "weak_learner = rude")
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(text + "hard_support = 17\n")
-        assert cli.main(["run", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "hard_support" in err
-        assert parse_config(text + "hard_support = 16\n").hard_support == 16
 
     def test_readme_tables_every_key(self):
         """README has one row per key, no row for a key that is gone, and each row names the key's reader."""
@@ -366,7 +354,6 @@ class TestCli:
         """An explicitly empty flag value reads as a blank config line, not as an absent flag."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
-        self.assert_config_error(run_cli(["run", str(cfg_path), "--sample-scale", ""]), "sample_scale")
         out_dir = tmp_path / "metrics"
         res = run_cli(["run", str(cfg_path), "--seed-range", "", "--out", str(out_dir)])
         assert res.returncode == 0, res.stderr
@@ -403,7 +390,8 @@ class TestCli:
             ("rect_k = 1", "rect_k = -1", "rect_k"),
             ("rect_side = 20", "rect_side = 0", "rect_side"),
             ("weak_learner = concept", "weak_learner = box\nbox_scale = -1", "box_scale"),
-            # box_c and rude_survivor_cap are constants, not keys: setting one is an unknown key
+            # box_c, rude_survivor_cap and hard_n are not keys (two constants and the fixed
+            # 64-bit hard domain): setting one is an unknown key
             ("weak_learner = concept", "weak_learner = box\nbox_c = 0", "box_c"),
             ("weak_learner = concept", "weak_learner = box\nbox_c = -1", "box_c"),
             ("weak_learner = concept", "weak_learner = rude\nrude_m = 0", "rude_m"),
@@ -414,6 +402,7 @@ class TestCli:
             ("weak_learner = concept", "weak_learner = rude\nrude_scale = 0", "rude_scale"),
             ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = -1", "rude_survivor_cap"),
             ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = 0", "rude_survivor_cap"),
+            ("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_n = 64", "hard_n"),
             ("rect_side = 20", "rect_sid = 20", "rect_sid"),
             ("noise_profile = rcn", "noise_profil = rcn", "noise_profil"),
             ("noise_profile = rcn", "noise_profile = pink", "noise_profile"),
@@ -438,6 +427,7 @@ class TestCli:
             "rude-scale-zero",
             "rude-survivor-cap-negative",
             "rude-survivor-cap-zero",
+            "hard-n-retired",
             "unknown-key-rect-sid",
             "unknown-key-noise-profil",
             "unknown-noise-profile",
@@ -501,11 +491,6 @@ class TestCli:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL.replace(old, new))
         self.assert_config_error(run_cli(["run", str(cfg_path)]), new.split(" = ")[0])
-
-    def test_non_finite_sample_scale_flag_is_config_error(self, tmp_path):
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(CONFIG_SMALL)
-        self.assert_config_error(run_cli(["run", str(cfg_path), "--sample-scale", "nan"]), "sample_scale")
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_is_config_error(self, tmp_path, where):
@@ -581,10 +566,17 @@ class TestCliFlags:
     def test_mode_and_scale_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(CONFIG_SMALL)
-        res = run_cli(
-            ["run", str(cfg_path), "--seed-range", "0..0", "--mode", "exact", "--sample-scale", "0.02"]
-        )
+        res = run_cli(["run", str(cfg_path), "--seed-range", "0..0", "--mode", "exact"])
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("flag", [["--sample-scale", "1"], ["--ablate-no-withholding"]], ids=lambda f: f[0])
+    def test_retired_flag_exits_2(self, tmp_path, flag):
+        """sample_scale and ablate_no_withholding are set by their config keys only."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(CONFIG_SMALL)
+        res = run_cli(["run", str(cfg_path), *flag])
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
 
     @pytest.mark.parametrize("flag,config_mode", [("mc", "exact"), ("exact", "mc")])
     def test_mode_flag_overrides_config(self, tmp_path, flag, config_mode):
@@ -599,11 +591,9 @@ class TestCliFlags:
 
     def test_ablation_flag_records_failures_but_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(CONFIG_SMALL + "max_rounds = 40\n")
+        cfg_path.write_text(CONFIG_SMALL + "max_rounds = 40\nablate_no_withholding = true\n")
         out_dir = tmp_path / "out"
-        res = run_cli(
-            ["run", str(cfg_path), "--seed-range", "0..1", "--ablate-no-withholding", "--out", str(out_dir)]
-        )
+        res = run_cli(["run", str(cfg_path), "--seed-range", "0..1", "--out", str(out_dir)])
         assert res.returncode == 0, res.stderr
         summary = json.loads((out_dir / "summary.json").read_text())
         assert any("MaxRounds" in s["error"] for s in summary["seeds"])
