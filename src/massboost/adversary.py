@@ -99,13 +99,8 @@ def hard_distribution(spec: HardDistSpec, support_size: int) -> FiniteMassartDis
     f = biased_labels(spec.seed, np.arange(support_size), spec.eta_prime)
     eta = np.zeros(support_size)
     k_noisy = int(round(spec.rho * support_size))
-    if k_noisy > 0:
-        negatives = np.where(f == -1)[0]
-        if len(negatives) < k_noisy:
-            raise ValueError("not enough negative points to plant the noisy set")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[spec.seed, 0x6E6F6973]))
-        noisy = rng.choice(negatives, size=k_noisy, replace=False)
-        eta[noisy] = spec.eta
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[spec.seed, 0x6E6F6973]))
+    eta[rng.choice(np.flatnonzero(f == -1), size=k_noisy, replace=False)] = spec.eta
     p = np.full(support_size, 1.0 / support_size)
     return FiniteMassartDist(xs, p, f, eta, spec.eta)
 

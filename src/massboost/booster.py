@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from .core import FiniteMassartDist, LabeledSample, MassartOracle, label_errors, sign_pm1
+from .core import FiniteMassartDist, LabeledSample, MassartOracle, _atom_dot, label_errors, sign_pm1
 from .measure import SampleScorer, sample_weights
 
 __all__ = [
@@ -253,8 +253,8 @@ class ScoreState:
     draw carries, so no draw replays the trace.
 
     stats() computes the current scores' exact statistics on first use.
-    Density and potential are dot products of per-atom weights with the joint
-    label masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
+    Density and potential are dots (core._atom_dot) of per-atom weights with
+    the joint label masses a+ = P(x, y = +1) and a- = P(x, y = -1); lerr and ferr are
     core.label_errors of sign(sigma), as summary.json's are of the final
     scores; the risky mass is p[risky].sum(), over_confident's stage 1.
 
@@ -303,10 +303,8 @@ class ScoreState:
         noisy_plus = np.flatnonzero(flip & f_plus)
         self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
         self._n_noisy_plus = len(noisy_plus)
-        self._d_plus_one_signed = np.dot(self._a_plus, np.ones(n))  # a dot, as the general path takes it, not a sum
-        # at G = 0 every weight is exactly 1, so density and potential are the
-        # total mass; it is summed, not dotted, and round 1's advantage
-        # divides by those bits
+        self._d_plus_one_signed = _atom_dot(self._a_plus, np.ones(n))
+        # density and potential at G = 0 (every weight 1) are the total mass, summed; round 1's advantage divides by it
         total = float(self._a_plus.sum() + self._a_minus.sum())
         self._stats: Optional[ExactStats] = None
         self._stats = replace(self.stats(), density=total, potential=total)
@@ -335,7 +333,7 @@ class ScoreState:
         """Exact advantage (1/2) E_mu[h(x) y] of values hv on the reweighted distribution."""
         st = self.stats()
         if st.density > 0.0:
-            return 0.5 * float(np.dot(st.u_diff, hv)) / st.density
+            return 0.5 * float(_atom_dot(st.u_diff, hv)) / st.density
         return None
 
     def over_confident(self, epsilon: float, eta: float) -> bool:
@@ -377,10 +375,10 @@ class ScoreState:
             np.minimum(sigma, 0.0, out=lo)
             np.exp(lo, out=m_minus)
             np.add(m_minus, np.maximum(sigma, 0.0, out=m_plus), out=phi)
-            pot_minus = np.dot(self._a_minus, phi)
+            pot_minus = _atom_dot(self._a_minus, phi)
             np.exp(np.negative(m_plus, out=m_plus), out=m_plus)
             np.subtract(m_plus, lo, out=phi)
-            potential = float(np.dot(self._a_plus, phi) + pot_minus)
+            potential = float(_atom_dot(self._a_plus, phi) + pot_minus)
             risky_mass = float(self.dist.p[risky].sum())
             # the weights mu: M zeroed on the risky set; M >= 0, so M * 0.0 is the +0.0 a masked copy writes
             safe = np.subtract(1.0, risky, out=phi)
@@ -390,15 +388,15 @@ class ScoreState:
             # mu <= phi inequality survives float accumulation; each dot runs
             # next to the product that reads the same two rows, while they are
             # in cache
-            d_plus = np.dot(self._a_plus, m_plus)
+            d_plus = _atom_dot(self._a_plus, m_plus)
             u_plus = np.multiply(self._a_plus, m_plus, out=m_plus)
-            d_minus = np.dot(self._a_minus, m_minus)
+            d_minus = _atom_dot(self._a_minus, m_minus)
             u_minus = np.multiply(self._a_minus, m_minus, out=m_minus)
             density = float(d_plus + d_minus)
         else:  # no risky atom and no score >= 0 (see the class docstring)
             np.exp(sigma, out=m_minus)
-            pot_minus = np.dot(self._a_minus, m_minus)  # also the density's a- dot
-            potential = float(np.dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
+            pot_minus = _atom_dot(self._a_minus, m_minus)  # also the density's a- dot
+            potential = float(_atom_dot(self._a_plus, np.subtract(1.0, sigma, out=phi)) + pot_minus)
             u_plus, u_minus = self._a_plus, np.multiply(self._a_minus, m_minus, out=m_minus)
             density, risky_mass = float(self._d_plus_one_signed + pot_minus), 0.0
         if nonnegative:

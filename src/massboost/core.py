@@ -94,7 +94,6 @@ class FiniteMassartDist:
         if not np.all(np.isin(f, (-1, 1))):
             raise ValueError("true labels must be -1 or +1")
         self.xs = np.ascontiguousarray(np.atleast_2d(np.asarray(xs, dtype=np.float64)))
-        # contiguous, as strided p or eta would change the summation order of their dots
         self.p = np.ascontiguousarray(p, dtype=np.float64)
         self.f = np.ascontiguousarray(f, dtype=np.int8)
         self.eta = np.ascontiguousarray(eta, dtype=np.float64)
@@ -137,7 +136,7 @@ class FiniteMassartDist:
 
     def opt(self) -> float:
         """Information-theoretic floor on misclassification error, E[eta(x)]."""
-        return float(np.dot(self.p, self.eta))
+        return float(_atom_dot(self.p, self.eta))
 
 
 def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
@@ -160,6 +159,16 @@ def make_massart(atoms: Iterable, eta_bound: float) -> FiniteMassartDist:
 # -- exact metrics ------------------------------------------------------------
 
 
+def _atom_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """sum_i a[i] * b[i] over a support's atoms, the one per-atom dot of every exact statistic.
+
+    A BLAS dot rounds unlike a.sum(), so a total that must equal a dot is dotted too (a sum as a
+    dot with ones). Its summation order depends on the rows' strides, hence FiniteMassartDist's
+    contiguous p and eta, and on the BLAS thread count: its bits hold at a fixed count only.
+    """
+    return np.dot(a, b)
+
+
 def label_errors(p: np.ndarray, eta: np.ndarray, wrong: np.ndarray,
                  out: Optional[np.ndarray] = None) -> Tuple[float, float]:
     """lerr and ferr of a labeling that disagrees with f on the atoms of the bool mask wrong.
@@ -170,10 +179,10 @@ def label_errors(p: np.ndarray, eta: np.ndarray, wrong: np.ndarray,
     """
     row = np.empty(len(p)) if out is None else out
     np.copyto(row, wrong)
-    ferr = float(np.dot(p, row))
+    ferr = float(_atom_dot(p, row))
     np.copyto(row, eta)
     np.subtract(1.0, eta, out=row, where=wrong)
-    return float(np.dot(p, row)), ferr
+    return float(_atom_dot(p, row)), ferr
 
 
 def exact_lerr(dist: FiniteMassartDist, hypothesis) -> float:
@@ -215,8 +224,7 @@ class MassartOracle:
         if not isinstance(source, FiniteMassartDist):
             raise TypeError("source must be a FiniteMassartDist")
         self.source = source
-        self.rng_seed = int(rng_seed)
-        self.rng = np.random.default_rng(self.rng_seed)
+        self.rng = np.random.default_rng(int(rng_seed))
         self.draws = 0
         self._cum = np.zeros(source.n_atoms + 1)
         np.cumsum(source.p, out=self._cum[1:])

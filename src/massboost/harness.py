@@ -294,9 +294,8 @@ class SeedResult:
 
 @dataclass
 class RunReport:
-    """A run's outcome; every field but config and results is a key of summary.json."""
+    """A run's outcome; every field but results is a key of summary.json."""
 
-    config: RunConfig
     results: List[SeedResult]
     target_lerr: float
     success_fraction: float
@@ -313,7 +312,7 @@ class RunReport:
             return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
 
         seeds = [dict(keys(r, ("trace",)), trace_file=f"round_trace_{r.seed}.csv") for r in self.results]
-        return dict(keys(self, ("config", "results")), seeds=seeds)
+        return dict(keys(self, ("results",)), seeds=seeds)
 
 
 def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
@@ -359,7 +358,6 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         for q in (50, 90, 100):
             percentiles[f"p{q}"] = float(np.percentile(rounds, q))
     return RunReport(
-        config=cfg,
         results=results,
         target_lerr=target,
         success_fraction=success,

@@ -127,8 +127,9 @@ class TestHardDistribution:
         assert np.array_equal(a.f, b.f) and np.array_equal(a.eta, b.eta)
 
     def test_noisy_set_needs_as_many_negatives(self, monkeypatch):
-        """round(rho N) = 2 noisy points need 2 negatives. The keyed hash labels about
-        a tenth of the points +1, never nearly all, so the labels are replaced."""
+        """round(rho N) = 2 noisy points need 2 negatives; with 1, choosing them raises.
+        The keyed hash labels about a tenth of the points +1, never nearly all, so the
+        labels are replaced."""
 
         def labels_with(negatives):
             return lambda seed, xs, eta_prime: np.where(np.arange(len(xs)) < negatives, -1, 1).astype(np.int8)
@@ -136,7 +137,7 @@ class TestHardDistribution:
         monkeypatch.setattr(adversary, "biased_labels", labels_with(2))
         assert np.flatnonzero(hard_distribution(spec(rho=1.9e-4), 10_000).eta).tolist() == [0, 1]
         monkeypatch.setattr(adversary, "biased_labels", labels_with(1))
-        with pytest.raises(ValueError, match="not enough negative points"):
+        with pytest.raises(ValueError):
             hard_distribution(spec(rho=1.9e-4), 10_000)
 
 

@@ -19,6 +19,10 @@ from massboost.harness import build_instance, load_config, parse_config
 from test_properties import check_run
 
 ROOT = Path(__file__).resolve().parent.parent
+try:  # show_config takes mode from numpy 1.26 on
+    BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+except TypeError:
+    BLAS = "unknown"
 
 CONFIG_SMALL = """
 # tiny rectangle benchmark driven by the true concept
@@ -226,6 +230,27 @@ class TestEmitMetrics:
             blobs.append(
                 {p.name: p.read_bytes() for p in sorted((tmp_path / sub).iterdir())}
             )
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or "openblas" not in BLAS,
+                        reason="one usable CPU or another BLAS runs every dot in one summation order")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: OpenBLAS splits a long np.dot across its threads, which rounds differently")
+    def test_rerun_byte_identical_across_blas_thread_counts(self, tmp_path):
+        """A 20 000-atom, 5-round slice of hard_floor, run in a process at one and at two BLAS threads."""
+        text = (ROOT / "configs" / "hard_floor.cfg").read_text()
+        cfg_path = tmp_path / "hard_slice.cfg"
+        cfg_path.write_text(text.replace("hard_support = 100000", "hard_support = 20000")
+                            .replace("max_rounds = 1500", "max_rounds = 5"))
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            args = ["run", str(cfg_path), "--seed-range", "0..0", "--out", str(out)]
+            res = subprocess.run([sys.executable, "-m", "massboost.cli"] + args, capture_output=True, text=True, env=env)
+            if res.returncode != 0:
+                pytest.fail(res.stderr)
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
 
 
