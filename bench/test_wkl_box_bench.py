@@ -32,9 +32,9 @@ from wkl_box_reference import wkl_box_reference  # noqa: E402
 def samples():
     dist, _, _ = build_instance(load_config(ROOT / "configs" / "rect_benchmark.cfg"), 0)
     plain = MassartOracle(dist, rng_seed=0).sample_batch(400)
-    neg = plain.ys == -1
-    twins = LabeledSample(plain.xs[neg], np.ones(int(neg.sum()), dtype=plain.ys.dtype))
-    return {"staircase": plain, "exhaustive": LabeledSample.concat([plain, twins])}
+    neg = plain.ys == -1  # each negative point gets a positive twin
+    twinned = LabeledSample(np.concatenate([plain.xs, plain.xs[neg]]), np.concatenate([plain.ys, -plain.ys[neg]]))
+    return {"staircase": plain, "exhaustive": twinned}
 
 
 @pytest.mark.parametrize("path", ["staircase", "exhaustive"])

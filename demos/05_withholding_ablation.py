@@ -4,7 +4,8 @@ With the |G| >= s cutoff disabled, reweighting keeps shrinking the weight of
 the majority label while noisy flips keep full weight, so the per-point flip
 probability of the rejection-sampled distribution climbs past 1/2: the
 reweighted stream is no longer a bounded-noise distribution at all, and no
-weak-learner guarantee applies to it. The trace logs the blow-up round.
+weak-learner guarantee applies to it. The trace's max_noise_rate column
+records the blow-up round.
 """
 
 import math

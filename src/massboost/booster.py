@@ -466,8 +466,10 @@ def samp(
 ) -> Tuple[LabeledSample, int]:
     """Rejection-sample m_wkl examples from the reweighted distribution.
 
-    Draws (x, y) from the oracle and keeps each with probability mu(x, y).
-    Returns the accepted sample and the raw draw count. Raises
+    Draws (x, y) from the oracle and accepts each with probability mu(x, y),
+    recording only an accepted draw's atom index and label. Returns the
+    first m_wkl accepted, their points gathered once by atom index, and the
+    raw draw count. Raises
     DrawBudgetExceeded once raw draws pass ten times the
     log(1/delta)/d_hat^2 + 2*m_wkl/d_hat budget, the signature of a measure
     whose true density has collapsed.
@@ -480,7 +482,8 @@ def samp(
     # concentration bound; scaling it again would trip on healthy measures
     budget = 10.0 * (math.log(1.0 / delta) / d_ref**2 + 2.0 * m_wkl / d_ref)
     budget = max(int(math.ceil(budget)), 10 * m_wkl)
-    parts: List[LabeledSample] = []
+    idx_parts: List[np.ndarray] = []
+    y_parts: List[np.ndarray] = []
     kept = raw = 0
     # first batch sized by the density estimate so a full-weight measure
     # draws exactly m_wkl; later batches use the observed acceptance rate
@@ -491,14 +494,16 @@ def samp(
         sample = oracle.sample_batch(batch)
         raw += batch
         keep = rng.random(batch) < sample_weights(measure, sample)
-        parts.append(sample[keep])
+        idx_parts.append(sample.idx[keep])
+        y_parts.append(sample.ys[keep])
         kept += int(keep.sum())
         accept_rate = max(kept, 1) / raw
         if kept < m_wkl and raw >= budget:
             raise DrawBudgetExceeded(
                 f"rejection sampling exceeded {budget} raw draws for {m_wkl} accepted"
             )
-    return LabeledSample.concat(parts)[:m_wkl], raw
+    idx = np.concatenate(idx_parts)[:m_wkl]
+    return LabeledSample(oracle.source.xs[idx], np.concatenate(y_parts)[:m_wkl], idx), raw
 
 
 def density_sample_size(delta_dens: float, epsilon: float, eta: float, sample_scale: float = 1.0) -> int:

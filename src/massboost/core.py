@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -50,10 +50,10 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """A batch of labeled examples stored as arrays (xs rows align with ys).
+    """A record of labeled examples as arrays, with no methods but len (xs rows align with ys).
 
     idx carries the atom index of each row of an oracle draw, by which the
-    booster scores it; hand-built samples may leave it None.
+    booster scores it and samp gathers its point; hand-built samples may leave it None.
     """
 
     xs: np.ndarray
@@ -62,22 +62,6 @@ class LabeledSample:
 
     def __len__(self) -> int:
         return len(self.ys)
-
-    def __getitem__(self, sel) -> "LabeledSample":
-        return LabeledSample(
-            self.xs[sel], self.ys[sel], None if self.idx is None else self.idx[sel]
-        )
-
-    @staticmethod
-    def concat(parts: Sequence["LabeledSample"]) -> "LabeledSample":
-        idx = None
-        if parts and all(p.idx is not None for p in parts):
-            idx = np.concatenate([p.idx for p in parts])
-        return LabeledSample(
-            np.concatenate([p.xs for p in parts], axis=0),
-            np.concatenate([p.ys for p in parts], axis=0),
-            idx,
-        )
 
 
 class FiniteMassartDist:

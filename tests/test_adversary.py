@@ -203,13 +203,13 @@ class TestWklRude:
         rng = np.random.default_rng(8)
         n = learner.step1_size() + learner.step2_size() + learner.survivor_cap * learner.step2_size()
         xs = rng.integers(0, 50, size=n).astype(np.float64).reshape(-1, 1)
-        sample = LabeledSample(xs, np.where(rng.random(n) < 0.2, 1, -1).astype(np.int8))
+        ys = np.where(rng.random(n) < 0.2, 1, -1).astype(np.int8)
         served = 0
 
         def source(count):
             nonlocal served
             served += count
-            return sample[served - count : served]
+            return LabeledSample(xs[served - count : served], ys[served - count : served])
 
         h = learner.train_from_source(source, rng)
         assert served <= n

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massboost import (
     FiniteMassartDist,
@@ -32,6 +34,7 @@ from massboost.booster import (
     samp,
 )
 from massboost.core import label_errors, sign_pm1
+from samp_reference import samp_reference
 from test_properties import state_at
 
 ORIGIN = np.zeros((1, 1))
@@ -54,6 +57,15 @@ def index_dist(f, eta, eta_bound=0.4, p=None):
     n = len(f)
     atoms = [((float(i),), (1.0 / n) if p is None else p[i], f[i], eta[i]) for i in range(n)]
     return make_massart(atoms, eta_bound)
+
+
+def table_dist(seed, n=40):
+    """A 2-d table of n atoms of unequal masses, atom i at (i, u_i), and scores uniform on [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    xs = np.column_stack([np.arange(n, dtype=np.float64), rng.random(n)])
+    p = rng.random(n) + 0.5
+    f = np.where(rng.random(n) < 0.5, 1, -1)
+    return FiniteMassartDist(xs, p / p.sum(), f, rng.uniform(0.0, 0.2, n), 0.2), rng.uniform(-3.0, 3.0, n)
 
 
 def rcn_dist(rng, n, eta, eta_bound=None):
@@ -183,6 +195,40 @@ class TestSamp:
         m = Measure(const_h(5.0), s=2.0)  # weight zero everywhere
         with pytest.raises(DrawBudgetExceeded):
             samp(oracle, m, 100, np.random.default_rng(9), d_hat=0.5)
+
+    @pytest.mark.parametrize("scored_by", ["idx", "xs"])
+    @settings(max_examples=100, deadline=None)
+    @given(m_wkl=st.integers(0, 300), d_hat=st.floats(0.05, 1.0, exclude_min=True),
+           oracle_seed=st.integers(0, 2**32 - 1), rng_seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_reference(self, scored_by, m_wkl, d_hat, oracle_seed, rng_seed):
+        """samp returns the frozen reference's xs, ys and idx bytes and raw count, and leaves both streams alike.
+
+        About a third of the atoms are withheld and the rest accepted with
+        probability about 0.7, so a d_hat near 1 takes several batches and
+        a small one over-accepts in its first.
+        """
+        dist, scores = table_dist(oracle_seed)
+        scorer = state_at(dist, 0.1, 2.0, scores) if scored_by == "idx" else Measure(lookup_h(scores), s=2.0)
+        runs = []
+        for sampler in (samp, samp_reference):
+            oracle, rng = MassartOracle(dist, rng_seed=oracle_seed), np.random.default_rng(rng_seed)
+            sample, raw = sampler(oracle, scorer, m_wkl, rng, d_hat=d_hat)
+            runs.append((sample, raw, oracle.draws, rng.random(), oracle.rng.random()))
+        (got, *rest), (want, *want_rest) = runs
+        assert rest == want_rest and len(got) == m_wkl
+        for name in ("xs", "ys", "idx"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_budget_message_matches_frozen_reference(self):
+        dist, _ = table_dist(0)
+        messages = []
+        for sampler in (samp, samp_reference):
+            with pytest.raises(DrawBudgetExceeded) as info:
+                sampler(MassartOracle(dist, rng_seed=8), Measure(const_h(5.0), s=2.0), 100,
+                        np.random.default_rng(9), d_hat=0.5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "rejection sampling exceeded 4093 raw draws for 100 accepted"
 
 
 class TestEstDensity:

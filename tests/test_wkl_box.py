@@ -129,13 +129,13 @@ def rejection_sample(dist, oracle, rng, n):
     lo = rng.uniform(0.0, 0.5, dist.dim)
     hi = lo + rng.uniform(0.05, 0.5, dist.dim)
     weights = np.exp(-np.where(np.all((dist.xs >= lo) & (dist.xs < hi), axis=1), 0.0, 4.0))
-    kept = []
-    while sum(map(len, kept)) < n:
+    xs, ys = [], []
+    while sum(map(len, ys)) < n:
         batch = oracle.sample_batch(4 * n)
         keep = rng.random(len(batch)) < weights[batch.idx]
-        kept.append(LabeledSample(batch.xs[keep], batch.ys[keep]))
-    sample = LabeledSample.concat(kept)
-    return LabeledSample(sample.xs[:n], sample.ys[:n])
+        xs.append(batch.xs[keep])
+        ys.append(batch.ys[keep])
+    return LabeledSample(np.concatenate(xs)[:n], np.concatenate(ys)[:n])
 
 
 @pytest.mark.parametrize("d,count", [(2, 40), (3, 4)])
