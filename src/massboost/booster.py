@@ -259,9 +259,12 @@ class ScoreState:
     scores; the risky mass is p[risky].sum(), over_confident's stage 1.
 
     The state allocates its workspace once, six per-atom float rows and three
-    per-atom bool rows, so a round of boost() allocates no float array of
-    n_atoms elements; only the risky mass gathers the masses of the risky
-    atoms, and over_confident their indices and labels. The float rows are
+    per-atom bool rows. Construction allocates no per-atom row beyond the
+    workspace and a+-, save the bool row f = +1, which it keeps with the
+    indices of the noisy atoms; it builds its run constants in t1 and the
+    mask rows. A round of boost() allocates no float array of n_atoms elements;
+    only the risky mass gathers the masses of the risky atoms, and
+    over_confident their indices and labels. The float rows are
     sigma, the values row, u_diff, phi and the scratch rows t1 and t2; the
     bool rows are the risky mask |sigma| >= s, the mask from before the last
     step and the sign row. step(), recalibrate() and the risky mask write
@@ -293,17 +296,22 @@ class ScoreState:
         self._risky_now, self._risky_before, self._sign_now = np.zeros((3, n), dtype=bool)
         self._risky_known = False
         self._f_plus = f_plus = dist.f == 1
-        self._errors_negative = label_errors(dist.p, dist.eta, f_plus)  # every -1 is wrong exactly where f = +1
-        self._a_plus = np.where(f_plus, dist.p * (1.0 - dist.eta), dist.p * dist.eta)
+        t1, flip, flip_plus = self._t1, self._risky_now, self._sign_now  # scratch until stats() below
+        self._errors_negative = label_errors(dist.p, dist.eta, f_plus, out=t1)  # every -1 is wrong exactly where f = +1
+        self._a_plus = np.multiply(dist.p, dist.eta)  # and p * (1 - eta) where f = +1
+        np.multiply(dist.p, np.subtract(1.0, dist.eta, out=t1), out=t1)
+        np.copyto(self._a_plus, t1, where=f_plus)
         self._a_minus = dist.p - self._a_plus
         # an atom without mass on its flipped label has noise rate exactly 0,
         # so rates are computed on the others only: first those with f = +1,
         # then those with f = -1
-        flip = np.where(f_plus, self._a_minus, self._a_plus) > 0.0
-        noisy_plus = np.flatnonzero(flip & f_plus)
-        self._noisy = np.concatenate([noisy_plus, np.flatnonzero(flip & ~f_plus)])
+        np.greater(self._a_plus, 0.0, out=flip)
+        np.greater(self._a_minus, 0.0, out=flip, where=f_plus)
+        noisy_plus = np.flatnonzero(np.logical_and(flip, f_plus, out=flip_plus))
+        self._noisy = np.concatenate([noisy_plus, np.flatnonzero(np.not_equal(flip, flip_plus, out=flip))])
         self._n_noisy_plus = len(noisy_plus)
-        self._d_plus_one_signed = _atom_dot(self._a_plus, np.ones(n))
+        t1.fill(1.0)
+        self._d_plus_one_signed = _atom_dot(self._a_plus, t1)
         # density and potential at G = 0 (every weight 1) are the total mass, summed; round 1's advantage divides by it
         total = float(self._a_plus.sum() + self._a_minus.sum())
         self._stats: Optional[ExactStats] = None
@@ -637,7 +645,7 @@ class RunTrace:
 
     rows: List[RoundRecord] = field(default_factory=list)
     total_draws: int = 0
-    scores: Optional[np.ndarray] = None  # final G on each atom; not part of the CSV
+    scores: Optional[np.ndarray] = None  # final G on each atom as boost() returns it; a SeedResult's trace drops it
 
     def to_csv(self) -> str:
         """A header of RoundRecord's field names, then a line a round: .17g cells, empty for None."""

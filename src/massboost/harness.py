@@ -278,6 +278,9 @@ class SeedResult:
 
     total_draws is the trace's: every oracle draw, including those of a
     round that failed, so it can exceed the sum of the trace's raw_draws.
+    trace keeps the rows and total_draws but not the per-atom scores
+    (scores is None): lerr and ferr are read off them before the record is
+    made, so a batch holds no seed's per-atom row past its own run.
     """
 
     seed: int
@@ -340,7 +343,7 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         total_draws=trace.total_draws,
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),
         max_noise_rate=max(rates) if rates else None,
-        trace=trace,
+        trace=replace(trace, scores=None),
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from massboost import (
     FiniteMassartDist,
     FixedHypothesisWeakLearner,
+    HardDistSpec,
     MassartOracle,
     MaxRoundsExceeded,
     Measure,
@@ -18,6 +19,7 @@ from massboost import (
     est_density,
     exact_density,
     exact_lerr,
+    hard_distribution,
     make_massart,
 )
 from massboost import booster
@@ -532,6 +534,32 @@ def test_exact_round_allocates_no_per_atom_array():
         scores.append(float(state.sigma[0]))
     assert scores == [0.0, -params.lam, -2.0 * params.lam]  # sign masks all True, all False, all False
     assert max(peaks) < 8 * n
+
+
+def test_construction_allocates_no_transient_row():
+    """A ScoreState is built in its own rows: the workspace, a+- and the noisy index, and under one row besides.
+
+    On hard_floor's 100 000-atom instance the state keeps six float and
+    three bool workspace rows, the float rows a+ and a- and the indices of
+    its 10 noisy atoms. Everything else it allocates while it is built, the
+    bool row f = +1 included, must fit in less than one float row: 75 bytes
+    an atom in all. Built in place the state peaks at 69; one transient
+    float row more, such as an np.ones(n) for the one-signed dot, takes it
+    to 77.
+    """
+    n = 100_000
+    dist = hard_distribution(HardDistSpec(eta=0.1, alpha=0.2, rho=1e-4, seed=0), n)
+    params = compute_params(0.1, 0.2, 0.01, 0.28, 0.1, mode="exact")
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        state = ScoreState(dist, params.lam, params.s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state._noisy) == 10
+    kept = (6 * 8 + 3) * n + 2 * 8 * n + state._noisy.nbytes
+    assert peak - base < kept + 8 * n
 
 
 def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
