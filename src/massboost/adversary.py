@@ -146,7 +146,7 @@ class RudeWeakLearner:
         return wkl_rude(source, self, rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeavyHitterHypothesis:
     """Explicit pair (X_hat, labels): stored labels on heavy hitters, -1 elsewhere."""
 
@@ -162,6 +162,18 @@ class HeavyHitterHypothesis:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def _distinct_rows(xs: np.ndarray) -> np.ndarray:
+    """The distinct rows of xs in lexicographic order: the bytes of np.unique(xs, axis=0), which loads numpy.ma.
+
+    Rows equal under == are one row; an (n, 0) array has one empty row.
+    """
+    if xs.shape[1]:
+        xs = xs[np.lexsort(xs.T[::-1])]
+    new = np.ones(len(xs), dtype=bool)
+    new[1:] = np.any(xs[1:] != xs[:-1], axis=1)
+    return xs[new]
 
 
 def _match_rows(candidates: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -184,7 +196,8 @@ def wkl_rude(
 ) -> HeavyHitterHypothesis:
     """Run the heavy-hitter adversary against a sample source.
 
-    Step 1 collects candidate heavy hitters; step 2 estimates each
+    Step 1 collects candidate heavy hitters, the distinct rows of its
+    sample in lexicographic order; step 2 estimates each
     candidate's probability from a fresh sample and keeps those at or above
     a uniformly drawn threshold v_h; step 3 draws a label threshold v_y and
     assigns each survivor the label +1 iff the +1 fraction among its fresh
@@ -193,7 +206,7 @@ def wkl_rude(
     asked, at least 1 each step, as booster.samp does.
     """
     s1 = sample_source(learner.step1_size())
-    candidates = np.unique(np.atleast_2d(s1.xs), axis=0)
+    candidates = _distinct_rows(np.atleast_2d(s1.xs))
 
     s2 = sample_source(learner.step2_size())
     matches = _match_rows(candidates, s2.xs)

@@ -618,7 +618,7 @@ def repeat_weak_learner(
 # -- run trace ----------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class RoundRecord:
     """Per-round diagnostics and the trace CSV's columns, in order; exact fields are None in Monte Carlo mode."""
 

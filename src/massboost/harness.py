@@ -347,6 +347,23 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     )
 
 
+def _percentile(ordered: List[float], q: int) -> float:
+    """np.percentile(ordered, q) of sorted values, bit for bit, without loading numpy.ma as np.percentile does.
+
+    This is numpy's linear method. The virtual index v = (n - 1) q/100 lies
+    between the order statistics a and b at floor(v) and floor(v) + 1; at
+    weight t = v - floor(v) it gives a + (b - a) t for t < 1/2 and
+    b - (b - a)(1 - t) from 1/2 on, as numpy's _lerp does. From v = n - 1
+    on it is the largest value.
+    """
+    v = (len(ordered) - 1) * (q / 100)
+    i = math.floor(v)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    a, b, t = ordered[i], ordered[i + 1], v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def run_experiment(cfg: RunConfig) -> RunReport:
     """Run every configured seed in turn and aggregate; per-seed failures are recorded, not fatal."""
     results = [_run_seed(cfg, s) for s in cfg.seeds]
@@ -355,11 +372,8 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     hits = [r for r in results if r.ok and r.lerr <= target]
     success = len(hits) / len(results) if results else 0.0
     mean_lerr = float(np.mean([r.lerr for r in results])) if results else None
-    rounds = np.asarray([r.rounds for r in results], dtype=np.float64)
-    percentiles = {}
-    if len(rounds):
-        for q in (50, 90, 100):
-            percentiles[f"p{q}"] = float(np.percentile(rounds, q))
+    rounds = sorted(float(r.rounds) for r in results)
+    percentiles = {f"p{q}": _percentile(rounds, q) for q in (50, 90, 100)} if rounds else {}
     return RunReport(
         results=results,
         target_lerr=target,

@@ -51,7 +51,7 @@ class Rectangle:
         return inside
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegRectangle:
     """Intersection of closed inequalities direction * x[axis] >= threshold.
 
@@ -83,7 +83,7 @@ class RectangleUnion:
         return np.where(inside, np.int8(1), np.int8(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxHypothesis:
     """Weak hypothesis: -1 on b_best, the fallback label z outside.
 

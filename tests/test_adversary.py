@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import massboost.adversary as adversary
 from massboost import HardDistSpec, RudeWeakLearner, hard_distribution
-from massboost.adversary import _match_rows, biased_labels, wkl_rude
+from massboost.adversary import _distinct_rows, _match_rows, biased_labels, wkl_rude
 from massboost.core import LabeledSample
 
 def spec(eta=0.1, alpha=0.2, rho=1e-4, seed=7):
@@ -223,6 +225,24 @@ class TestWklRude:
         sample = source(20_000)
         adv = 0.5 * float(np.mean(h(sample.xs) * sample.ys))
         assert adv >= learner.gamma
+
+
+# A coordinate pool that holds -0.0 but not 0.0, with small values that
+# repeat often, so rows equal under == are the same bytes and rows often tie
+# on their first coordinates
+COORDINATES = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 1.0, 2.5]),
+                        st.floats(-1e6, 1e6).map(lambda v: -0.0 if v == 0 else v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3))
+def test_candidates_are_the_bytes_of_np_unique(data, d):
+    """Step 1's candidates equal np.unique(axis=0)'s bytes on a sample drawn with replacement from rows distinct under ==."""
+    rows = data.draw(st.lists(st.tuples(*[COORDINATES] * d), min_size=1, max_size=8, unique=True))
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    xs = np.array([rows[i] for i in picks], dtype=np.float64).reshape(len(picks), d)
+    got, want = _distinct_rows(xs), np.unique(xs, axis=0)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
 @pytest.mark.xfail(

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -14,6 +15,7 @@ from massboost import (
     MassartOracle,
     MaxRoundsExceeded,
     Measure,
+    RudeWeakLearner,
     boost,
     compute_params,
     est_density,
@@ -599,6 +601,36 @@ def test_exact_round_with_a_third_risky_allocates_under_half_a_row():
         tracemalloc.stop()
     assert decision is True
     assert peak - base < 4 * n
+
+
+def test_a_finished_exact_run_keeps_under_600_bytes_a_round():
+    """A finished hard run keeps, besides its final score row, under 600 bytes a round.
+
+    A round keeps its RoundRecord with seven floats and two ints, and in the
+    aggregate a (hypothesis, flag) pair and a HeavyHitterHypothesis with its
+    two arrays: 585 bytes a round on this 2000-atom instance, whose run
+    ends after 216 rounds. An instance dict takes that to 633 bytes for a
+    RoundRecord without slots, and to 625 for a HeavyHitterHypothesis
+    without them. A first run goes before the measured one, so that
+    numpy's one-time allocations are not counted.
+    """
+    dist = hard_distribution(HardDistSpec(eta=0.1, alpha=0.2, rho=1e-4, seed=0), 2000)
+    params = compute_params(0.1, 0.2, 0.05, 0.28, 0.1, sample_scale=0.02, mode="exact")
+    wkl = RudeWeakLearner(m=32, T=2000, gamma=0.05, scale=2e-4)
+    boost(MassartOracle(dist, rng_seed=1), wkl, params, np.random.default_rng(1))
+    oracle, rng = MassartOracle(dist, rng_seed=0), np.random.default_rng(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        agg, trace = boost(oracle, wkl, params, rng)
+        trace.scores = None
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.rounds == len(agg) == 216
+    assert (kept - base) / trace.rounds < 600
 
 
 class TestConditionalBudget:

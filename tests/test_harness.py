@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +16,10 @@ import pytest
 import massboost.booster as booster
 import massboost.harness as harness
 from massboost import ConfigParse, cli, emit_metrics, run_experiment
+from massboost.adversary import HeavyHitterHypothesis
 from massboost.core import label_errors, load_dist, save_dist, sign_pm1
 from massboost.harness import build_instance, load_config, parse_config
+from massboost.rectangles import BoxHypothesis, NegRectangle
 from test_properties import check_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +212,31 @@ class TestRunExperiment:
         rep = run_experiment(parse_config(CONFIG_SMALL))
         assert len(rep.results) == 3 and all(r.trace.rounds == r.rounds > 0 for r in rep.results)
         assert all(r.trace.scores is None for r in rep.results)
+
+    def test_round_percentiles_are_the_bits_of_np_percentile(self):
+        """_percentile is numpy's linear method bit for bit, on 1 to 60 integer round counts at q = 50, 90 and 100.
+
+        The two forms of the interpolation, a + (b - a) t and
+        b - (b - a)(1 - t), differ in the last bit at q = 90 on 3 of these
+        1200 draws, so the test tells them apart.
+        """
+        rng = np.random.default_rng(0)
+        for n, hi, _ in itertools.product(range(1, 61), (10, 3000), range(10)):  # many ties, and few
+            rounds = sorted(float(r) for r in rng.integers(1, hi + 1, size=n))
+            for q in (50, 90, 100):
+                assert harness._percentile(rounds, q).hex() == float(np.percentile(rounds, q)).hex(), (rounds, q)
+
+    def test_records_and_hypotheses_survive_pickling(self):
+        """A SeedResult with its rows and both slotted weak hypotheses come back equal from a pickle round trip."""
+        (result,) = run_experiment(parse_config(CONFIG_SMALL.replace("seeds = 0..2", "seeds = 0"))).results
+        assert result.trace.rows and pickle.loads(pickle.dumps(result)) == result
+        box = BoxHypothesis(NegRectangle(((0, 1, 0.25), (1, -1, -0.5))), 1)
+        assert pickle.loads(pickle.dumps(box)) == box
+        heavy = HeavyHitterHypothesis(np.array([[1.0, -0.5], [3.0, 2.0]]), np.array([1, -1], dtype=np.int8))
+        back = pickle.loads(pickle.dumps(heavy))
+        assert type(back) is HeavyHitterHypothesis
+        for got, want in ((back.points, heavy.points), (back.labels, heavy.labels)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestEmitMetrics:
@@ -421,10 +450,8 @@ class TestCli:
             ("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_support = 1e5", "hard_support"),
             ("distribution = rect_grid", "distribution = hard\nhard_rho = small", "hard_rho"),
             ("distribution = rect_grid", "distribution = hard\nhard_rho = 0.5", "rho"),
-            ("rect_d = 2", "rect_d = 0", "rect_d"),
             ("rect_k = 1", "rect_k = 0", "rect_k"),
             ("rect_k = 1", "rect_k = -1", "rect_k"),
-            ("rect_side = 20", "rect_side = 0", "rect_side"),
             ("weak_learner = concept", "weak_learner = box\nbox_scale = -1", "box_scale"),
             # box_c, rude_survivor_cap and hard_n are not keys (two constants and the fixed
             # 64-bit hard domain): setting one is an unknown key
@@ -448,10 +475,8 @@ class TestCli:
             "hard-int",
             "float",
             "rho-out-of-range",
-            "rect-d-zero",
             "rect-k-zero",
             "rect-k-negative",
-            "rect-side-zero",
             "box-scale-negative",
             "box-c-zero",
             "box-c-negative",
@@ -491,7 +516,7 @@ class TestCli:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
-        "line", ["max_rounds = -5", "max_rounds = 0", "ablate_no_withholding = ture", "ablate_no_withholding = on"]
+        "line", ["max_rounds = -5", "ablate_no_withholding = ture"]
     )
     def test_bad_run_setting_is_config_error(self, tmp_path, line):
         """max_rounds below 1 would fail every seed; an unknown boolean would silently read as false."""
@@ -501,6 +526,37 @@ class TestCli:
         assert res.returncode == 2
         assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_a_run_never_loads_numpy_ma(self, tmp_path):
+        """A hard slice and CONFIG_SMALL run without importing numpy.ma, about 2 MB of a process's memory.
+
+        numpy 2.4's np.unique without index outputs and np.percentile import
+        it. The check is moot where importing numpy and building a Generator
+        already do.
+        """
+        hard = tmp_path / "hard_slice.cfg"
+        hard.write_text((ROOT / "configs" / "hard_floor.cfg").read_text()
+                        .replace("hard_support = 100000", "hard_support = 2000")
+                        .replace("max_rounds = 1500", "max_rounds = 5"))
+        small = tmp_path / "small.cfg"
+        small.write_text(CONFIG_SMALL)
+        probe = (
+            "import sys, numpy\n"
+            "numpy.random.default_rng()\n"
+            "print('numpy.ma', 'numpy.ma' in sys.modules)\n"
+            "from massboost import cli\n"
+            "for cfg in sys.argv[1:]:\n"
+            "    assert cli.main(['run', cfg, '--seed-range', '0']) == 0\n"
+            "    print('numpy.ma', 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", probe, str(hard), str(small)], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        loaded = [line.split()[1] == "True" for line in res.stdout.splitlines() if line.startswith("numpy.ma ")]
+        if loaded[0]:
+            pytest.skip("importing numpy and building a Generator load numpy.ma already")
+        assert loaded == [False, False, False]
 
     def assert_config_error(self, res, key):
         assert res.returncode == 2
