@@ -549,7 +549,8 @@ class TestCli:
             "    assert cli.main(['run', cfg, '--seed-range', '0']) == 0\n"
             "    print('numpy.ma', 'numpy.ma' in sys.modules)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         res = subprocess.run([sys.executable, "-c", probe, str(hard), str(small)], capture_output=True, text=True,
                              env=env)
         assert res.returncode == 0, res.stderr
