@@ -35,6 +35,6 @@ from .booster import (
 )
 from .rectangles import BoxWeakLearner, RectangleUnion, enumerate_negative_subrectangles, wkl_box
 from .adversary import HardDistSpec, RudeWeakLearner, hard_distribution
-from .harness import ConfigParse, emit_metrics, load_config, run_experiment
+from .harness import ConfigParse, load_config, run_experiment
 
 __version__ = "0.1.0"

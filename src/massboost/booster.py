@@ -645,7 +645,7 @@ class RunTrace:
 
     rows: List[RoundRecord] = field(default_factory=list)
     total_draws: int = 0
-    scores: Optional[np.ndarray] = None  # final G on each atom as boost() returns it; a SeedResult's trace drops it
+    scores: Optional[np.ndarray] = None  # final G on each atom; the harness reads a seed's lerr and ferr off it
 
     def to_csv(self) -> str:
         """A header of RoundRecord's field names, then a line a round: .17g cells, empty for None."""

@@ -5,7 +5,8 @@
 Each flag overrides its config key (seeds, out, mode) and is parsed and
 checked with the config's own lines, before any seed runs. Exit code 0 once
 the batch completes (per-seed failures are recorded in the summary), 2 on
-config errors, 1 on IO errors.
+config errors, 1 on IO errors. An out that cannot be made a directory,
+such as the name of a file, exits 1 before any seed runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigParse, emit_metrics, load_config, run_experiment
+from .harness import ConfigParse, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,14 +40,12 @@ def main(argv=None) -> int:
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 1
 
     if cfg.out:
-        try:
-            written = emit_metrics(report, cfg.out)
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {len(written)} files under {cfg.out}")
+        print(f"wrote {len(cfg.seeds) + 1} files under {cfg.out}")  # summary.json and a trace CSV a seed
     failures = sum(1 for r in report.results if not r.ok)
     print(
         f"seeds={len(report.results)} success_fraction={report.success_fraction:.3f} "

@@ -12,8 +12,11 @@ whose run stops early keeps the rounds it completed and is evaluated on
 them. (config, seed) fully determines a run; reruns on the same machine,
 numpy build and BLAS thread count write byte-identical outputs.
 
-Outputs: summary.json with aggregate and per-seed fields, and one
-round_trace_<seed>.csv per seed in the booster's trace schema.
+Outputs, when out is set: run_experiment makes that directory before the
+first seed runs; each seed writes its round_trace_<seed>.csv, in the
+booster's trace schema, as soon as it ends, failed or not; and
+summary.json, with aggregate and per-seed fields, is written after the last
+seed. So a batch holds no finished seed's rows.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .adversary import HardDistSpec, RudeWeakLearner, hard_distribution
-from .booster import BoostFailure, BoostParams, FixedHypothesisWeakLearner, RunTrace, boost, compute_params
+from .booster import BoostFailure, BoostParams, FixedHypothesisWeakLearner, boost, compute_params
 from .core import FiniteMassartDist, MassartOracle, label_errors, load_dist, sign_pm1
 from .rectangles import BoxWeakLearner, Rectangle, RectangleUnion
 
@@ -38,7 +41,6 @@ __all__ = [
     "RunReport",
     "SeedResult",
     "build_instance",
-    "emit_metrics",
     "load_config",
     "parse_config",
     "run_experiment",
@@ -274,13 +276,13 @@ def build_weak_learner(cfg: RunConfig, concept, dist: FiniteMassartDist):
 
 @dataclass
 class SeedResult:
-    """One seed's outcome; every field but trace is a key of its summary.json record.
+    """One seed's outcome, exactly its summary.json record; its rows are in its trace CSV.
 
     total_draws is the trace's: every oracle draw, including those of a
-    round that failed, so it can exceed the sum of the trace's raw_draws.
-    trace keeps the rows and total_draws but not the per-atom scores
-    (scores is None): lerr and ferr are read off them before the record is
-    made, so a batch holds no seed's per-atom row past its own run.
+    round that failed, so it can exceed the sum of the trace CSV's
+    raw_draws. lerr and ferr are read off the final per-atom scores when
+    the seed ends, so a batch holds no seed's per-atom row or trace row
+    past its own run.
     """
 
     seed: int
@@ -292,7 +294,6 @@ class SeedResult:
     total_draws: int
     overconfident_rounds: int
     max_noise_rate: Optional[float]
-    trace: RunTrace
 
 
 @dataclass
@@ -311,11 +312,8 @@ class RunReport:
     def to_json_dict(self) -> dict:
         """summary.json: the report's keys, and under seeds each seed's keys and the name of its trace CSV."""
 
-        def keys(obj, skip) -> dict:
-            return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
-
-        seeds = [dict(keys(r, ("trace",)), trace_file=f"round_trace_{r.seed}.csv") for r in self.results]
-        return dict(keys(self, ("results",)), seeds=seeds)
+        seeds = [dict(asdict(r), trace_file=f"round_trace_{r.seed}.csv") for r in self.results]
+        return dict({f.name: getattr(self, f.name) for f in fields(self) if f.name != "results"}, seeds=seeds)
 
 
 def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
@@ -330,6 +328,8 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
     except BoostFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
         trace = exc.trace
+    if cfg.out:
+        (Path(cfg.out) / f"round_trace_{seed}.csv").write_text(trace.to_csv())
 
     lerr, ferr = label_errors(dist.p, dist.eta, sign_pm1(trace.scores) != dist.f)
     rates = [r.max_noise_rate for r in trace.rows if r.max_noise_rate is not None]
@@ -343,7 +343,6 @@ def _run_seed(cfg: RunConfig, seed: int) -> SeedResult:
         total_draws=trace.total_draws,
         overconfident_rounds=sum(1 for r in trace.rows if r.overconfident),
         max_noise_rate=max(rates) if rates else None,
-        trace=replace(trace, scores=None),
     )
 
 
@@ -365,7 +364,12 @@ def _percentile(ordered: List[float], q: int) -> float:
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:
-    """Run every configured seed in turn and aggregate; per-seed failures are recorded, not fatal."""
+    """Run every configured seed in turn and aggregate; per-seed failures are recorded, not fatal.
+
+    With cfg.out set, the outputs are written as the module docstring says; a failed write raises OSError.
+    """
+    if cfg.out:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     results = [_run_seed(cfg, s) for s in cfg.seeds]
 
     target = cfg.eta + cfg.epsilon
@@ -374,7 +378,7 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     mean_lerr = float(np.mean([r.lerr for r in results])) if results else None
     rounds = sorted(float(r.rounds) for r in results)
     percentiles = {f"p{q}": _percentile(rounds, q) for q in (50, 90, 100)} if rounds else {}
-    return RunReport(
+    report = RunReport(
         results=results,
         target_lerr=target,
         success_fraction=success,
@@ -384,21 +388,8 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         round_bound_log=math.log(1.0 / cfg.eta) ** 2 / cfg.gamma**2,
         total_draws=sum(r.total_draws for r in results),
     )
-
-
-def emit_metrics(report: RunReport, path) -> List[Path]:
-    """Write summary.json plus one trace CSV per seed; returns written paths. A failed write raises OSError."""
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary_path = out_dir / "summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(summary_path)
-    for r in report.results:
-        trace_path = out_dir / f"round_trace_{r.seed}.csv"
-        with open(trace_path, "w") as fh:
-            fh.write(r.trace.to_csv())
-        written.append(trace_path)
-    return written
+    if cfg.out:
+        with open(Path(cfg.out) / "summary.json", "w") as fh:
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return report

@@ -3,7 +3,7 @@
 Each slice runs two seeds of configs/rect_benchmark.cfg, configs/hard_floor.cfg
 or configs/hard_ablation.cfg with overrides that shrink the instance and the
 round count, in exact-oracle and in Monte Carlo mode, and compares the sha256
-of every file emit_metrics writes (summary.json and each
+of every file the run writes under out (summary.json and each
 round_trace_<seed>.csv) against the digests below. A trace CSV has a column
 for every RoundRecord field, so a change that moves any per-round float, draw
 count or summary field fails here. In each exact slice, every seed's last
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from massboost import emit_metrics, load_config, run_experiment
+from massboost import load_config, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,9 +71,8 @@ GOLDEN = {
 
 def run_slice(name: str, mode: str, out_dir: Path) -> dict:
     cfg_file, overrides = SLICES[name]
-    cfg = load_config(CONFIGS / cfg_file, {**overrides, "mode": mode, "seeds": "0..1"})
-    written = emit_metrics(run_experiment(cfg), out_dir)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    run_experiment(load_config(CONFIGS / cfg_file, {**overrides, "mode": mode, "seeds": "0..1", "out": str(out_dir)}))
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
 
 
 @pytest.fixture(scope="module")
