@@ -125,14 +125,6 @@ class RudeWeakLearner:
     scale: float = 1.0
     survivor_cap: ClassVar[int] = 16
 
-    @property
-    def v_h_range(self) -> Tuple[float, float]:
-        return (self.gamma / (20.0 * self.m), self.gamma / (10.0 * self.m))
-
-    @property
-    def v_y_range(self) -> Tuple[float, float]:
-        return (0.5, 0.5 + self.gamma / (10.0 * self.m))
-
     def step1_size(self) -> int:
         return max(1, math.ceil(self.scale * self.m**2 / self.gamma))
 
@@ -148,16 +140,16 @@ class RudeWeakLearner:
 
 @dataclass(frozen=True, slots=True)
 class HeavyHitterHypothesis:
-    """Explicit pair (X_hat, labels): stored labels on heavy hitters, -1 elsewhere."""
+    """Explicit pair (X_hat, labels): stored labels on heavy hitters, -1 elsewhere; a value of tuples."""
 
-    points: np.ndarray  # (k, d)
-    labels: np.ndarray  # (k,)
+    points: Tuple[Tuple[float, ...], ...]  # k coordinate tuples; () with no heavy hitter
+    labels: Tuple[int, ...]  # k labels in {-1, +1}
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         out = np.full(xs.shape[0], -1, dtype=np.int8)
         for row, label in zip(self.points, self.labels):
-            out[np.all(xs == row[None, :], axis=1)] = label
+            out[np.all(xs == row, axis=1)] = label
         return out
 
     def __len__(self) -> int:
@@ -202,8 +194,9 @@ def wkl_rude(
     a uniformly drawn threshold v_h; step 3 draws a label threshold v_y and
     assigns each survivor the label +1 iff the +1 fraction among its fresh
     occurrences reaches v_y (no occurrences count as fraction 0). Everything
-    outside the surviving set is labeled -1. The source returns the count
-    asked, at least 1 each step, as booster.samp does.
+    outside the surviving set is labeled -1, and the hypothesis holds the
+    survivors as coordinate tuples. The source returns the count asked, at
+    least 1 each step, as booster.samp does.
     """
     s1 = sample_source(learner.step1_size())
     candidates = _distinct_rows(np.atleast_2d(s1.xs))
@@ -213,7 +206,7 @@ def wkl_rude(
     counts = np.bincount(matches[matches >= 0], minlength=len(candidates))
     p_hat = counts / len(s2)
 
-    v_h = rng.uniform(*learner.v_h_range)
+    v_h = rng.uniform(learner.gamma / (20.0 * learner.m), learner.gamma / (10.0 * learner.m))
     keep = p_hat >= v_h
     survivors = candidates[keep]
     surv_p = p_hat[keep]
@@ -221,13 +214,14 @@ def wkl_rude(
         order = np.argsort(-surv_p, kind="stable")[: learner.survivor_cap]
         order = np.sort(order)
         survivors = survivors[order]
+    points = tuple(map(tuple, survivors.tolist()))
 
-    v_y = rng.uniform(*learner.v_y_range)
-    labels = np.empty(len(survivors), dtype=np.int8)
-    for i in range(len(survivors)):
+    v_y = rng.uniform(0.5, 0.5 + learner.gamma / (10.0 * learner.m))
+    labels = []
+    for point in points:
         s3 = sample_source(learner.step2_size())
-        inst = np.all(np.atleast_2d(s3.xs) == survivors[i][None, :], axis=1)
+        inst = np.all(np.atleast_2d(s3.xs) == point, axis=1)
         n_inst = int(inst.sum())
         p1 = float(np.sum(s3.ys[inst] == 1)) / n_inst if n_inst > 0 else 0.0
-        labels[i] = 1 if p1 >= v_y else -1
-    return HeavyHitterHypothesis(survivors, labels)
+        labels.append(1 if p1 >= v_y else -1)
+    return HeavyHitterHypothesis(points, tuple(labels))

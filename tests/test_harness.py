@@ -275,11 +275,8 @@ class TestRunExperiment:
         assert pickle.loads(pickle.dumps(row)) == row
         box = BoxHypothesis(NegRectangle(((0, 1, 0.25), (1, -1, -0.5))), 1)
         assert pickle.loads(pickle.dumps(box)) == box
-        heavy = HeavyHitterHypothesis(np.array([[1.0, -0.5], [3.0, 2.0]]), np.array([1, -1], dtype=np.int8))
-        back = pickle.loads(pickle.dumps(heavy))
-        assert type(back) is HeavyHitterHypothesis
-        for got, want in ((back.points, heavy.points), (back.labels, heavy.labels)):
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        heavy = HeavyHitterHypothesis(((1.0, -0.5), (3.0, 2.0)), (1, -1))
+        assert pickle.loads(pickle.dumps(heavy)) == heavy
 
 
 class TestEmitMetrics:
@@ -500,12 +497,8 @@ class TestCli:
             # 64-bit hard domain): setting one is an unknown key
             ("weak_learner = concept", "weak_learner = box\nbox_c = 0", "box_c"),
             ("weak_learner = concept", "weak_learner = box\nbox_c = -1", "box_c"),
-            ("weak_learner = concept", "weak_learner = rude\nrude_m = 0", "rude_m"),
-            ("weak_learner = concept", "weak_learner = rude\nrude_t = 0", "rude_t"),
-            ("weak_learner = concept", "weak_learner = rude\nrude_scale = nan", "rude_scale"),
             ("weak_learner = concept", "weak_learner = rude\nrude_scale = inf", "rude_scale"),
             ("weak_learner = concept", "weak_learner = rude\nrude_scale = -1", "rude_scale"),
-            ("weak_learner = concept", "weak_learner = rude\nrude_scale = 0", "rude_scale"),
             ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = -1", "rude_survivor_cap"),
             ("weak_learner = concept", "weak_learner = rude\nrude_survivor_cap = 0", "rude_survivor_cap"),
             ("distribution = rect_grid", "distribution = hard\nhard_rho = 1e-5\nhard_n = 64", "hard_n"),
@@ -523,12 +516,8 @@ class TestCli:
             "box-scale-negative",
             "box-c-zero",
             "box-c-negative",
-            "rude-m-zero",
-            "rude-t-zero",
-            "rude-scale-nan",
             "rude-scale-inf",
             "rude-scale-negative",
-            "rude-scale-zero",
             "rude-survivor-cap-negative",
             "rude-survivor-cap-zero",
             "hard-n-retired",
@@ -543,16 +532,6 @@ class TestCli:
         res = run_cli(["run", str(cfg_path)])
         assert res.returncode == 2
         assert "config error" in res.stderr and key in res.stderr
-        assert "Traceback" not in res.stderr
-
-    @pytest.mark.parametrize("line", ["hard_n = 0", "hard_n = 65"])
-    def test_other_generators_parameter_is_config_error(self, tmp_path, line):
-        """hard_n, which the hard generator read before its domain became the 64-bit integers, is an unknown key."""
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(CONFIG_SMALL + line + "\n")
-        res = run_cli(["run", str(cfg_path)])
-        assert res.returncode == 2
-        assert "config error" in res.stderr and line.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
