@@ -197,11 +197,11 @@ class MassartOracle:
 
     A draw u ~ U[0, 1) lands on the atom i with cum[i] <= u < cum[i + 1],
     where cum is the cumulative table of p padded with a leading 0.0; that
-    is np.searchsorted(cum[1:], u, side="right"). When every p is equal
-    (every shipped instance), the lookup guesses i = floor(u n) in O(1),
-    checks the guess against both neighbours, and sends only the draws
-    whose guess fails to searchsorted, so the indices are the binary
-    search's by construction. Any other table always takes searchsorted.
+    is np.searchsorted(cum[1:], u, side="right"). The lookup guesses
+    i = floor(u n), checks the guess against both neighbours, and sends the
+    draws whose guess fails to searchsorted. With equal masses (every
+    shipped instance) almost every guess holds; on a skewed table most
+    guesses miss, and a lookup costs the search plus the check's passes.
     """
 
     def __init__(self, source: FiniteMassartDist, rng_seed: int):
@@ -213,15 +213,10 @@ class MassartOracle:
         self._cum = np.zeros(source.n_atoms + 1)
         np.cumsum(source.p, out=self._cum[1:])
         self._cum[-1] = 1.0  # guard float roundoff at the top bin
-        # a cumulative sum of equal masses is sorted unless the top-bin guard
-        # lowered the last entry below the one before it
-        self._uniform = bool(source.p.min() == source.p.max() and self._cum[-2] <= 1.0)
 
     def _atoms(self, u: np.ndarray) -> np.ndarray:
         """The atom index of each draw u, equal to np.searchsorted(cum[1:], u, side="right")."""
         upper = self._cum[1:]
-        if not self._uniform:
-            return np.searchsorted(upper, u, side="right")
         # one float buffer serves the guess and both gathers; clipping keeps a
         # guess of n (u n rounded up) in range, and such a guess fails the check
         edge = u * len(upper)
